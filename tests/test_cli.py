@@ -207,3 +207,25 @@ def test_weight_table_from_file(tmp_path):
     ) == 0
     report = json.loads((tmp_path / "spectrum.json").read_text())
     np.testing.assert_allclose(report["operator_norm"], 2.0, rtol=1e-10)
+
+
+def _failing_svd(*args, **kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+def test_index_both_routes_fail_exit_4(tmp_path, capsys, monkeypatch):
+    cat = enumerate_dual(SU2(), 6.0)
+    pi, rho = cat.labels[0], cat.labels[1]
+    sym = Symbol(cat, cat, {(pi, rho): np.ones((1, 2))})
+    sym_path = write_json(tmp_path / "sym.json", sym.to_dict())
+    monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+    assert main(["index", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "non-square" in err and "SVD did not converge" in err
+
+
+def test_index_svd_failure_with_square_blocks_exit_3(tmp_path, monkeypatch):
+    cat = enumerate_dual(SU2(), 6.0)
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
+    monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+    assert main(["index", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 3
