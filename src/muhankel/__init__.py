@@ -32,10 +32,9 @@ from .fredholm import (
     numerical_index,
     winding_number,
 )
-from .operators import BlockOperator, assemble, read_dense_csv, write_dense_csv
+from .operators import BlockOperator, assemble
 from .recovery import (
     AttributionError,
-    RecoveryConfig,
     SingularTriple,
     SpectralData,
     StabilityRow,
@@ -51,11 +50,10 @@ from .spectral import (
     SpectrumReport,
     carleson_test,
     compactness_report,
-    norm_equivalence_check,
+    norm_criteria,
     schatten_norm,
     schatten_series_scan,
     schatten_series_table,
-    schur_bound,
     schur_constant,
     spectrum,
 )
@@ -69,7 +67,6 @@ from .symbols import (
     random_matching_symbol,
     random_symbol,
     symbol_difference,
-    weighted_block,
 )
 
 __version__ = "0.1.0"
@@ -99,18 +96,14 @@ __all__ = [
     "random_matching_symbol",
     "random_symbol",
     "symbol_difference",
-    "weighted_block",
     "BlockOperator",
     "assemble",
-    "read_dense_csv",
-    "write_dense_csv",
     "SpectrumReport",
     "CriterionVerdict",
     "spectrum",
     "schatten_norm",
-    "schur_bound",
+    "norm_criteria",
     "schur_constant",
-    "norm_equivalence_check",
     "carleson_test",
     "compactness_report",
     "schatten_series_scan",
@@ -122,7 +115,6 @@ __all__ = [
     "numerical_index",
     "winding_number",
     "AttributionError",
-    "RecoveryConfig",
     "SingularTriple",
     "SpectralData",
     "StabilityRow",

@@ -35,35 +35,31 @@ from .duals import (
     IrrepLabel,
     PowerLaw,
     TableWeight,
-    Torus,
     Weight,
     enumerate_dual,
     parse_group,
 )
 from .fredholm import (
     FormulaInapplicableError,
-    index_formula,
-    numerical_index,
+    index_report,
     winding_number,
 )
 from .operators import assemble
 from .recovery import (
     AttributionError,
-    RecoveryConfig,
     SpectralData,
     stability_scan,
     tikhonov_recover,
 )
 from .spectral import (
     compactness_report,
-    norm_equivalence_check,
+    norm_criteria,
     schatten_norm,
     schatten_series_scan,
     schatten_series_table,
-    schur_bound,
     spectrum,
 )
-from .symbols import Symbol, SymbolClassParams, symbol_difference
+from .symbols import Symbol, SymbolClassParams, hankel_coefficients, symbol_difference
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -100,9 +96,11 @@ def _write_manifest(out_dir: Path, command: str, inputs: dict, outputs: dict,
 
 def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
     try:
-        return PowerLaw(float(spec))
+        exponent = float(spec)
     except ValueError:
         pass
+    else:
+        return PowerLaw(exponent)
     payload = json.loads(Path(spec).read_text())
     values = {
         IrrepLabel(catalog.group, tuple(entry["index"])): float(entry["value"])
@@ -146,13 +144,12 @@ def cmd_spectrum(args) -> int:
     sym = _load_symbol(args.symbol)
     mu = _parse_weight(args.mu, sym.codomain)
     nu = _parse_weight(args.nu, sym.domain)
-    params = SymbolClassParams(args.m, args.n, mu, nu)
+    params = SymbolClassParams(args.m, args.n)
     op = assemble(sym, mu, nu)
     report = spectrum(op)
     ps = sorted({1.0, 2.0, args.p} if args.p is not None else {1.0, 2.0})
     schatten = {str(p): schatten_norm(report, p) for p in ps}
-    criteria = [schur_bound(sym, params), norm_equivalence_check(sym, params)]
-    criteria.append(compactness_report(op, params))
+    criteria = [*norm_criteria(op, params), compactness_report(op, params)]
 
     out = _out_dir(args)
     outputs = {}
@@ -235,61 +232,18 @@ def cmd_schatten_scan(args) -> int:
     return EXIT_OK
 
 
-def _hankel_coefficients(sym: Symbol) -> dict[int, complex] | None:
-    """Fourier coefficients k -> a(n, m) for torus symbols with Hankel
-    structure a(n, m) = c(n + m); None when the structure does not hold."""
-    if sym.codomain.group != Torus(1) or sym.domain.group != Torus(1):
-        return None
-    coeffs: dict[int, complex] = {}
-    for (pi, rho), block in sym.blocks.items():
-        k = pi.index[0] + rho.index[0]
-        value = complex(block[0, 0])
-        if k in coeffs:
-            if abs(coeffs[k] - value) > 1e-12 * max(1.0, abs(value)):
-                return None
-        else:
-            coeffs[k] = value
-    return coeffs or None
-
-
 def cmd_index(args) -> int:
     sym = _load_symbol(args.symbol)
     mu = _parse_weight(args.mu, sym.codomain)
     nu = _parse_weight(args.nu, sym.domain)
-    op = assemble(sym, mu, nu)
-
-    formula_index = None
-    pairs = []
-    formula_error = None
     try:
-        formula_index, pairs = index_formula(op)
+        report = index_report(assemble(sym, mu, nu), args.tolerance)
     except FormulaInapplicableError as exc:
-        formula_error = str(exc)
+        print(f"index: {exc}", file=sys.stderr)
+        return EXIT_INDEX_INAPPLICABLE
+    payload = report.to_dict()
 
-    try:
-        rank, kernel, cokernel, num_index = numerical_index(op, args.tolerance)
-    except np.linalg.LinAlgError as exc:
-        if formula_error is not None:
-            print(f"index: formula inapplicable ({formula_error}); "
-                  f"numerical SVD failed ({exc})", file=sys.stderr)
-            return EXIT_INDEX_INAPPLICABLE
-        raise
-
-    payload = {
-        "formula_index": formula_index,
-        "formula_error": formula_error,
-        "contributing_pairs": [
-            {"pi_index": list(pi.index), "rho_index": list(rho.index), "weight": w}
-            for pi, rho, w in pairs
-        ],
-        "numerical_rank": rank,
-        "numerical_kernel_dim": kernel,
-        "numerical_cokernel_dim": cokernel,
-        "numerical_index": num_index,
-        "rank_tolerance": args.tolerance,
-    }
-
-    coeffs = _hankel_coefficients(sym)
+    coeffs = hankel_coefficients(sym)
     if coeffs is not None:
         theta = 2.0 * np.pi * np.arange(args.samples) / args.samples
         samples = np.zeros(args.samples, dtype=complex)
@@ -310,13 +264,18 @@ def cmd_index(args) -> int:
         {"mu": args.mu, "nu": args.nu, "tolerance": args.tolerance},
     )
 
-    if formula_error is None:
-        print(f"formula index {formula_index} ({len(pairs)} contributing pairs)")
+    if report.formula_error is None:
+        pairs = report.contributing_pairs
+        print(f"formula index {report.formula_index} ({len(pairs)} contributing pairs)")
         for pi, rho, w in pairs:
             print(f"  pair pi={list(pi.index)} rho={list(rho.index)} weight {w}")
     else:
-        print(f"formula inapplicable: {formula_error}")
-    print(f"numerical index {num_index} (kernel {kernel}, cokernel {cokernel}, rank {rank})")
+        print(f"formula inapplicable: {report.formula_error}")
+    num_index = report.numerical_index
+    print(
+        f"numerical index {num_index} (kernel {report.numerical_kernel_dim}, "
+        f"cokernel {report.numerical_cokernel_dim}, rank {report.numerical_rank})"
+    )
     if "winding_number" in payload:
         print(
             f"winding number {payload['winding_number']}; "
@@ -331,13 +290,7 @@ def cmd_recover(args) -> int:
     data = SpectralData.from_dict(json.loads(Path(args.data).read_text()))
     mu = _parse_weight(args.mu, data.codomain)
     nu = _parse_weight(args.nu, data.domain)
-    config = RecoveryConfig(
-        cutoff=max(data.codomain.cutoff, data.domain.cutoff),
-        alpha=args.alpha,
-        seed=args.seed,
-        weighted_penalty=args.weighted_penalty,
-    )
-    recovered = tikhonov_recover(data, mu, nu, config.alpha, config.weighted_penalty)
+    recovered = tikhonov_recover(data, mu, nu, args.alpha, args.weighted_penalty)
     out = _out_dir(args)
     sym_path = out / "recovered_symbol.json"
     _write_json(sym_path, recovered.to_dict())
@@ -351,16 +304,13 @@ def cmd_recover(args) -> int:
         )
         print(f"max entry error vs true symbol: {max_err:.6g}")
     else:
-        noisy = np.zeros((data.codomain.dense_dim, data.domain.dense_dim), dtype=complex)
-        for t in data.triples:
-            noisy += t.s * np.outer(t.u, t.v.conj())
-        residual = assemble(recovered, mu, nu).to_dense() - noisy
+        residual = assemble(recovered, mu, nu).to_dense() - data.reassemble()
         print(f"max residual vs reassembled data: {np.max(np.abs(residual)) if residual.size else 0.0:.6g}")
     _write_manifest(
         out, "recover", inputs, {"symbol": sym_path}, args.seed,
-        {"mu": args.mu, "nu": args.nu, "cutoff": config.cutoff,
-         "alpha": config.alpha, "noise_delta": config.noise_delta,
-         "weighted_penalty": config.weighted_penalty},
+        {"mu": args.mu, "nu": args.nu,
+         "cutoff": max(data.codomain.cutoff, data.domain.cutoff),
+         "alpha": args.alpha, "weighted_penalty": args.weighted_penalty},
     )
     print(f"recovered {len(recovered.blocks)} blocks")
     return EXIT_OK

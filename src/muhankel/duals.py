@@ -206,6 +206,10 @@ class PowerLaw:
 
     exponent: float
 
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.exponent):
+            raise ValueError(f"power-law exponent must be finite, got {self.exponent}")
+
 
 @dataclass(frozen=True)
 class TableWeight:

@@ -91,8 +91,7 @@ def numerical_index(
     if rank_tolerance <= 0:
         raise ValueError(f"rank tolerance must be > 0, got {rank_tolerance}")
     n_out, n_in = op.shape
-    dense = op.to_dense()
-    values = np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
+    values = op.singular_values
     if values.size == 0 or values[0] == 0.0:
         rank = 0
     else:
@@ -103,7 +102,8 @@ def numerical_index(
 
 
 def index_report(op: BlockOperator, rank_tolerance: float = 1e-8) -> IndexReport:
-    """Run both index routes; formula inapplicability is recorded, not fatal."""
+    """Run both index routes; formula inapplicability is recorded, not fatal.
+    If the numerical SVD fails as well, FormulaInapplicableError names both."""
     formula = None
     pairs: list[ContributingPair] = []
     error = None
@@ -111,7 +111,14 @@ def index_report(op: BlockOperator, rank_tolerance: float = 1e-8) -> IndexReport
         formula, pairs = index_formula(op)
     except FormulaInapplicableError as exc:
         error = str(exc)
-    rank, kernel, cokernel, idx = numerical_index(op, rank_tolerance)
+    try:
+        rank, kernel, cokernel, idx = numerical_index(op, rank_tolerance)
+    except np.linalg.LinAlgError as exc:
+        if error is None:
+            raise
+        raise FormulaInapplicableError(
+            f"formula inapplicable ({error}); numerical SVD failed ({exc})"
+        ) from exc
     return IndexReport(
         formula_index=formula,
         contributing_pairs=pairs,

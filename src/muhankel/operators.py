@@ -4,15 +4,15 @@ The operator carries one finite block T(pi, rho) = mu(pi) a(pi, rho) nu(rho)
 per stored symbol block, mapping the rho coordinate slice of the domain
 layout into the pi slice of the codomain layout. Blocks are weighted once at
 assembly and cached; application, adjoint, and densification all reuse the
-cache, so the adjoint's dense matrix is the exact conjugate transpose.
+cache, so the adjoint's dense matrix is the exact conjugate transpose. The
+singular values of the dense matrix are computed once per operator and
+shared by every spectral consumer.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +37,7 @@ class BlockOperator:
         _check_table_cover(self.nu, self.symbol.domain, "nu")
         weighted = {}
         for (pi, rho), block in self.symbol.blocks.items():
+            # single scalar product keeps the adjoint exactly conjugate-symmetric
             w = weight_eval(self.mu, pi) * weight_eval(self.nu, rho)
             wb = w * block
             wb.setflags(write=False)
@@ -87,6 +88,15 @@ class BlockOperator:
             dense[self.codomain.slice_of(pi), self.domain.slice_of(rho)] = block
         return dense
 
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Descending singular values of the dense matrix, from one SVD per
+        operator; read-only. The dense matrix itself is not kept."""
+        dense = self.to_dense()
+        values = np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
+        values.setflags(write=False)
+        return values
+
 
 def _check_table_cover(weight: Weight, catalog: DualCatalog, name: str) -> None:
     if isinstance(weight, TableWeight):
@@ -101,35 +111,3 @@ def _check_table_cover(weight: Weight, catalog: DualCatalog, name: str) -> None:
 def assemble(symbol: Symbol, mu: Weight, nu: Weight) -> BlockOperator:
     """Weight every stored block and cache the result."""
     return BlockOperator(symbol, mu, nu)
-
-
-def write_dense_csv(op: BlockOperator, csv_path, header_path) -> None:
-    """Export the dense matrix as CSV rows of interleaved (re, im) pairs,
-    with a JSON header carrying the shape and both catalogs."""
-    dense = op.to_dense()
-    with Path(csv_path).open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        for row in dense:
-            flat = []
-            for entry in row:
-                flat.append(entry.real)
-                flat.append(entry.imag)
-            writer.writerow(flat)
-    header = {
-        "shape": [op.shape[0], op.shape[1]],
-        "codomain": op.codomain.to_dict(),
-        "domain": op.domain.to_dict(),
-    }
-    Path(header_path).write_text(json.dumps(header, indent=2, sort_keys=True) + "\n")
-
-
-def read_dense_csv(csv_path, header_path) -> tuple[np.ndarray, dict]:
-    """Inverse of :func:`write_dense_csv`."""
-    header = json.loads(Path(header_path).read_text())
-    n_out, n_in = header["shape"]
-    dense = np.zeros((n_out, n_in), dtype=np.complex128)
-    with Path(csv_path).open(newline="") as handle:
-        for i, row in enumerate(csv.reader(handle)):
-            values = [float(x) for x in row]
-            dense[i] = np.asarray(values[0::2]) + 1j * np.asarray(values[1::2])
-    return dense, header

@@ -11,11 +11,11 @@ same pipeline with a closed-form per-block Tikhonov solve.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .duals import DualCatalog, Weight, weight_eval
+from .duals import DualCatalog, IrrepLabel, Weight, weight_eval
 from .operators import BlockOperator, assemble
 from .symbols import (
     BlockKey,
@@ -38,21 +38,6 @@ class SingularTriple:
     s: float
     u: np.ndarray
     v: np.ndarray
-
-
-@dataclass(frozen=True)
-class RecoveryConfig:
-    """Knobs for a recovery experiment."""
-
-    cutoff: float
-    alpha: float = 0.0
-    noise_delta: float = 0.0
-    seed: int = 0
-    weighted_penalty: bool = False
-
-    def __post_init__(self) -> None:
-        if self.alpha < 0 or self.noise_delta < 0:
-            raise ValueError("alpha and noise_delta must be >= 0")
 
 
 @dataclass
@@ -97,6 +82,15 @@ class SpectralData:
     def fully_attributed(self) -> bool:
         return all(key is not None for key in self.attribution)
 
+    def reassemble(self) -> np.ndarray:
+        """Dense matrix sum_n s_n u_n v_n^H, accumulated in triple order."""
+        dense = np.zeros(
+            (self.codomain.dense_dim, self.domain.dense_dim), dtype=np.complex128
+        )
+        for t in self.triples:
+            dense += t.s * np.outer(t.u, t.v.conj())
+        return dense
+
     def to_dict(self) -> dict:
         return {
             "codomain": self.codomain.to_dict(),
@@ -119,8 +113,6 @@ class SpectralData:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SpectralData":
-        from .duals import IrrepLabel
-
         codomain = DualCatalog.from_dict(data["codomain"])
         domain = DualCatalog.from_dict(data["domain"])
         triples = [
@@ -244,10 +236,7 @@ def tikhonov_recover(
     if alpha < 0:
         raise ValueError(f"regularization parameter must be >= 0, got {alpha}")
     _require_attribution(data, "tikhonov recovery")
-    n_out, n_in = data.codomain.dense_dim, data.domain.dense_dim
-    noisy = np.zeros((n_out, n_in), dtype=np.complex128)
-    for t in data.triples:
-        noisy += t.s * np.outer(t.u, t.v.conj())
+    noisy = data.reassemble()
     blocks = {}
     for key in dict.fromkeys(data.attribution):
         pi, rho = key
@@ -320,30 +309,28 @@ def stability_scan(
     deltas: Sequence[float],
     trials: int,
     seed: int,
-    alpha_rule: Callable[[float], float] | None = None,
     weighted_penalty: bool = False,
 ) -> tuple[list[StabilityRow], float | None]:
     """Noise-response experiment: perturb the spectral data of the true
-    operator at each noise level, recover with alpha = alpha_rule(delta)
-    (default delta^2), and record the weighted HS-sum recovery error.
+    operator at each noise level, recover with alpha = delta^2, and record
+    the weighted HS-sum recovery error.
 
     Returns the per-delta rows and the log-log slope of mean error vs delta
     fitted over the positive-noise rows (None when fewer than two qualify).
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if alpha_rule is None:
-        alpha_rule = lambda d: d * d
     base = forward(assemble(true_symbol, mu, nu))
     rng = np.random.default_rng(seed)
     rows = []
     for delta in deltas:
-        alpha = float(alpha_rule(delta))
+        alpha = float(delta * delta)
         errors = []
         for _ in range(trials):
             noisy = perturb_spectral_data(base, delta, rng)
             recovered = tikhonov_recover(noisy, mu, nu, alpha, weighted_penalty)
-            errors.append(hs_norm(symbol_difference(recovered, true_symbol), mu, nu))
+            diff = symbol_difference(recovered, true_symbol)
+            errors.append(hs_norm(assemble(diff, mu, nu)))
         rows.append(
             StabilityRow(float(delta), alpha, float(np.mean(errors)), float(np.std(errors)))
         )

@@ -13,7 +13,7 @@ each evaluator states an explicit finite proxy:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -44,7 +44,6 @@ class SpectrumReport:
     singular_values: np.ndarray
     per_block: dict[BlockKey, np.ndarray]
     operator_norm: float
-    schatten: dict[float, float] = field(default_factory=dict)
 
     def nonzero(self, rel_tol: float = 1e-12) -> np.ndarray:
         s = self.singular_values
@@ -72,9 +71,8 @@ class CriterionVerdict:
 
 
 def spectrum(op: BlockOperator) -> SpectrumReport:
-    """Dense SVD of the whole operator plus an SVD of every weighted block."""
-    dense = op.to_dense()
-    values = np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
+    """The operator's singular values plus an SVD of every weighted block."""
+    values = op.singular_values
     per_block = {
         key: np.linalg.svd(block, compute_uv=False)
         for key, block in op.weighted.items()
@@ -87,10 +85,8 @@ def schatten_norm(report: SpectrumReport, p: float) -> float:
     """(sum s_n^p)^(1/p) over the global singular values."""
     if p <= 0:
         raise ValueError(f"Schatten exponent must be > 0, got {p}")
-    if p not in report.schatten:
-        total = float(np.sum(report.singular_values ** p))
-        report.schatten[p] = total ** (1.0 / p)
-    return report.schatten[p]
+    total = float(np.sum(report.singular_values ** p))
+    return total ** (1.0 / p)
 
 
 def schur_constant(params: SymbolClassParams, codomain: DualCatalog, domain: DualCatalog) -> float:
@@ -100,34 +96,34 @@ def schur_constant(params: SymbolClassParams, codomain: DualCatalog, domain: Dua
     return float(np.sqrt(rho_sum * pi_sum))
 
 
-def schur_bound(sym: Symbol, params: SymbolClassParams) -> CriterionVerdict:
-    """Upper bound C * M on the operator norm, checked against a dense SVD."""
-    big_m = class_norm(sym, params)
-    c = schur_constant(params, sym.codomain, sym.domain)
-    measured = spectrum(assemble(sym, params.mu, params.nu)).operator_norm
-    bound = c * big_m
-    return CriterionVerdict(
+def norm_criteria(
+    op: BlockOperator, params: SymbolClassParams
+) -> tuple[CriterionVerdict, CriterionVerdict]:
+    """Both norm criteria against the operator norm, with C * M computed once.
+
+    ``schur_bound`` checks the upper bound ||T|| <= C * M; ``norm_equivalence``
+    brackets the norm: max weighted-block norm <= ||T|| <= C * M.
+    """
+    big_m = class_norm(op, params)
+    c = schur_constant(params, op.codomain, op.domain)
+    upper = c * big_m
+    lower = class_norm(op, SymbolClassParams(0.0, 0.0))
+    measured = float(op.singular_values[0]) if op.singular_values.size else 0.0
+    schur = CriterionVerdict(
         name="schur_bound",
-        bound_value=bound,
+        bound_value=upper,
         measured_value=measured,
-        satisfied=measured <= bound + 1e-9,
+        satisfied=measured <= upper + 1e-9,
         detail=f"C={c:.6g}, M={big_m:.6g}, m={params.m}, n={params.n}",
     )
-
-
-def norm_equivalence_check(sym: Symbol, params: SymbolClassParams) -> CriterionVerdict:
-    """Bracket the operator norm: max weighted-block norm <= ||A|| <= C * M."""
-    lower = class_norm(sym, SymbolClassParams(0.0, 0.0, params.mu, params.nu))
-    upper = schur_constant(params, sym.codomain, sym.domain) * class_norm(sym, params)
-    measured = spectrum(assemble(sym, params.mu, params.nu)).operator_norm
-    ok = (lower - 1e-9 <= measured) and (measured <= upper + 1e-9)
-    return CriterionVerdict(
+    equivalence = CriterionVerdict(
         name="norm_equivalence",
         bound_value=upper,
         measured_value=measured,
-        satisfied=ok,
+        satisfied=(lower - 1e-9 <= measured) and (measured <= upper + 1e-9),
         detail=f"lower={lower:.6g}, measured={measured:.6g}, upper={upper:.6g}",
     )
+    return schur, equivalence
 
 
 def _carleson_value(nu: Weight, labels: list[IrrepLabel], t: float) -> float:
@@ -176,10 +172,7 @@ def _restrict_operator(op: BlockOperator, frac: float) -> BlockOperator:
 
 
 def _min_retained_sv(op: BlockOperator) -> float:
-    dense = op.to_dense()
-    if dense.size == 0:
-        return 0.0
-    values = np.linalg.svd(dense, compute_uv=False)
+    values = op.singular_values
     if values.size == 0 or values[0] == 0.0:
         return 0.0
     kept = values[values > 1e-12 * values[0]]

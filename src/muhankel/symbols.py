@@ -1,14 +1,14 @@
 """Sparse matrix-valued symbols and their norms.
 
 A symbol stores one complex d_pi x d_rho matrix per (pi, rho) label pair;
-absent pairs are zero. Weights act as positive scalars per label, so the
-weighted block at (pi, rho) is ``mu(pi) * a(pi, rho) * nu(rho)``.
+absent pairs are zero. Weights act as positive scalars per label; the
+assembled operator holds the weighted blocks ``mu(pi) * a(pi, rho) * nu(rho)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
@@ -17,12 +17,13 @@ from .duals import (
     IrrepLabel,
     PowerLaw,
     Torus,
-    UNIT_WEIGHT,
-    Weight,
     casimir,
     dim,
     weight_eval,
 )
+
+if TYPE_CHECKING:
+    from .operators import BlockOperator
 
 BlockKey = tuple[IrrepLabel, IrrepLabel]
 
@@ -100,50 +101,39 @@ class Symbol:
         for entry in data["blocks"]:
             pi = IrrepLabel(codomain.group, tuple(entry["pi_index"]))
             rho = IrrepLabel(domain.group, tuple(entry["rho_index"]))
+            if (pi, rho) in blocks:
+                raise ValueError(f"duplicate block ({pi.index}, {rho.index})")
             blocks[(pi, rho)] = np.asarray(entry["re"]) + 1j * np.asarray(entry["im"])
         return cls(codomain, domain, blocks)
 
 
 @dataclass(frozen=True)
 class SymbolClassParams:
-    """Decay orders (m, n) and the weight pair defining a symbol class."""
+    """Decay orders (m, n) of a symbol class; the weights live in the operator."""
 
     m: float
     n: float
-    mu: Weight = UNIT_WEIGHT
-    nu: Weight = UNIT_WEIGHT
 
     def __post_init__(self) -> None:
         if self.m < 0 or self.n < 0:
             raise ValueError(f"decay orders must be >= 0, got m={self.m}, n={self.n}")
 
 
-def weighted_block(
-    sym: Symbol, mu: Weight, nu: Weight, pi: IrrepLabel, rho: IrrepLabel
-) -> np.ndarray:
-    """mu(pi) * a(pi, rho) * nu(rho); zero matrix when the block is absent."""
-    block = sym.block(pi, rho)
-    # single scalar product keeps the adjoint exactly conjugate-symmetric
-    return (weight_eval(mu, pi) * weight_eval(nu, rho)) * block
-
-
-def class_norm(sym: Symbol, params: SymbolClassParams) -> float:
+def class_norm(op: BlockOperator, params: SymbolClassParams) -> float:
     """Largest weighted block operator norm, amplified by the decay factors
     (1+lambda_pi)^(m/2) (1+lambda_rho)^(n/2). Zero for an empty symbol."""
     best = 0.0
-    for (pi, rho) in sym.blocks:
-        wb = weighted_block(sym, params.mu, params.nu, pi, rho)
+    for (pi, rho), wb in op.weighted.items():
         factor = (1.0 + casimir(pi)) ** (params.m / 2.0)
         factor *= (1.0 + casimir(rho)) ** (params.n / 2.0)
         best = max(best, factor * float(np.linalg.norm(wb, 2)))
     return best
 
 
-def hs_norm(sym: Symbol, mu: Weight = UNIT_WEIGHT, nu: Weight = UNIT_WEIGHT) -> float:
+def hs_norm(op: BlockOperator) -> float:
     """l2-sum of Hilbert-Schmidt norms of the weighted blocks."""
     total = 0.0
-    for (pi, rho) in sym.blocks:
-        wb = weighted_block(sym, mu, nu, pi, rho)
+    for wb in op.weighted.values():
         total += float(np.sum(np.abs(wb) ** 2))
     return float(np.sqrt(total))
 
@@ -171,6 +161,24 @@ def hankel_symbol_from_fourier(
             if c:
                 blocks[(pi, rho)] = np.array([[c]], dtype=np.complex128)
     return Symbol(codomain, domain, blocks)
+
+
+def hankel_coefficients(sym: Symbol) -> dict[int, complex] | None:
+    """Fourier coefficients k -> a(n, m) for torus symbols with Hankel
+    structure a(n, m) = c(n + m); None when the structure does not hold.
+    Inverse of :func:`hankel_symbol_from_fourier`."""
+    if sym.codomain.group != Torus(1) or sym.domain.group != Torus(1):
+        return None
+    coeffs: dict[int, complex] = {}
+    for (pi, rho), block in sym.blocks.items():
+        k = pi.index[0] + rho.index[0]
+        value = complex(block[0, 0])
+        if k in coeffs:
+            if abs(coeffs[k] - value) > 1e-12 * max(1.0, abs(value)):
+                return None
+        else:
+            coeffs[k] = value
+    return coeffs or None
 
 
 def diagonal_symbol(catalog: DualCatalog, decay: float = 0.0) -> Symbol:

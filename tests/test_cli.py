@@ -229,3 +229,23 @@ def test_index_svd_failure_with_square_blocks_exit_3(tmp_path, monkeypatch):
     sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
     monkeypatch.setattr(np.linalg, "svd", _failing_svd)
     assert main(["index", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 3
+
+
+def test_duplicate_block_exit_2(tmp_path, capsys):
+    cat = enumerate_dual(SU2(), 2.0)
+    payload = diagonal_symbol(cat).to_dict()
+    dup = dict(payload["blocks"][1], re=[[5.0, 0.0], [0.0, 5.0]])
+    payload["blocks"].append(dup)
+    sym_path = write_json(tmp_path / "sym.json", payload)
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 2
+    assert "duplicate block ((1,), (1,))" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exponent", ["nan", "inf"])
+def test_non_finite_exponent_exit_2(tmp_path, capsys, exponent):
+    cat = enumerate_dual(SU2(), 2.0)
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
+    code = main(["spectrum", "--symbol", sym_path, "--mu", exponent,
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"exponent must be finite, got {exponent}" in capsys.readouterr().err

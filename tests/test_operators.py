@@ -190,18 +190,6 @@ def test_table_weight_must_cover_catalog():
         assemble(diagonal_symbol(cat), partial, UNIT_WEIGHT)
 
 
-def test_dense_csv_round_trip(tmp_path):
-    cat = enumerate_dual(SU2(), 6.0)
-    op = assemble(random_symbol(cat, cat, 0.5, 9), PowerLaw(0.5), PowerLaw(-0.5))
-    from muhankel.operators import read_dense_csv, write_dense_csv
-
-    write_dense_csv(op, tmp_path / "dense.csv", tmp_path / "dense_header.json")
-    dense, header = read_dense_csv(tmp_path / "dense.csv", tmp_path / "dense_header.json")
-    np.testing.assert_array_equal(dense, op.to_dense())
-    assert header["shape"] == [15, 15]
-    assert header["codomain"] == cat.to_dict()
-
-
 def test_dense_resource_guard(monkeypatch):
     import muhankel.operators as ops
 

@@ -190,7 +190,7 @@ def test_tikhonov_large_alpha_kills_symbol():
     sym = separated_matching(cat, cat, UNIT_WEIGHT, UNIT_WEIGHT, 20)
     data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     rec = tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, alpha=1e12)
-    assert hs_norm(rec) < 1e-9
+    assert hs_norm(assemble(rec, UNIT_WEIGHT, UNIT_WEIGHT)) < 1e-9
 
 
 def test_tikhonov_error_monotone_in_alpha():
@@ -200,7 +200,8 @@ def test_tikhonov_error_monotone_in_alpha():
     errors = []
     for alpha in (0.0, 0.01, 0.1, 1.0, 10.0):
         rec = tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, alpha)
-        errors.append(hs_norm(symbol_difference(rec, sym)))
+        diff = symbol_difference(rec, sym)
+        errors.append(hs_norm(assemble(diff, UNIT_WEIGHT, UNIT_WEIGHT)))
     assert all(b >= a - 1e-12 for a, b in zip(errors, errors[1:]))
 
 
@@ -235,7 +236,7 @@ def test_forward_continuity_weyl():
             for key, b in sym.blocks.items()
         }
         perturbed = Symbol(cat, cat, {k: sym.blocks[k] + bump[k] for k in sym.blocks})
-        eps = hs_norm(symbol_difference(perturbed, sym), mu, nu)
+        eps = hs_norm(assemble(symbol_difference(perturbed, sym), mu, nu))
         s0 = np.linalg.svd(assemble(sym, mu, nu).to_dense(), compute_uv=False)
         s1 = np.linalg.svd(assemble(perturbed, mu, nu).to_dense(), compute_uv=False)
         assert np.max(np.abs(s0 - s1)) <= eps + 1e-12

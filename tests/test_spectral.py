@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from muhankel.cli import main
 from muhankel.duals import (
     PowerLaw,
     SU2,
@@ -14,11 +17,10 @@ from muhankel.operators import assemble
 from muhankel.spectral import (
     carleson_test,
     compactness_report,
-    norm_equivalence_check,
+    norm_criteria,
     schatten_norm,
     schatten_series_scan,
     schatten_series_table,
-    schur_bound,
     schur_constant,
     spectrum,
 )
@@ -139,17 +141,16 @@ def test_schur_bound_holds_on_random_instances():
     rng = np.random.default_rng(0)
     for seed in range(100):
         cat = su2 if seed % 2 else torus
-        params = SymbolClassParams(
-            2.0, 2.0, PowerLaw(rng.uniform(-1, 1)), PowerLaw(rng.uniform(-1, 1))
-        )
+        mu, nu = PowerLaw(rng.uniform(-1, 1)), PowerLaw(rng.uniform(-1, 1))
         sym = random_symbol(cat, cat, rng.uniform(0.1, 1.0), seed)
-        verdict = schur_bound(sym, params)
+        verdict, _ = norm_criteria(assemble(sym, mu, nu), SymbolClassParams(2.0, 2.0))
         assert verdict.satisfied, verdict.detail
 
 
 def test_schur_bound_zero_symbol():
     cat = enumerate_dual(SU2(), 2.0)
-    verdict = schur_bound(Symbol(cat, cat, {}), SymbolClassParams(1.0, 1.0))
+    op = assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT)
+    verdict, _ = norm_criteria(op, SymbolClassParams(1.0, 1.0))
     assert verdict.bound_value == 0.0
     assert verdict.measured_value == 0.0
     assert verdict.satisfied
@@ -162,7 +163,7 @@ def test_schur_bound_dominates_single_block():
     sym = Symbol(cat, cat, {(label, label): np.array([[2.5]])})
     params = SymbolClassParams(0.0, 0.0)
     assert schur_constant(params, cat, cat) >= 1.0
-    verdict = schur_bound(sym, params)
+    verdict, _ = norm_criteria(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT), params)
     assert verdict.bound_value >= 2.5
 
 
@@ -170,16 +171,17 @@ def test_norm_equivalence_block_diagonal_tight():
     cat = enumerate_dual(SU2(), 6.0)
     for seed in range(5):
         sym = random_matching_symbol(cat, cat, seed)
-        params = SymbolClassParams(1.0, 1.0, PowerLaw(0.2), PowerLaw(-0.2))
-        verdict = norm_equivalence_check(sym, params)
+        op = assemble(sym, PowerLaw(0.2), PowerLaw(-0.2))
+        _, verdict = norm_criteria(op, SymbolClassParams(1.0, 1.0))
         assert verdict.satisfied
-        lower = class_norm(sym, SymbolClassParams(0.0, 0.0, params.mu, params.nu))
+        lower = class_norm(op, SymbolClassParams(0.0, 0.0))
         np.testing.assert_allclose(verdict.measured_value, lower, rtol=1e-10)
 
 
 def test_norm_equivalence_zero_symbol():
     cat = enumerate_dual(SU2(), 2.0)
-    verdict = norm_equivalence_check(Symbol(cat, cat, {}), SymbolClassParams(1.0, 1.0))
+    op = assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT)
+    _, verdict = norm_criteria(op, SymbolClassParams(1.0, 1.0))
     assert verdict.satisfied
     assert verdict.measured_value == 0.0 and verdict.bound_value == 0.0
 
@@ -188,7 +190,8 @@ def test_norm_equivalence_random_dense():
     cat = enumerate_dual(SU2(), 6.0)
     for seed in range(10):
         sym = random_symbol(cat, cat, 0.8, seed)
-        verdict = norm_equivalence_check(sym, SymbolClassParams(0.5, 0.5))
+        op = assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT)
+        _, verdict = norm_criteria(op, SymbolClassParams(0.5, 0.5))
         assert verdict.satisfied, verdict.detail
 
 
@@ -293,3 +296,31 @@ def test_schatten_norm_rejects_nonpositive_p():
     rep = spectrum(assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT))
     with pytest.raises(ValueError):
         schatten_norm(rep, 0.0)
+
+
+def test_spectrum_command_factors_each_operator_once(tmp_path, monkeypatch):
+    # spectrum: one SVD of the full operator, one of the half-cutoff operator
+    # that the compactness indicator reads, one per stored block; index: one
+    cat = enumerate_dual(SU2(), 6.0)
+    sym = random_symbol(cat, cat, 0.5, 1)
+    sym_path = tmp_path / "sym.json"
+    sym_path.write_text(json.dumps(sym.to_dict()))
+    shapes = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    common = ["--symbol", str(sym_path), "--mu", "0.5", "--nu", "-0.5",
+              "--out-dir", str(tmp_path)]
+    assert main(["spectrum", *common, "--m", "1", "--n", "1"]) == 0
+    n = cat.dense_dim
+    half = cat.restrict(lambda l: casimir(l) <= cat.cutoff / 2).dense_dim
+    want = [(n, n), (half, half), *(block.shape for block in sym.blocks.values())]
+    assert sorted(shapes) == sorted(want)
+
+    shapes.clear()
+    assert main(["index", *common]) == 0
+    assert shapes == [(n, n)]

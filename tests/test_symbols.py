@@ -12,6 +12,7 @@ from muhankel.duals import (
     enumerate_dual,
     weight_eval,
 )
+from muhankel.operators import assemble
 from muhankel.symbols import (
     Symbol,
     SymbolClassParams,
@@ -22,7 +23,6 @@ from muhankel.symbols import (
     random_matching_symbol,
     random_symbol,
     symbol_difference,
-    weighted_block,
 )
 
 
@@ -37,20 +37,20 @@ def torus_halfline(n_max):
 
 
 def test_weighted_block_diagonal_scaling(su2_cat):
-    sym = diagonal_symbol(su2_cat)
-    mu, nu = PowerLaw(1.5), PowerLaw(0.5)
+    op = assemble(diagonal_symbol(su2_cat), PowerLaw(1.5), PowerLaw(0.5))
     for label in su2_cat.labels:
         l = label.index[0] / 2
-        wb = weighted_block(sym, mu, nu, label, label)
+        wb = op.weighted[(label, label)]
         np.testing.assert_allclose(
             wb, (1 + l) ** 2.0 * np.eye(dim(label)), rtol=0, atol=1e-14
         )
 
 
 def test_weighted_block_absent_is_zero(su2_cat):
-    sym = Symbol(su2_cat, su2_cat, {})
+    op = assemble(Symbol(su2_cat, su2_cat, {}), UNIT_WEIGHT, UNIT_WEIGHT)
     pi, rho = su2_cat.labels[1], su2_cat.labels[2]
-    wb = weighted_block(sym, UNIT_WEIGHT, UNIT_WEIGHT, pi, rho)
+    assert (pi, rho) not in op.weighted
+    wb = op.to_dense()[su2_cat.slice_of(pi), su2_cat.slice_of(rho)]
     assert wb.shape == (dim(pi), dim(rho))
     assert np.all(wb == 0)
 
@@ -61,11 +61,12 @@ def test_weighted_block_scalar_weights_cancel(su2_cat):
     rho = su2_cat.labels[2]  # d = 3
     block = np.array([[1, 2, 0], [0, 1, 1]], dtype=complex)
     sym = Symbol(su2_cat, su2_cat, {(pi, rho): block})
-    mu = {pi: 2.0}
-    nu = {rho: 0.5}
+    mu = {l: 2.0 if l == pi else 1.0 for l in su2_cat.labels}
+    nu = {l: 0.5 if l == rho else 1.0 for l in su2_cat.labels}
     from muhankel.duals import TableWeight
 
-    wb = weighted_block(sym, TableWeight(mu), TableWeight(nu), pi, rho)
+    op = assemble(sym, TableWeight(mu), TableWeight(nu))
+    wb = op.weighted[(pi, rho)]
     np.testing.assert_array_equal(wb, 2.0 * 0.5 * block)
 
 
@@ -82,7 +83,8 @@ def test_block_labels_validated(su2_cat):
 
 
 def test_class_norm_empty(su2_cat):
-    assert class_norm(Symbol(su2_cat, su2_cat, {}), SymbolClassParams(2, 2)) == 0.0
+    op = assemble(Symbol(su2_cat, su2_cat, {}), UNIT_WEIGHT, UNIT_WEIGHT)
+    assert class_norm(op, SymbolClassParams(2, 2)) == 0.0
 
 
 def test_class_norm_single_block(su2_cat):
@@ -94,30 +96,31 @@ def test_class_norm_single_block(su2_cat):
     block[0, 0] = 5.0
     sigma = np.linalg.svd(block, compute_uv=False)[0]  # oracle SVD
     assert sigma == 5.0
-    sym = Symbol(su2_cat, su2_cat, {(pi, rho): block})
-    got = class_norm(sym, SymbolClassParams(2, 2))
+    op = assemble(Symbol(su2_cat, su2_cat, {(pi, rho): block}), UNIT_WEIGHT, UNIT_WEIGHT)
+    got = class_norm(op, SymbolClassParams(2, 2))
     np.testing.assert_allclose(got, sigma * 3.0 * 7.0, rtol=1e-12)
-    got_first_order = class_norm(sym, SymbolClassParams(1, 1))
+    got_first_order = class_norm(op, SymbolClassParams(1, 1))
     np.testing.assert_allclose(
         got_first_order, sigma * np.sqrt(3.0) * np.sqrt(7.0), rtol=1e-12
     )
 
 
 def test_class_norm_diagonal_sup_at_origin(su2_cat):
-    sym = diagonal_symbol(su2_cat)
-    params = SymbolClassParams(0, 0, PowerLaw(-0.5), PowerLaw(-0.5))
+    op = assemble(diagonal_symbol(su2_cat), PowerLaw(-0.5), PowerLaw(-0.5))
     # weighted blocks are (1+l)^{-1} I, so the sup is 1 at l = 0
-    np.testing.assert_allclose(class_norm(sym, params), 1.0, rtol=1e-12)
+    np.testing.assert_allclose(class_norm(op, SymbolClassParams(0, 0)), 1.0, rtol=1e-12)
 
 
 def test_class_norm_absolutely_homogeneous(su2_cat):
-    params = SymbolClassParams(1.0, 2.0, PowerLaw(0.3), PowerLaw(-0.2))
+    params = SymbolClassParams(1.0, 2.0)
+    mu, nu = PowerLaw(0.3), PowerLaw(-0.2)
     for seed in range(5):
         sym = random_symbol(su2_cat, su2_cat, 0.4, seed)
-        base = class_norm(sym, params)
+        base = class_norm(assemble(sym, mu, nu), params)
         for c in (2.0, -3.0, 1j, 0.5 - 0.5j):
             np.testing.assert_allclose(
-                class_norm(sym.scaled(c), params), abs(c) * base, rtol=1e-10
+                class_norm(assemble(sym.scaled(c), mu, nu), params), abs(c) * base,
+                rtol=1e-10,
             )
 
 
@@ -126,7 +129,7 @@ def test_class_norm_zero_orders_is_max_block_norm(su2_cat):
     expected = max(
         np.linalg.norm(block, 2) for block in sym.blocks.values()
     )
-    got = class_norm(sym, SymbolClassParams(0, 0))
+    got = class_norm(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT), SymbolClassParams(0, 0))
     np.testing.assert_allclose(got, expected, rtol=1e-12)
 
 
@@ -138,9 +141,11 @@ def test_weighted_block_commutes_with_weight_rescaling(su2_cat):
     scaled_mu = TableWeight(
         {l: 3.0 * weight_eval(mu, l) for l in su2_cat.labels}
     )
-    for (pi, rho) in sym.blocks:
-        a = weighted_block(sym, scaled_mu, UNIT_WEIGHT, pi, rho)
-        b = 3.0 * weighted_block(sym, mu, UNIT_WEIGHT, pi, rho)
+    scaled = assemble(sym, scaled_mu, UNIT_WEIGHT)
+    base = assemble(sym, mu, UNIT_WEIGHT)
+    for key in sym.blocks:
+        a = scaled.weighted[key]
+        b = 3.0 * base.weighted[key]
         np.testing.assert_allclose(a, b, rtol=1e-12)
 
 
@@ -204,11 +209,11 @@ def test_hs_norm_matches_direct_sum(su2_cat):
     mu, nu = PowerLaw(0.5), PowerLaw(-0.5)
     expected = np.sqrt(
         sum(
-            np.sum(np.abs(weighted_block(sym, mu, nu, pi, rho)) ** 2)
-            for (pi, rho) in sym.blocks
+            np.sum(np.abs(weight_eval(mu, pi) * weight_eval(nu, rho) * block) ** 2)
+            for (pi, rho), block in sym.blocks.items()
         )
     )
-    np.testing.assert_allclose(hs_norm(sym, mu, nu), expected, rtol=1e-12)
+    np.testing.assert_allclose(hs_norm(assemble(sym, mu, nu)), expected, rtol=1e-12)
 
 
 def test_symbol_difference_and_scaled(su2_cat):
@@ -217,7 +222,7 @@ def test_symbol_difference_and_scaled(su2_cat):
     diff = symbol_difference(a, b)
     for key in set(a.blocks) | set(b.blocks):
         np.testing.assert_array_equal(diff.block(*key), a.block(*key) - b.block(*key))
-    assert hs_norm(symbol_difference(a, a)) == 0.0
+    assert hs_norm(assemble(symbol_difference(a, a), UNIT_WEIGHT, UNIT_WEIGHT)) == 0.0
 
 
 def test_symbol_json_round_trip(su2_cat):
