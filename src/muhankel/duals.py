@@ -264,7 +264,9 @@ class DualCatalog:
     def __post_init__(self) -> None:
         offsets = {}
         start = 0
-        for label in self.labels:
+        for position, label in enumerate(self.labels):
+            if label in offsets:
+                raise ValueError(f"duplicate label {label.index} at position {position}")
             d = dim(label)
             offsets[label] = (start, d)
             start += d

@@ -5,8 +5,8 @@ per stored symbol block, mapping the rho coordinate slice of the domain
 layout into the pi slice of the codomain layout. Blocks are weighted once at
 assembly and cached; application, adjoint, and densification all reuse the
 cache, so the adjoint's dense matrix is the exact conjugate transpose. The
-singular values of the dense matrix are computed once per operator and
-shared by every spectral consumer.
+singular values of the dense matrix, and those of every weighted block, are
+computed once per operator and shared by every spectral consumer.
 """
 
 from __future__ import annotations
@@ -96,6 +96,17 @@ class BlockOperator:
         values = np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
         values.setflags(write=False)
         return values
+
+    @cached_property
+    def block_singular_values(self) -> dict[BlockKey, np.ndarray]:
+        """Descending singular values of every weighted block, one SVD per
+        block per operator; read-only. Entry [0] is the block's 2-norm."""
+        per_block = {}
+        for key, block in self.weighted.items():
+            values = np.linalg.svd(block, compute_uv=False)
+            values.setflags(write=False)
+            per_block[key] = values
+        return per_block
 
 
 def _check_table_cover(weight: Weight, catalog: DualCatalog, name: str) -> None:

@@ -10,19 +10,14 @@ same pipeline with a closed-form per-block Tikhonov solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .duals import DualCatalog, IrrepLabel, Weight, weight_eval
 from .operators import BlockOperator, assemble
-from .symbols import (
-    BlockKey,
-    Symbol,
-    hs_norm,
-    symbol_difference,
-)
+from .symbols import BlockKey, Symbol, hs_norm, symbol_difference
 
 # A triple belongs to a block when both vectors carry at least this fraction
 # of their squared mass inside the block's coordinate ranges.
@@ -45,51 +40,65 @@ class SpectralData:
     """Singular triples of an operator plus their block attribution.
 
     ``attribution[i]`` is the (pi, rho) key for triple i, or None when the
-    mass rule failed for that triple.
+    mass rule failed for that triple. Validation stacks the triples once:
+    ``s`` holds the singular values and the columns of ``u`` (N_out x k) and
+    ``v`` (N_in x k) the vectors, of which each triple's ``u`` and ``v``
+    become views.
     """
 
     codomain: DualCatalog
     domain: DualCatalog
     triples: list[SingularTriple]
     attribution: list[BlockKey | None]
+    s: np.ndarray = field(init=False, repr=False, compare=False)
+    u: np.ndarray = field(init=False, repr=False, compare=False)
+    v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.attribution) != len(self.triples):
             raise ValueError("attribution list must align with triples")
-        prev = np.inf
-        for i, t in enumerate(self.triples):
+        k = len(self.triples)
+        n_out, n_in = self.codomain.dense_dim, self.domain.dense_dim
+        for t in self.triples:
             t.u = np.asarray(t.u, dtype=np.complex128)
             t.v = np.asarray(t.v, dtype=np.complex128)
-            if t.s < 0 or t.s > prev:
-                raise ValueError("singular values must be nonnegative and descending")
-            prev = t.s
-            if t.u.shape != (self.codomain.dense_dim,):
-                raise ValueError(f"triple {i}: left vector has wrong length")
-            if t.v.shape != (self.domain.dense_dim,):
-                raise ValueError(f"triple {i}: right vector has wrong length")
-            for vec in (t.u, t.v):
-                if abs(np.linalg.norm(vec) - 1.0) > 1e-12:
-                    raise ValueError(f"triple {i}: singular vectors must be unit norm")
-            key = self.attribution[i]
-            if key is not None:
-                pi, rho = key
-                if _block_mass(t.u, self.codomain, pi) < ATTRIBUTION_MASS - 1e-12:
-                    raise ValueError(f"triple {i}: left mass rule violated for {pi.index}")
-                if _block_mass(t.v, self.domain, rho) < ATTRIBUTION_MASS - 1e-12:
-                    raise ValueError(f"triple {i}: right mass rule violated for {rho.index}")
+        # bad[c, i]: triple i fails check c of _FAULTS. Checks after a wrong
+        # length are never reached, so they run on the triples before it.
+        bad = np.zeros((len(_FAULTS), k), dtype=bool)
+        self.s = np.array([t.s for t in self.triples], dtype=float)
+        bad[0] = (self.s < 0) | (self.s > np.concatenate(([np.inf], self.s[:-1])))
+        bad[1] = [t.u.shape != (n_out,) for t in self.triples]
+        bad[2] = [t.v.shape != (n_in,) for t in self.triples]
+        ok = int(np.argmax(bad[1] | bad[2])) if (bad[1] | bad[2]).any() else k
+        self.u = np.empty((n_out, ok), dtype=np.complex128, order="F")
+        self.v = np.empty((n_in, ok), dtype=np.complex128, order="F")
+        for i, t in enumerate(self.triples[:ok]):
+            # rebinding frees each triple's own copy before the next is made
+            self.u[:, i], self.v[:, i] = t.u, t.v
+            t.u, t.v = self.u[:, i], self.v[:, i]
+        for vecs in (self.u, self.v):
+            bad[3, :ok] |= ~(np.abs(np.linalg.norm(vecs, axis=0) - 1.0) <= 1e-12)
+        keyed = [i for i, key in enumerate(self.attribution[:ok]) if key is not None]
+        sides = ((self.codomain, self.u), (self.domain, self.v))
+        for side, (catalog, vecs) in enumerate(sides):
+            # the last row stands for labels outside the catalog: no mass
+            masses = np.vstack([_label_masses(np.abs(vecs) ** 2, catalog), np.zeros(ok)])
+            rows = {label: row for row, label in enumerate(catalog.labels)}
+            picked = [rows.get(self.attribution[i][side], -1) for i in keyed]
+            bad[4 + side, keyed] = masses[picked, keyed] < ATTRIBUTION_MASS - 1e-12
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            pi, rho = self.attribution[i] or (None, None)
+            fault = _FAULTS[int(np.argmax(bad[:, i]))]
+            raise ValueError(fault.format(i=i, pi=pi, rho=rho))
 
     @property
     def fully_attributed(self) -> bool:
         return all(key is not None for key in self.attribution)
 
     def reassemble(self) -> np.ndarray:
-        """Dense matrix sum_n s_n u_n v_n^H, accumulated in triple order."""
-        dense = np.zeros(
-            (self.codomain.dense_dim, self.domain.dense_dim), dtype=np.complex128
-        )
-        for t in self.triples:
-            dense += t.s * np.outer(t.u, t.v.conj())
-        return dense
+        """Dense matrix sum_n s_n u_n v_n^H, as the one product (U s) V^H."""
+        return (self.u * self.s) @ self.v.conj().T
 
     def to_dict(self) -> dict:
         return {
@@ -123,32 +132,30 @@ class SpectralData:
             )
             for entry in data["triples"]
         ]
-        attribution: list[BlockKey | None] = []
-        for key in data["attribution"]:
-            if key is None:
-                attribution.append(None)
-            else:
-                attribution.append(
-                    (
-                        IrrepLabel(codomain.group, tuple(key[0])),
-                        IrrepLabel(domain.group, tuple(key[1])),
-                    )
-                )
+        attribution = [
+            None if key is None else (IrrepLabel(codomain.group, tuple(key[0])),
+                                      IrrepLabel(domain.group, tuple(key[1])))
+            for key in data["attribution"]
+        ]
         return cls(codomain, domain, triples, attribution)
 
 
-def _block_mass(vec: np.ndarray, catalog: DualCatalog, label) -> float:
-    piece = vec[catalog.slice_of(label)]
-    return float(np.sum(np.abs(piece) ** 2))
+# Validation faults in the order each triple meets them.
+_FAULTS = (
+    "singular values must be nonnegative and descending",
+    "triple {i}: left vector has wrong length",
+    "triple {i}: right vector has wrong length",
+    "triple {i}: singular vectors must be unit norm",
+    "triple {i}: left mass rule violated for {pi.index}",
+    "triple {i}: right mass rule violated for {rho.index}",
+)
 
 
-def _best_label(vec: np.ndarray, catalog: DualCatalog):
-    best, best_mass = None, -1.0
-    for label in catalog.labels:
-        mass = _block_mass(vec, catalog, label)
-        if mass > best_mass:
-            best, best_mass = label, mass
-    return best, best_mass
+def _label_masses(squared: np.ndarray, catalog: DualCatalog) -> np.ndarray:
+    """labels x k array: each label's share of the k columns of squared
+    moduli ``squared`` (N x k)."""
+    starts = [start for start, _ in catalog.offsets.values()]
+    return np.add.reduceat(squared, starts, axis=0)
 
 
 def attribute_triples(
@@ -157,15 +164,17 @@ def attribute_triples(
     domain: DualCatalog,
 ) -> list[BlockKey | None]:
     """Assign each triple the block holding >= 99% of both vectors' mass."""
-    out: list[BlockKey | None] = []
-    for t in triples:
-        pi, mass_u = _best_label(t.u, codomain)
-        rho, mass_v = _best_label(t.v, domain)
-        if pi is not None and mass_u >= ATTRIBUTION_MASS and mass_v >= ATTRIBUTION_MASS:
-            out.append((pi, rho))
-        else:
-            out.append(None)
-    return out
+    if not triples:
+        return []
+    picks = []
+    sides = ((codomain, [t.u for t in triples]), (domain, [t.v for t in triples]))
+    for catalog, vecs in sides:
+        squared = np.array([np.abs(vec) ** 2 for vec in vecs])
+        masses = _label_masses(squared.T, catalog)
+        best = np.argmax(masses, axis=0)  # the first maximum, in catalog order
+        held = masses[best, np.arange(len(triples))] >= ATTRIBUTION_MASS
+        picks.append([catalog.labels[b] if h else None for b, h in zip(best, held)])
+    return [None if None in key else key for key in zip(*picks)]
 
 
 def forward(op: BlockOperator, zero_rel_tol: float = 1e-12) -> SpectralData:
@@ -184,6 +193,7 @@ def forward(op: BlockOperator, zero_rel_tol: float = 1e-12) -> SpectralData:
                 SingularTriple(float(s[i]), u_mat[:, i], vh[i, :].conj())
                 for i in np.nonzero(keep)[0]
             ]
+        del dense, u_mat, vh  # the triples hold what is kept; free the rest first
     attribution = attribute_triples(triples, op.codomain, op.domain)
     return SpectralData(op.codomain, op.domain, triples, attribution)
 
@@ -198,23 +208,25 @@ def _require_attribution(data: SpectralData, context: str) -> None:
         )
 
 
+def _block_sum(data: SpectralData, key: BlockKey, cols) -> np.ndarray:
+    """The (pi, rho) slice of sum_n s_n u_n v_n^H over the triples ``cols``."""
+    pi, rho = key
+    u = data.u[data.codomain.slice_of(pi), cols]
+    v = data.v[data.domain.slice_of(rho), cols]
+    return (u * data.s[cols]) @ v.conj().T
+
+
 def recover_bandlimited(data: SpectralData, mu: Weight, nu: Weight) -> Symbol:
     """Exact recovery: rebuild each attributed block from its triples and
     divide out the weights. Blocks without triples stay zero."""
     _require_attribution(data, "recovery")
-    sums: dict[BlockKey, np.ndarray] = {}
-    for t, key in zip(data.triples, data.attribution):
-        pi, rho = key
-        u_block = t.u[data.codomain.slice_of(pi)]
-        v_block = t.v[data.domain.slice_of(rho)]
-        piece = t.s * np.outer(u_block, v_block.conj())
-        if key in sums:
-            sums[key] = sums[key] + piece
-        else:
-            sums[key] = piece
+    cols: dict[BlockKey, list[int]] = {}
+    for i, key in enumerate(data.attribution):
+        cols.setdefault(key, []).append(i)
     blocks = {
-        (pi, rho): t_hat / (weight_eval(mu, pi) * weight_eval(nu, rho))
-        for (pi, rho), t_hat in sums.items()
+        (pi, rho): _block_sum(data, (pi, rho), idx)
+        / (weight_eval(mu, pi) * weight_eval(nu, rho))
+        for (pi, rho), idx in cols.items()
     }
     return Symbol(data.codomain, data.domain, blocks)
 
@@ -228,19 +240,19 @@ def tikhonov_recover(
 ) -> Symbol:
     """Least-squares recovery from noisy triples with quadratic penalty.
 
-    The noisy operator matrix is reassembled as sum s_n u_n v_n^H and solved
-    blockwise in closed form: with penalty alpha * ||a||_HS^2 the minimizer is
+    Each attributed block T is the block's slice of the noisy operator
+    matrix sum s_n u_n v_n^H, summed over all triples, and is solved in
+    closed form: with penalty alpha * ||a||_HS^2 the minimizer is
     a = w T / (w^2 + alpha) with w = mu(pi) nu(rho); with the weighted penalty
     alpha * ||w a||_HS^2 it is a = T / (w (1 + alpha)).
     """
-    if alpha < 0:
-        raise ValueError(f"regularization parameter must be >= 0, got {alpha}")
+    if not (np.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"regularization parameter must be finite and >= 0, got {alpha}")
     _require_attribution(data, "tikhonov recovery")
-    noisy = data.reassemble()
     blocks = {}
     for key in dict.fromkeys(data.attribution):
         pi, rho = key
-        t_block = noisy[data.codomain.slice_of(pi), data.domain.slice_of(rho)]
+        t_block = _block_sum(data, key, slice(None))
         w = weight_eval(mu, pi) * weight_eval(nu, rho)
         if weighted_penalty:
             blocks[key] = t_block / (w * (1.0 + alpha))
@@ -266,18 +278,14 @@ def perturb_spectral_data(
     k = len(data.triples)
     if k == 0:
         return data
-    s = np.array([t.s for t in data.triples])
-    s_noisy = np.maximum(s + delta * rng.standard_normal(k), 0.0)
-    u_mat = np.column_stack([t.u for t in data.triples])
-    v_mat = np.column_stack([t.v for t in data.triples])
-    u_noise = (
-        rng.standard_normal(u_mat.shape) + 1j * rng.standard_normal(u_mat.shape)
-    ) / np.sqrt(2.0)
-    v_noise = (
-        rng.standard_normal(v_mat.shape) + 1j * rng.standard_normal(v_mat.shape)
-    ) / np.sqrt(2.0)
-    u_mat = _reorthonormalize(u_mat + delta * u_noise)
-    v_mat = _reorthonormalize(v_mat + delta * v_noise)
+    s_noisy = np.maximum(data.s + delta * rng.standard_normal(k), 0.0)
+
+    def noise(shape):  # real part drawn first, then the imaginary part
+        real = rng.standard_normal(shape)
+        return (real + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+    u_mat = _reorthonormalize(data.u + delta * noise(data.u.shape))
+    v_mat = _reorthonormalize(data.v + delta * noise(data.v.shape))
     order = np.argsort(-s_noisy, kind="stable")
     triples = [
         SingularTriple(float(s_noisy[i]), u_mat[:, i], v_mat[:, i]) for i in order
@@ -294,12 +302,7 @@ class StabilityRow:
     std_error: float
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "mean_error": self.mean_error,
-            "std_error": self.std_error,
-        }
+        return asdict(self)
 
 
 def stability_scan(
@@ -320,6 +323,9 @@ def stability_scan(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    for delta in deltas:
+        if not (np.isfinite(delta) and delta >= 0):
+            raise ValueError(f"noise level delta must be finite and >= 0, got {delta}")
     base = forward(assemble(true_symbol, mu, nu))
     rng = np.random.default_rng(seed)
     rows = []
@@ -334,14 +340,6 @@ def stability_scan(
         rows.append(
             StabilityRow(float(delta), alpha, float(np.mean(errors)), float(np.std(errors)))
         )
-    fit_rows = [r for r in rows if r.delta > 0 and r.mean_error > 0]
-    slope = None
-    if len(fit_rows) >= 2:
-        slope = float(
-            np.polyfit(
-                np.log([r.delta for r in fit_rows]),
-                np.log([r.mean_error for r in fit_rows]),
-                1,
-            )[0]
-        )
+    fit = [(r.delta, r.mean_error) for r in rows if r.delta > 0 and r.mean_error > 0]
+    slope = float(np.polyfit(*np.log(fit).T, 1)[0]) if len(fit) >= 2 else None
     return rows, slope

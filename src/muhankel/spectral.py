@@ -73,12 +73,8 @@ class CriterionVerdict:
 def spectrum(op: BlockOperator) -> SpectrumReport:
     """The operator's singular values plus an SVD of every weighted block."""
     values = op.singular_values
-    per_block = {
-        key: np.linalg.svd(block, compute_uv=False)
-        for key, block in op.weighted.items()
-    }
     norm = float(values[0]) if values.size else 0.0
-    return SpectrumReport(values, per_block, norm)
+    return SpectrumReport(values, dict(op.block_singular_values), norm)
 
 
 def schatten_norm(report: SpectrumReport, p: float) -> float:
@@ -194,8 +190,8 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
         raise ValueError("compactness indicators need at least two distinct Casimir levels")
 
     col_norm: dict[float, float] = {lam: 0.0 for lam in lams}
-    for (pi, rho), block in op.weighted.items():
-        val = (1.0 + casimir(rho)) ** (params.n / 2.0) * float(np.linalg.norm(block, 2))
+    for (pi, rho), values in op.block_singular_values.items():
+        val = (1.0 + casimir(rho)) ** (params.n / 2.0) * float(values[0])
         col_norm[casimir(rho)] = max(col_norm[casimir(rho)], val)
     seq = [col_norm[lam] for lam in lams]
     outer = seq[len(seq) // 2 :]

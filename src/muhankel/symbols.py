@@ -57,6 +57,8 @@ class Symbol:
                     f"block ({pi.index}, {rho.index}) has shape {block.shape}, "
                     f"expected {want}"
                 )
+            if not np.isfinite(block).all():
+                raise ValueError(f"block ({pi.index}, {rho.index}) has non-finite entries")
             checked[(pi, rho)] = block
         self.blocks = checked
 
@@ -123,10 +125,10 @@ def class_norm(op: BlockOperator, params: SymbolClassParams) -> float:
     """Largest weighted block operator norm, amplified by the decay factors
     (1+lambda_pi)^(m/2) (1+lambda_rho)^(n/2). Zero for an empty symbol."""
     best = 0.0
-    for (pi, rho), wb in op.weighted.items():
+    for (pi, rho), values in op.block_singular_values.items():
         factor = (1.0 + casimir(pi)) ** (params.m / 2.0)
         factor *= (1.0 + casimir(rho)) ** (params.n / 2.0)
-        best = max(best, factor * float(np.linalg.norm(wb, 2)))
+        best = max(best, factor * float(values[0]))
     return best
 
 

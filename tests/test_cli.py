@@ -249,3 +249,43 @@ def test_non_finite_exponent_exit_2(tmp_path, capsys, exponent):
                  "--out-dir", str(tmp_path)])
     assert code == 2
     assert f"exponent must be finite, got {exponent}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_recover_non_finite_alpha_exit_2(tmp_path, capsys, alpha):
+    cat = enumerate_dual(SU2(), 6.0)
+    data = forward(assemble(random_matching_symbol(cat, cat, 123), UNIT_WEIGHT, UNIT_WEIGHT))
+    data_path = write_json(tmp_path / "data.json", data.to_dict())
+    code = main(["recover", "--data", data_path, "--alpha", alpha,
+                 "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"must be finite and >= 0, got {alpha}" in capsys.readouterr().err
+    assert not (tmp_path / "recovered_symbol.json").exists()
+
+
+@pytest.mark.parametrize("grid, bad", [("nan,1e-3", "nan"), ("1e-3,-1e-2", "-0.01")])
+def test_stability_bad_delta_exit_2(tmp_path, capsys, grid, bad):
+    cat = enumerate_dual(SU2(), 2.0)
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
+    code = main(["stability", "--symbol", sym_path, "--delta-grid", grid,
+                 "--trials", "2", "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"delta must be finite and >= 0, got {bad}" in capsys.readouterr().err
+
+
+def test_non_finite_symbol_entry_exit_2(tmp_path, capsys):
+    cat = enumerate_dual(SU2(), 2.0)
+    payload = diagonal_symbol(cat).to_dict()
+    payload["blocks"][1]["im"][0][1] = float("nan")
+    sym_path = write_json(tmp_path / "sym.json", payload)
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 2
+    assert "block ((1,), (1,)) has non-finite entries" in capsys.readouterr().err
+
+
+def test_duplicate_catalog_label_exit_2(tmp_path, capsys):
+    cat = enumerate_dual(SU2(), 2.0)
+    payload = diagonal_symbol(cat).to_dict()
+    payload["domain"]["labels"].append(payload["domain"]["labels"][0])
+    sym_path = write_json(tmp_path / "sym.json", payload)
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 2
+    assert "duplicate label (0,)" in capsys.readouterr().err

@@ -172,3 +172,10 @@ def test_parse_group():
     assert parse_group("su2xtorus:1") == Product((SU2(), Torus(1)))
     with pytest.raises(ValueError):
         parse_group("so3")
+
+
+def test_catalog_rejects_duplicate_label():
+    payload = enumerate_dual(SU2(), 6.0).to_dict()
+    payload["labels"].append(payload["labels"][0])
+    with pytest.raises(ValueError, match=r"duplicate label \(0,\) at position 5"):
+        DualCatalog.from_dict(payload)
