@@ -10,14 +10,19 @@ same pipeline with a closed-form per-block Tikhonov solve.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .duals import DualCatalog, IrrepLabel, Weight, weight_eval
 from .operators import BlockOperator, assemble
-from .symbols import BlockKey, Symbol, hs_norm, symbol_difference
+from .symbols import (
+    BlockKey,
+    Symbol,
+    hs_norm,
+    symbol_difference,
+)
 
 # A triple belongs to a block when both vectors carry at least this fraction
 # of their squared mass inside the block's coordinate ranges.
@@ -40,22 +45,23 @@ class SpectralData:
     """Singular triples of an operator plus their block attribution.
 
     ``attribution[i]`` is the (pi, rho) key for triple i, or None when the
-    mass rule failed for that triple. Validation stacks the triples once:
-    ``s`` holds the singular values and the columns of ``u`` (N_out x k) and
-    ``v`` (N_in x k) the vectors, of which each triple's ``u`` and ``v``
-    become views.
+    mass rule failed for that triple. Left out, it is computed by the mass
+    rule; given, each key is checked against that rule. Validation stacks
+    the triples once: ``s`` holds the singular values and the columns of
+    ``u`` (N_out x k) and ``v`` (N_in x k) the vectors; each triple's ``u``
+    and ``v`` then become views of its columns, so the vectors are held once.
     """
 
     codomain: DualCatalog
     domain: DualCatalog
     triples: list[SingularTriple]
-    attribution: list[BlockKey | None]
+    attribution: list[BlockKey | None] | None = None
     s: np.ndarray = field(init=False, repr=False, compare=False)
     u: np.ndarray = field(init=False, repr=False, compare=False)
     v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.attribution) != len(self.triples):
+        if self.attribution is not None and len(self.attribution) != len(self.triples):
             raise ValueError("attribution list must align with triples")
         k = len(self.triples)
         n_out, n_in = self.codomain.dense_dim, self.domain.dense_dim
@@ -70,22 +76,24 @@ class SpectralData:
         bad[1] = [t.u.shape != (n_out,) for t in self.triples]
         bad[2] = [t.v.shape != (n_in,) for t in self.triples]
         ok = int(np.argmax(bad[1] | bad[2])) if (bad[1] | bad[2]).any() else k
-        self.u = np.empty((n_out, ok), dtype=np.complex128, order="F")
-        self.v = np.empty((n_in, ok), dtype=np.complex128, order="F")
+        self.u = _stack([t.u for t in self.triples[:ok]], n_out)
+        self.v = _stack([t.v for t in self.triples[:ok]], n_in)
         for i, t in enumerate(self.triples[:ok]):
-            # rebinding frees each triple's own copy before the next is made
-            self.u[:, i], self.v[:, i] = t.u, t.v
             t.u, t.v = self.u[:, i], self.v[:, i]
         for vecs in (self.u, self.v):
             bad[3, :ok] |= ~(np.abs(np.linalg.norm(vecs, axis=0) - 1.0) <= 1e-12)
+        catalogs = (self.codomain, self.domain)
+        masses = [_label_masses(vecs, cat) for vecs, cat in zip((self.u, self.v), catalogs)]
+        if self.attribution is None:
+            # faulty data raises below, so only sound data is attributed
+            self.attribution = [None] * k if bad.any() else _attribute(masses, catalogs)
         keyed = [i for i, key in enumerate(self.attribution[:ok]) if key is not None]
-        sides = ((self.codomain, self.u), (self.domain, self.v))
-        for side, (catalog, vecs) in enumerate(sides):
+        for side, (catalog, mass) in enumerate(zip(catalogs, masses)):
             # the last row stands for labels outside the catalog: no mass
-            masses = np.vstack([_label_masses(np.abs(vecs) ** 2, catalog), np.zeros(ok)])
+            mass = np.vstack([mass, np.zeros(ok)])
             rows = {label: row for row, label in enumerate(catalog.labels)}
             picked = [rows.get(self.attribution[i][side], -1) for i in keyed]
-            bad[4 + side, keyed] = masses[picked, keyed] < ATTRIBUTION_MASS - 1e-12
+            bad[4 + side, keyed] = mass[picked, keyed] < ATTRIBUTION_MASS - 1e-12
         if bad.any():
             i = int(np.argmax(bad.any(axis=0)))
             pi, rho = self.attribution[i] or (None, None)
@@ -132,11 +140,17 @@ class SpectralData:
             )
             for entry in data["triples"]
         ]
-        attribution = [
-            None if key is None else (IrrepLabel(codomain.group, tuple(key[0])),
-                                      IrrepLabel(domain.group, tuple(key[1])))
-            for key in data["attribution"]
-        ]
+        attribution: list[BlockKey | None] = []
+        for key in data["attribution"]:
+            if key is None:
+                attribution.append(None)
+            else:
+                attribution.append(
+                    (
+                        IrrepLabel(codomain.group, tuple(key[0])),
+                        IrrepLabel(domain.group, tuple(key[1])),
+                    )
+                )
         return cls(codomain, domain, triples, attribution)
 
 
@@ -151,11 +165,32 @@ _FAULTS = (
 )
 
 
-def _label_masses(squared: np.ndarray, catalog: DualCatalog) -> np.ndarray:
-    """labels x k array: each label's share of the k columns of squared
-    moduli ``squared`` (N x k)."""
+def _stack(vecs: Sequence[np.ndarray], n: int) -> np.ndarray:
+    """n x k array whose columns are the k vectors ``vecs``."""
+    return np.column_stack(vecs) if vecs else np.zeros((n, 0), dtype=np.complex128)
+
+
+def _label_masses(vecs: np.ndarray, catalog: DualCatalog) -> np.ndarray:
+    """labels x k array: each label's share of the squared mass of the k
+    columns of ``vecs`` (N x k)."""
     starts = [start for start, _ in catalog.offsets.values()]
-    return np.add.reduceat(squared, starts, axis=0)
+    return np.add.reduceat(np.abs(vecs) ** 2, starts, axis=0)
+
+
+def _attribute(
+    masses: Sequence[np.ndarray], catalogs: Sequence[DualCatalog]
+) -> list[BlockKey | None]:
+    """Per column, the key of the first label of largest mass on each side,
+    or None unless both hold at least ATTRIBUTION_MASS."""
+    k = masses[0].shape[1]
+    if k == 0:
+        return []
+    picks = []
+    for mass, catalog in zip(masses, catalogs):
+        best = np.argmax(mass, axis=0)  # the first maximum, in catalog order
+        held = mass[best, np.arange(k)] >= ATTRIBUTION_MASS
+        picks.append([catalog.labels[b] if h else None for b, h in zip(best, held)])
+    return [None if None in key else key for key in zip(*picks)]
 
 
 def attribute_triples(
@@ -164,17 +199,9 @@ def attribute_triples(
     domain: DualCatalog,
 ) -> list[BlockKey | None]:
     """Assign each triple the block holding >= 99% of both vectors' mass."""
-    if not triples:
-        return []
-    picks = []
-    sides = ((codomain, [t.u for t in triples]), (domain, [t.v for t in triples]))
-    for catalog, vecs in sides:
-        squared = np.array([np.abs(vec) ** 2 for vec in vecs])
-        masses = _label_masses(squared.T, catalog)
-        best = np.argmax(masses, axis=0)  # the first maximum, in catalog order
-        held = masses[best, np.arange(len(triples))] >= ATTRIBUTION_MASS
-        picks.append([catalog.labels[b] if h else None for b, h in zip(best, held)])
-    return [None if None in key else key for key in zip(*picks)]
+    sides = (([t.u for t in triples], codomain), ([t.v for t in triples], domain))
+    masses = [_label_masses(_stack(vecs, cat.dense_dim), cat) for vecs, cat in sides]
+    return _attribute(masses, (codomain, domain))
 
 
 def forward(op: BlockOperator, zero_rel_tol: float = 1e-12) -> SpectralData:
@@ -193,9 +220,8 @@ def forward(op: BlockOperator, zero_rel_tol: float = 1e-12) -> SpectralData:
                 SingularTriple(float(s[i]), u_mat[:, i], vh[i, :].conj())
                 for i in np.nonzero(keep)[0]
             ]
-        del dense, u_mat, vh  # the triples hold what is kept; free the rest first
-    attribution = attribute_triples(triples, op.codomain, op.domain)
-    return SpectralData(op.codomain, op.domain, triples, attribution)
+        del dense, vh  # freed before stacking; the triples copied vh's kept rows
+    return SpectralData(op.codomain, op.domain, triples)
 
 
 def _require_attribution(data: SpectralData, context: str) -> None:
@@ -290,8 +316,7 @@ def perturb_spectral_data(
     triples = [
         SingularTriple(float(s_noisy[i]), u_mat[:, i], v_mat[:, i]) for i in order
     ]
-    attribution = attribute_triples(triples, data.codomain, data.domain)
-    return SpectralData(data.codomain, data.domain, triples, attribution)
+    return SpectralData(data.codomain, data.domain, triples)
 
 
 @dataclass
@@ -302,7 +327,12 @@ class StabilityRow:
     std_error: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {
+            "delta": self.delta,
+            "alpha": self.alpha,
+            "mean_error": self.mean_error,
+            "std_error": self.std_error,
+        }
 
 
 def stability_scan(
@@ -340,6 +370,14 @@ def stability_scan(
         rows.append(
             StabilityRow(float(delta), alpha, float(np.mean(errors)), float(np.std(errors)))
         )
-    fit = [(r.delta, r.mean_error) for r in rows if r.delta > 0 and r.mean_error > 0]
-    slope = float(np.polyfit(*np.log(fit).T, 1)[0]) if len(fit) >= 2 else None
+    fit_rows = [r for r in rows if r.delta > 0 and r.mean_error > 0]
+    slope = None
+    if len(fit_rows) >= 2:
+        slope = float(
+            np.polyfit(
+                np.log([r.delta for r in fit_rows]),
+                np.log([r.mean_error for r in fit_rows]),
+                1,
+            )[0]
+        )
     return rows, slope

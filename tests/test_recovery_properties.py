@@ -1,0 +1,152 @@
+"""Property tests for attribution and the Tikhonov solve: random SU(2),
+torus and product catalogs, codomain and domain drawn independently, checked
+against per-label and dense references. Needs ``hypothesis`` (in the
+``test`` extra)."""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from muhankel.duals import (
+    PowerLaw,
+    Product,
+    SU2,
+    Torus,
+    UNIT_WEIGHT,
+    enumerate_dual,
+    weight_eval,
+)
+from muhankel.operators import assemble
+from muhankel.recovery import (
+    ATTRIBUTION_MASS,
+    SingularTriple,
+    SpectralData,
+    attribute_triples,
+    forward,
+    recover_bandlimited,
+    tikhonov_recover,
+)
+from muhankel.symbols import Symbol
+
+
+GROUPS = [SU2(), SU2(half_integers=False), Torus(1), Torus(2), Product((SU2(), Torus(1)))]
+catalogs = st.builds(
+    enumerate_dual, st.sampled_from(GROUPS), st.sampled_from([0.0, 1.0, 2.0, 4.0, 6.0])
+)
+# In-label mass of a concentrated vector: on both sides of the 0.99 rule,
+# never closer to it than rounding could blur.
+MASSES = [1.0, 0.999, ATTRIBUTION_MASS + 1e-6, ATTRIBUTION_MASS - 1e-6, 0.98, 0.5]
+
+
+def unit_vector(rng, catalog, mass=None):
+    """Random complex unit vector; with ``mass``, that share of its squared
+    mass lies in one random label's slice (all of it for one label)."""
+    n = catalog.dense_dim
+    vec = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    if mass is not None:
+        inside = np.zeros(n, dtype=bool)
+        inside[catalog.slice_of(catalog.labels[rng.integers(len(catalog.labels))])] = True
+        if inside.all():
+            mass = 1.0
+        vec[inside] *= np.sqrt(mass) / np.linalg.norm(vec[inside])
+        if mass < 1.0:
+            vec[~inside] *= np.sqrt(1.0 - mass) / np.linalg.norm(vec[~inside])
+        else:
+            vec[~inside] = 0.0
+    return vec / np.linalg.norm(vec)
+
+
+def random_triples(seed, codomain, domain, masses):
+    """One triple per entry of ``masses``: (u mass, v mass), None meaning an
+    unconcentrated vector; singular values descending."""
+    rng = np.random.default_rng(seed)
+    s = np.sort(rng.uniform(0.1, 10.0, len(masses)))[::-1]
+    return [
+        SingularTriple(float(value), unit_vector(rng, codomain, mass_u),
+                       unit_vector(rng, domain, mass_v))
+        for value, (mass_u, mass_v) in zip(s, masses)
+    ]
+
+
+def reference_attribution(triples, codomain, domain):
+    """Per-label loop: the first label of largest mass, kept at >= 99%."""
+    def best(vec, catalog):
+        label, best_mass = None, -1.0
+        for candidate in catalog.labels:
+            mass = float(np.sum(np.abs(vec[catalog.slice_of(candidate)]) ** 2))
+            if mass > best_mass:
+                label, best_mass = candidate, mass
+        return label, best_mass
+
+    out = []
+    for t in triples:
+        (pi, mass_u), (rho, mass_v) = best(t.u, codomain), best(t.v, domain)
+        keep = mass_u >= ATTRIBUTION_MASS and mass_v >= ATTRIBUTION_MASS
+        out.append((pi, rho) if keep else None)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    codomain=catalogs,
+    domain=catalogs,
+    masses=st.lists(
+        st.tuples(st.sampled_from([None, *MASSES]), st.sampled_from([None, *MASSES])),
+        max_size=12,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_attribution_matches_per_label_reference(codomain, domain, masses, seed):
+    triples = random_triples(seed, codomain, domain, masses)
+    got = attribute_triples(triples, codomain, domain)
+    assert got == reference_attribution(triples, codomain, domain)
+    # left out, the attribution is computed by the same rule
+    assert SpectralData(codomain, domain, triples).attribution == got
+    data = SpectralData(codomain, domain, triples, got)  # passes its own mass rule
+    assert data.attribution == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    codomain=catalogs,
+    domain=catalogs,
+    masses=st.lists(
+        st.tuples(st.sampled_from(MASSES[:3]), st.sampled_from(MASSES[:3])), max_size=12
+    ),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+    alpha=st.sampled_from([0.0, 1e-8, 1e-3, 0.5, 10.0]),
+    weighted_penalty=st.booleans(),
+)
+def test_tikhonov_matches_dense_reassembly(
+    codomain, domain, masses, seed, exponents, alpha, weighted_penalty
+):
+    triples = random_triples(seed, codomain, domain, masses)
+    attribution = attribute_triples(triples, codomain, domain)
+    data = SpectralData(codomain, domain, triples, attribution)
+    mu, nu = PowerLaw(exponents[0]), PowerLaw(exponents[1])
+    rec = tikhonov_recover(data, mu, nu, alpha, weighted_penalty)
+    dense = np.zeros((codomain.dense_dim, domain.dense_dim), dtype=complex)
+    for t in triples:
+        dense += t.s * np.outer(t.u, t.v.conj())
+    assert set(rec.blocks) == set(data.attribution)
+    scale = max((np.max(np.abs(block)) for block in rec.blocks.values()), default=0.0)
+    for (pi, rho), block in rec.blocks.items():
+        w = weight_eval(mu, pi) * weight_eval(nu, rho)
+        t_block = dense[codomain.slice_of(pi), domain.slice_of(rho)]
+        if weighted_penalty:
+            want = t_block / (w * (1.0 + alpha))
+        else:
+            want = w * t_block / (w * w + alpha)
+        np.testing.assert_allclose(block, want, rtol=1e-12, atol=1e-12 * scale)
+
+
+@settings(max_examples=30, deadline=None)
+@given(codomain=catalogs, domain=catalogs, alpha=st.sampled_from([0.0, 1e-3]))
+def test_zero_operator_recovers_empty_symbol(codomain, domain, alpha):
+    data = forward(assemble(Symbol(codomain, domain, {}), UNIT_WEIGHT, UNIT_WEIGHT))
+    assert data.triples == [] and data.u.shape == (codomain.dense_dim, 0)
+    assert tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, alpha).blocks == {}
+    assert recover_bandlimited(data, UNIT_WEIGHT, UNIT_WEIGHT).blocks == {}
+    assert not data.reassemble().any()
+    assert data.reassemble().shape == (codomain.dense_dim, domain.dense_dim)
