@@ -38,7 +38,6 @@ from .recovery import (
     SingularTriple,
     SpectralData,
     StabilityRow,
-    attribute_triples,
     forward,
     perturb_spectral_data,
     recover_bandlimited,
@@ -118,7 +117,6 @@ __all__ = [
     "SingularTriple",
     "SpectralData",
     "StabilityRow",
-    "attribute_triples",
     "forward",
     "perturb_spectral_data",
     "recover_bandlimited",

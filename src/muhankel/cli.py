@@ -357,6 +357,10 @@ def cmd_stability(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+
+
+def _add_format(parser: argparse.ArgumentParser) -> None:
+    """For the commands that also write CSV."""
     parser.add_argument(
         "--format", choices=("json", "csv", "both"), default="both",
         help="which report formats to write",
@@ -382,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=float, default=0.0, help="domain decay order")
     p.add_argument("--p", type=float, default=None, help="extra Schatten exponent")
     _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("schatten-scan", help="diagonal Schatten series convergence scan")
@@ -390,6 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ladder", default="64,128,256,512", help="comma-separated spin cutoffs")
     p.add_argument("--spins", choices=("integer", "half"), default="integer")
     _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_schatten_scan)
 
     p = sub.add_parser("index", help="determinant-sign and numerical index")
@@ -419,6 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--weighted-penalty", action="store_true")
     _add_common(p)
+    _add_format(p)
     p.set_defaults(func=cmd_stability)
 
     return parser

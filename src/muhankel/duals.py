@@ -228,9 +228,18 @@ Weight = Union[PowerLaw, TableWeight]
 
 
 def weight_eval(weight: Weight, label: IrrepLabel) -> float:
-    """Evaluate a weight at a label; strictly positive by construction."""
+    """Evaluate a weight at a label: a finite number > 0, or ValueError."""
     if isinstance(weight, PowerLaw):
-        return (1.0 + _radial_size(label.group, label.index)) ** weight.exponent
+        try:
+            value = (1.0 + _radial_size(label.group, label.index)) ** weight.exponent
+        except OverflowError:
+            value = math.inf
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(
+                f"power-law weight at label index {label.index} with exponent "
+                f"{weight.exponent} is {value}, not a finite number > 0"
+            )
+        return value
     try:
         return weight.values[label]
     except KeyError:
@@ -262,6 +271,8 @@ class DualCatalog:
     dense_dim: int = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
+        if not math.isfinite(self.cutoff):
+            raise ValueError(f"cutoff must be finite, got {self.cutoff}")
         offsets = {}
         start = 0
         for position, label in enumerate(self.labels):
@@ -366,11 +377,11 @@ def _product_indices(factors: tuple, budget: float) -> list[tuple[tuple, float]]
 def enumerate_dual(group: GroupKind, cutoff: float) -> DualCatalog:
     """All labels with Casimir eigenvalue <= cutoff, deterministically ordered.
 
-    Raises ValueError for negative cutoffs and for truncations whose dense
-    dimension would exceed ``MAX_DENSE_DIM``.
+    Raises ValueError for non-finite or negative cutoffs and for truncations
+    whose dense dimension would exceed ``MAX_DENSE_DIM``.
     """
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be >= 0, got {cutoff}")
+    if not (math.isfinite(cutoff) and cutoff >= 0):
+        raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
     if isinstance(group, SU2):
         indices = _su2_indices(group, cutoff)
     elif isinstance(group, Torus):

@@ -10,7 +10,7 @@ same pipeline with a closed-form per-block Tikhonov solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -44,61 +44,59 @@ class SingularTriple:
 class SpectralData:
     """Singular triples of an operator plus their block attribution.
 
-    ``attribution[i]`` is the (pi, rho) key for triple i, or None when the
-    mass rule failed for that triple. Left out, it is computed by the mass
-    rule; given, each key is checked against that rule. Validation stacks
-    the triples once: ``s`` holds the singular values and the columns of
-    ``u`` (N_out x k) and ``v`` (N_in x k) the vectors; each triple's ``u``
-    and ``v`` then become views of its columns, so the vectors are held once.
+    ``s`` holds the k singular values, descending, and the columns of ``u``
+    (N_out x k) and ``v`` (N_in x k) the unit singular vectors; all three are
+    stored C-contiguous. ``attribution[i]`` is the (pi, rho) key for triple
+    i, or None when the mass rule failed for that triple. Left out, it is
+    computed by the mass rule; given, each key is checked against that rule.
     """
 
     codomain: DualCatalog
     domain: DualCatalog
-    triples: list[SingularTriple]
+    s: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
     attribution: list[BlockKey | None] | None = None
-    s: np.ndarray = field(init=False, repr=False, compare=False)
-    u: np.ndarray = field(init=False, repr=False, compare=False)
-    v: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.attribution is not None and len(self.attribution) != len(self.triples):
-            raise ValueError("attribution list must align with triples")
-        k = len(self.triples)
+        self.s = np.ascontiguousarray(self.s, dtype=float)
+        self.u = np.ascontiguousarray(self.u, dtype=np.complex128)
+        self.v = np.ascontiguousarray(self.v, dtype=np.complex128)
+        k = self.s.size
         n_out, n_in = self.codomain.dense_dim, self.domain.dense_dim
-        for t in self.triples:
-            t.u = np.asarray(t.u, dtype=np.complex128)
-            t.v = np.asarray(t.v, dtype=np.complex128)
-        # bad[c, i]: triple i fails check c of _FAULTS. Checks after a wrong
-        # length are never reached, so they run on the triples before it.
-        bad = np.zeros((len(_FAULTS), k), dtype=bool)
-        self.s = np.array([t.s for t in self.triples], dtype=float)
-        bad[0] = (self.s < 0) | (self.s > np.concatenate(([np.inf], self.s[:-1])))
-        bad[1] = [t.u.shape != (n_out,) for t in self.triples]
-        bad[2] = [t.v.shape != (n_in,) for t in self.triples]
-        ok = int(np.argmax(bad[1] | bad[2])) if (bad[1] | bad[2]).any() else k
-        self.u = _stack([t.u for t in self.triples[:ok]], n_out)
-        self.v = _stack([t.v for t in self.triples[:ok]], n_in)
-        for i, t in enumerate(self.triples[:ok]):
-            t.u, t.v = self.u[:, i], self.v[:, i]
-        for vecs in (self.u, self.v):
-            bad[3, :ok] |= ~(np.abs(np.linalg.norm(vecs, axis=0) - 1.0) <= 1e-12)
-        catalogs = (self.codomain, self.domain)
-        masses = [_label_masses(vecs, cat) for vecs, cat in zip((self.u, self.v), catalogs)]
+        if self.s.shape != (k,) or self.u.shape != (n_out, k) or self.v.shape != (n_in, k):
+            raise ValueError(
+                f"spectral data shapes s {self.s.shape}, u {self.u.shape}, v {self.v.shape} "
+                f"do not fit {k} triples on dense dimensions {n_out} x {n_in}"
+            )
+        if self.attribution is not None and len(self.attribution) != k:
+            raise ValueError("attribution list must align with triples")
+        above = np.concatenate(([np.inf], self.s[:-1]))
+        _first_fault(~(np.isfinite(self.s) & (self.s >= 0) & (self.s <= above)),
+                     "singular values must be finite, nonnegative and descending")
+        _first_fault(~(np.abs(np.linalg.norm(self.u, axis=0) - 1.0) <= 1e-12)
+                     | ~(np.abs(np.linalg.norm(self.v, axis=0) - 1.0) <= 1e-12),
+                     "singular vectors must be unit norm")
+        heaviest = [_heaviest_labels(self.u, self.codomain), _heaviest_labels(self.v, self.domain)]
         if self.attribution is None:
-            # faulty data raises below, so only sound data is attributed
-            self.attribution = [None] * k if bad.any() else _attribute(masses, catalogs)
-        keyed = [i for i, key in enumerate(self.attribution[:ok]) if key is not None]
-        for side, (catalog, mass) in enumerate(zip(catalogs, masses)):
-            # the last row stands for labels outside the catalog: no mass
-            mass = np.vstack([mass, np.zeros(ok)])
-            rows = {label: row for row, label in enumerate(catalog.labels)}
-            picked = [rows.get(self.attribution[i][side], -1) for i in keyed]
-            bad[4 + side, keyed] = mass[picked, keyed] < ATTRIBUTION_MASS - 1e-12
-        if bad.any():
-            i = int(np.argmax(bad.any(axis=0)))
-            pi, rho = self.attribution[i] or (None, None)
-            fault = _FAULTS[int(np.argmax(bad[:, i]))]
-            raise ValueError(fault.format(i=i, pi=pi, rho=rho))
+            (pis, held_u), (rhos, held_v) = heaviest
+            self.attribution = [
+                (pi, rho) if min(hu, hv) >= ATTRIBUTION_MASS else None
+                for pi, rho, hu, hv in zip(pis, rhos, held_u, held_v)
+            ]
+            return
+        # a key passes when it is the heaviest label and holds the 99%
+        for i, key in enumerate(self.attribution):
+            for side, label, (labels, held) in zip(("left", "right"), key or (), heaviest):
+                if label != labels[i] or held[i] < ATTRIBUTION_MASS - 1e-12:
+                    raise ValueError(f"triple {i}: {side} mass rule violated for {label.index}")
+
+    @property
+    def triples(self) -> list[SingularTriple]:
+        """One triple per column; ``u`` and ``v`` are views of the columns."""
+        return [
+            SingularTriple(s, self.u[:, i], self.v[:, i]) for i, s in enumerate(self.s.tolist())
+        ]
 
     @property
     def fully_attributed(self) -> bool:
@@ -109,18 +107,13 @@ class SpectralData:
         return (self.u * self.s) @ self.v.conj().T
 
     def to_dict(self) -> dict:
+        parts = [vecs.T.tolist() for vecs in (self.u.real, self.u.imag, self.v.real, self.v.imag)]
         return {
             "codomain": self.codomain.to_dict(),
             "domain": self.domain.to_dict(),
             "triples": [
-                {
-                    "s": float(t.s),
-                    "u_re": t.u.real.tolist(),
-                    "u_im": t.u.imag.tolist(),
-                    "v_re": t.v.real.tolist(),
-                    "v_im": t.v.imag.tolist(),
-                }
-                for t in self.triples
+                {"s": s, "u_re": u_re, "u_im": u_im, "v_re": v_re, "v_im": v_im}
+                for s, u_re, u_im, v_re, v_im in zip(self.s.tolist(), *parts)
             ],
             "attribution": [
                 None if key is None else [list(key[0].index), list(key[1].index)]
@@ -132,14 +125,22 @@ class SpectralData:
     def from_dict(cls, data: Mapping) -> "SpectralData":
         codomain = DualCatalog.from_dict(data["codomain"])
         domain = DualCatalog.from_dict(data["domain"])
-        triples = [
-            SingularTriple(
-                float(entry["s"]),
-                np.asarray(entry["u_re"]) + 1j * np.asarray(entry["u_im"]),
-                np.asarray(entry["v_re"]) + 1j * np.asarray(entry["v_im"]),
-            )
-            for entry in data["triples"]
-        ]
+        entries = data["triples"]
+        dims = {"u": codomain.dense_dim, "v": domain.dense_dim}
+        for i, entry in enumerate(entries):
+            for part in ("u_re", "u_im", "v_re", "v_im"):
+                value, n = entry[part], dims[part[0]]
+                if not isinstance(value, list) or len(value) != n:
+                    got = f"length {len(value)}" if isinstance(value, list) else repr(value)
+                    raise ValueError(f"triple {i}: {part} must be a list of {n} numbers, got {got}")
+
+        def stacked(side: str) -> np.ndarray:
+            """N x k, one column per entry."""
+            shape = (len(entries), dims[side])
+            re = np.array([entry[side + "_re"] for entry in entries], dtype=float)
+            im = np.array([entry[side + "_im"] for entry in entries], dtype=float)
+            return (re.reshape(shape) + 1j * im.reshape(shape)).T
+
         attribution: list[BlockKey | None] = []
         for key in data["attribution"]:
             if key is None:
@@ -151,57 +152,26 @@ class SpectralData:
                         IrrepLabel(domain.group, tuple(key[1])),
                     )
                 )
-        return cls(codomain, domain, triples, attribution)
+        s = np.array([float(entry["s"]) for entry in entries])
+        return cls(codomain, domain, s, stacked("u"), stacked("v"), attribution)
 
 
-# Validation faults in the order each triple meets them.
-_FAULTS = (
-    "singular values must be nonnegative and descending",
-    "triple {i}: left vector has wrong length",
-    "triple {i}: right vector has wrong length",
-    "triple {i}: singular vectors must be unit norm",
-    "triple {i}: left mass rule violated for {pi.index}",
-    "triple {i}: right mass rule violated for {rho.index}",
-)
+def _first_fault(bad: np.ndarray, fault: str) -> None:
+    """Raise ``fault`` naming the first triple flagged in ``bad``, if any."""
+    if bad.any():
+        raise ValueError(f"triple {int(np.argmax(bad))}: {fault}")
 
 
-def _stack(vecs: Sequence[np.ndarray], n: int) -> np.ndarray:
-    """n x k array whose columns are the k vectors ``vecs``."""
-    return np.column_stack(vecs) if vecs else np.zeros((n, 0), dtype=np.complex128)
-
-
-def _label_masses(vecs: np.ndarray, catalog: DualCatalog) -> np.ndarray:
-    """labels x k array: each label's share of the squared mass of the k
-    columns of ``vecs`` (N x k)."""
-    starts = [start for start, _ in catalog.offsets.values()]
-    return np.add.reduceat(np.abs(vecs) ** 2, starts, axis=0)
-
-
-def _attribute(
-    masses: Sequence[np.ndarray], catalogs: Sequence[DualCatalog]
-) -> list[BlockKey | None]:
-    """Per column, the key of the first label of largest mass on each side,
-    or None unless both hold at least ATTRIBUTION_MASS."""
-    k = masses[0].shape[1]
+def _heaviest_labels(vecs: np.ndarray, catalog: DualCatalog) -> tuple[list, np.ndarray]:
+    """Per column of ``vecs`` (N x k), the first label holding the largest
+    share of its squared mass, in catalog order, and that share."""
+    k = vecs.shape[1]
     if k == 0:
-        return []
-    picks = []
-    for mass, catalog in zip(masses, catalogs):
-        best = np.argmax(mass, axis=0)  # the first maximum, in catalog order
-        held = mass[best, np.arange(k)] >= ATTRIBUTION_MASS
-        picks.append([catalog.labels[b] if h else None for b, h in zip(best, held)])
-    return [None if None in key else key for key in zip(*picks)]
-
-
-def attribute_triples(
-    triples: Sequence[SingularTriple],
-    codomain: DualCatalog,
-    domain: DualCatalog,
-) -> list[BlockKey | None]:
-    """Assign each triple the block holding >= 99% of both vectors' mass."""
-    sides = (([t.u for t in triples], codomain), ([t.v for t in triples], domain))
-    masses = [_label_masses(_stack(vecs, cat.dense_dim), cat) for vecs, cat in sides]
-    return _attribute(masses, (codomain, domain))
+        return [], np.zeros(0)
+    starts = [start for start, _ in catalog.offsets.values()]
+    masses = np.add.reduceat(np.abs(vecs) ** 2, starts, axis=0)  # labels x k
+    best = np.argmax(masses, axis=0)
+    return [catalog.labels[b] for b in best], masses[best, np.arange(k)]
 
 
 def forward(op: BlockOperator, zero_rel_tol: float = 1e-12) -> SpectralData:
@@ -210,18 +180,10 @@ def forward(op: BlockOperator, zero_rel_tol: float = 1e-12) -> SpectralData:
     Triples whose singular value is below ``zero_rel_tol`` times the largest
     are dropped; a zero operator yields no triples.
     """
-    dense = op.to_dense()
-    triples: list[SingularTriple] = []
-    if dense.size:
-        u_mat, s, vh = np.linalg.svd(dense, full_matrices=False)
-        if s.size and s[0] > 0:
-            keep = s > zero_rel_tol * s[0]
-            triples = [
-                SingularTriple(float(s[i]), u_mat[:, i], vh[i, :].conj())
-                for i in np.nonzero(keep)[0]
-            ]
-        del dense, vh  # freed before stacking; the triples copied vh's kept rows
-    return SpectralData(op.codomain, op.domain, triples)
+    u_mat, values, vh = np.linalg.svd(op.to_dense(), full_matrices=False)
+    # the values descend, so the kept ones are a prefix and slices are views
+    k = np.count_nonzero(values > zero_rel_tol * values.max(initial=0.0))
+    return SpectralData(op.codomain, op.domain, values[:k], u_mat[:, :k], vh[:k].conj().T)
 
 
 def _require_attribution(data: SpectralData, context: str) -> None:
@@ -301,7 +263,7 @@ def perturb_spectral_data(
     """Additive Gaussian noise of scale delta on the singular values, tangent
     Gaussian perturbation of the same scale on the vectors (then
     re-orthonormalized). Attribution is recomputed on the noisy vectors."""
-    k = len(data.triples)
+    k = len(data.s)
     if k == 0:
         return data
     s_noisy = np.maximum(data.s + delta * rng.standard_normal(k), 0.0)
@@ -313,10 +275,9 @@ def perturb_spectral_data(
     u_mat = _reorthonormalize(data.u + delta * noise(data.u.shape))
     v_mat = _reorthonormalize(data.v + delta * noise(data.v.shape))
     order = np.argsort(-s_noisy, kind="stable")
-    triples = [
-        SingularTriple(float(s_noisy[i]), u_mat[:, i], v_mat[:, i]) for i in order
-    ]
-    return SpectralData(data.codomain, data.domain, triples)
+    return SpectralData(
+        data.codomain, data.domain, s_noisy[order], u_mat[:, order], v_mat[:, order]
+    )
 
 
 @dataclass

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -289,3 +290,80 @@ def test_duplicate_catalog_label_exit_2(tmp_path, capsys):
     sym_path = write_json(tmp_path / "sym.json", payload)
     assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 2
     assert "duplicate label (0,)" in capsys.readouterr().err
+
+
+def write_spectral_data(path, cat, triples, attribution):
+    """Spectral-data JSON on ``cat`` x ``cat`` from (s, u, v) tuples."""
+    entries = [
+        {"s": s, "u_re": np.real(u).tolist(), "u_im": np.imag(u).tolist(),
+         "v_re": np.real(v).tolist(), "v_im": np.imag(v).tolist()}
+        for s, u, v in triples
+    ]
+    keys = [None if key is None else [list(key[0].index), list(key[1].index)]
+            for key in attribution]
+    payload = {"codomain": cat.to_dict(), "domain": cat.to_dict(), "triples": entries,
+               "attribution": keys}
+    return write_json(path, payload)
+
+
+def test_recover_rejects_faulty_spectral_data_exit_2(tmp_path, capsys):
+    cat = enumerate_dual(SU2(), 2.0)  # dims 1, 2, 3
+    a = cat.labels[0]
+    unit = np.zeros(6, dtype=complex)
+    unit[0] = 1.0
+    spread = np.full(6, 1 / np.sqrt(6), dtype=complex)
+    cases = [
+        # the lengths are checked before anything else, here the mass rule
+        ([(1.0, spread, unit), (0.5, unit[:3], unit)], [(a, a), None],
+         "triple 1: u_re must be a list of 6 numbers, got length 3"),
+        # and before the order of the singular values
+        ([(1.0, unit, unit), (2.0, unit[:3], unit)], [None, None],
+         "triple 1: u_re must be a list of 6 numbers, got length 3"),
+        ([(1.0, unit, unit), (float("nan"), unit, unit)], [None, None],
+         "triple 1: singular values must be finite, nonnegative and descending"),
+    ]
+    paths = [write_spectral_data(tmp_path / f"data{n}.json", cat, triples, attribution)
+             for n, (triples, attribution, _) in enumerate(cases)]
+    # u_re and u_im of unequal length, and a number in place of a list
+    payload = json.loads(Path(paths[-1]).read_text())
+    payload["triples"][1].update(s=0.5, u_im=[0.0] * 5)
+    paths.append(write_json(tmp_path / "unequal.json", payload))
+    payload["triples"][1].update(u_im=[0.0] * 6, v_re=1.0)
+    paths.append(write_json(tmp_path / "scalar.json", payload))
+    messages = [message for _, _, message in cases] + [
+        "triple 1: u_im must be a list of 6 numbers, got length 5",
+        "triple 1: v_re must be a list of 6 numbers, got 1.0",
+    ]
+    for path, message in zip(paths, messages):
+        assert main(["recover", "--data", path, "--out-dir", str(tmp_path)]) == 2
+        assert message in capsys.readouterr().err
+    assert not (tmp_path / "recovered_symbol.json").exists()
+
+
+@pytest.mark.parametrize("mu, value", [("1000", "inf"), ("-1000", "0.0")])
+def test_out_of_range_weight_exit_2(tmp_path, capsys, mu, value):
+    cat = enumerate_dual(SU2(), 6.0)
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
+    code = main(["spectrum", "--symbol", sym_path, "--mu", mu, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"exponent {float(mu)} is {value}, not a finite number > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, cutoff", [("su2", "nan"), ("torus:1", "inf")])
+def test_catalog_non_finite_cutoff_exit_2(tmp_path, capsys, group, cutoff):
+    code = main(["catalog", "--group", group, "--cutoff", cutoff, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert f"cutoff must be finite and >= 0, got {cutoff}" in capsys.readouterr().err
+    assert not (tmp_path / "catalog.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--group", "su2", "--cutoff", "2"],
+    ["index", "--symbol", "sym.json"],
+    ["recover", "--data", "data.json"],
+])
+def test_format_is_not_an_option_without_csv_output(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--format", "csv", "--out-dir", str(tmp_path)])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err

@@ -179,3 +179,19 @@ def test_catalog_rejects_duplicate_label():
     payload["labels"].append(payload["labels"][0])
     with pytest.raises(ValueError, match=r"duplicate label \(0,\) at position 5"):
         DualCatalog.from_dict(payload)
+
+
+@pytest.mark.parametrize("cutoff", [float("nan"), float("inf")])
+def test_catalog_rejects_non_finite_cutoff(cutoff):
+    payload = enumerate_dual(SU2(), 2.0).to_dict()
+    payload["cutoff"] = cutoff
+    with pytest.raises(ValueError, match=f"cutoff must be finite, got {cutoff}"):
+        DualCatalog.from_dict(json.loads(json.dumps(payload)))
+
+
+def test_weight_eval_rejects_out_of_range_power_law():
+    label = enumerate_dual(SU2(), 6.0).labels[3]  # k = 3, r = 1.5
+    with pytest.raises(ValueError, match=r"label index \(3,\) with exponent 1000.0 is inf"):
+        weight_eval(PowerLaw(1000.0), label)
+    with pytest.raises(ValueError, match=r"label index \(3,\) with exponent -1000.0 is 0.0"):
+        weight_eval(PowerLaw(-1000.0), label)

@@ -19,9 +19,7 @@ from muhankel.duals import (
 from muhankel.operators import assemble
 from muhankel.recovery import (
     AttributionError,
-    SingularTriple,
     SpectralData,
-    attribute_triples,
     forward,
     perturb_spectral_data,
     recover_bandlimited,
@@ -40,6 +38,15 @@ from muhankel.symbols import (
 def torus_halfline(n_max):
     cat = enumerate_dual(Torus(1), float(n_max * n_max))
     return cat.restrict(lambda l: l.index[0] >= 0)
+
+
+def stacked(codomain, domain, triples, attribution=None):
+    """SpectralData from (s, u, v) tuples, one column per tuple."""
+    k = len(triples)
+    s = np.array([t[0] for t in triples], dtype=float)
+    u = np.array([t[1] for t in triples], dtype=complex).reshape(k, codomain.dense_dim).T
+    v = np.array([t[2] for t in triples], dtype=complex).reshape(k, domain.dense_dim).T
+    return SpectralData(codomain, domain, s, u, v, attribution)
 
 
 def well_separated(sym, mu, nu, rel_gap=1e-3):
@@ -128,7 +135,7 @@ def test_recover_single_block_known_svd():
 
 def test_recover_empty_data_gives_zero_symbol():
     cat = enumerate_dual(SU2(), 2.0)
-    data = SpectralData(cat, cat, [], [])
+    data = stacked(cat, cat, [], [])
     assert recover_bandlimited(data, UNIT_WEIGHT, UNIT_WEIGHT).blocks == {}
 
 
@@ -212,7 +219,7 @@ def test_tikhonov_error_monotone_in_alpha():
 
 def test_tikhonov_rejects_negative_alpha():
     cat = enumerate_dual(SU2(), 2.0)
-    data = SpectralData(cat, cat, [], [])
+    data = stacked(cat, cat, [], [])
     with pytest.raises(ValueError):
         tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, alpha=-0.1)
 
@@ -292,17 +299,17 @@ def test_spectral_data_json_round_trip():
 
 def test_spectral_data_validation():
     cat = enumerate_dual(Torus(1), 0.0)
-    good = SingularTriple(1.0, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
-    bad_norm = SingularTriple(0.5, np.array([2.0 + 0j]), np.array([1.0 + 0j]))
+    good = (1.0, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
+    bad_norm = (0.5, np.array([2.0 + 0j]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError, match="unit norm"):
-        SpectralData(cat, cat, [good, bad_norm], [None, None])
+        stacked(cat, cat, [good, bad_norm], [None, None])
     with pytest.raises(ValueError, match="descending"):
-        SpectralData(
+        stacked(
             cat,
             cat,
             [
-                SingularTriple(1.0, np.array([1.0 + 0j]), np.array([1.0 + 0j])),
-                SingularTriple(2.0, np.array([1.0 + 0j]), np.array([1.0 + 0j])),
+                (1.0, np.array([1.0 + 0j]), np.array([1.0 + 0j])),
+                (2.0, np.array([1.0 + 0j]), np.array([1.0 + 0j])),
             ],
             [None, None],
         )
@@ -316,22 +323,30 @@ def test_spectral_data_validation_names_first_faulty_triple():
     spread = np.full(6, 1 / np.sqrt(6), dtype=complex)
     outside = IrrepLabel(cat.group, (9,))
     cases = [
-        # triple 0 breaks the mass rule; triple 1 has a wrong length
-        ([(1.0, spread, unit), (0.5, unit[:3], unit)], [(a, a), None],
+        # triple 0 breaks the mass rule, triple 1 fits it
+        ([(1.0, spread, unit), (0.5, unit, unit)], [(a, a), None],
          "triple 0: left mass rule violated for (0,)"),
         # a label outside the catalog holds none of the mass
         ([(1.0, unit, unit)], [(a, outside)],
          "triple 0: right mass rule violated for (9,)"),
-        # the descending check comes before the length check of the same triple
-        ([(1.0, unit, unit), (2.0, unit[:3], unit)], [None, None], "descending"),
         ([(1.0, unit, unit), (0.5, unit, 2 * unit)], [(a, a), (b, a)],
+         "triple 1: singular vectors must be unit norm"),
+        # the checks run one after another: unit norm before the mass rule
+        ([(1.0, unit, unit), (0.5, unit, 2 * unit)], [(b, a), None],
          "triple 1: singular vectors must be unit norm"),
         ([(1.0, unit, np.full(6, np.nan))], [None],
          "triple 0: singular vectors must be unit norm"),
+        ([(1.0, unit, unit), (np.nan, unit, unit)], [None, None],
+         "triple 1: singular values must be finite, nonnegative and descending"),
+        ([(np.inf, unit, unit)], [None], "triple 0: singular values must be finite"),
     ]
     for triples, attribution, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            SpectralData(cat, cat, [SingularTriple(*t) for t in triples], attribution)
+            stacked(cat, cat, triples, attribution)
+    with pytest.raises(ValueError, match="do not fit 1 triples on dense dimensions 6 x 6"):
+        SpectralData(cat, cat, np.ones(1), unit[:3, None], unit[:, None])
+    with pytest.raises(ValueError, match="attribution list must align"):
+        stacked(cat, cat, [(1.0, unit, unit)], [])
 
 
 def test_spectral_data_stacks_triples_once():
@@ -339,6 +354,7 @@ def test_spectral_data_stacks_triples_once():
     sym = random_matching_symbol(cat, cat, 5)
     data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     assert data.u.shape == (cat.dense_dim, len(data.triples))
+    assert data.u.flags.c_contiguous and data.v.flags.c_contiguous
     for i, t in enumerate(data.triples):
         assert data.s[i] == t.s
         assert np.shares_memory(t.u, data.u) and np.shares_memory(t.v, data.v)
@@ -352,11 +368,14 @@ def test_spectral_data_attributes_triples_when_attribution_left_out():
     sym = random_matching_symbol(cat, cat, 5)
     data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     assert data.fully_attributed
-    assert data.attribution == attribute_triples(data.triples, cat, cat)
+    assert set(data.attribution) <= set(sym.blocks)
+    # given back, the computed keys pass the same rule
+    again = SpectralData(cat, cat, data.s, data.u, data.v, data.attribution)
+    assert again.attribution == data.attribution
     # faulty data raises the fault, not an attribution error
     unit = np.zeros(cat.dense_dim, dtype=complex)
     unit[0] = 1.0
     with pytest.raises(ValueError, match="unit norm"):
-        SpectralData(cat, cat, [SingularTriple(1.0, unit, 2 * unit)])
+        stacked(cat, cat, [(1.0, unit, 2 * unit)])
     empty = DualCatalog(SU2(), 0.0, [])
-    assert SpectralData(empty, empty, []).attribution == []
+    assert stacked(empty, empty, []).attribution == []

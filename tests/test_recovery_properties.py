@@ -1,10 +1,12 @@
-"""Property tests for attribution and the Tikhonov solve: random SU(2),
-torus and product catalogs, codomain and domain drawn independently, checked
-against per-label and dense references. Needs ``hypothesis`` (in the
-``test`` extra)."""
+"""Property tests for attribution, the Tikhonov solve and the spectral-data
+JSON round trip: random SU(2), torus and product catalogs, codomain and
+domain drawn independently, checked against per-label and dense references.
+Needs ``hypothesis`` (in the ``test`` extra)."""
+
+import json
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from muhankel.duals import (
@@ -19,9 +21,7 @@ from muhankel.duals import (
 from muhankel.operators import assemble
 from muhankel.recovery import (
     ATTRIBUTION_MASS,
-    SingularTriple,
     SpectralData,
-    attribute_triples,
     forward,
     recover_bandlimited,
     tikhonov_recover,
@@ -56,19 +56,21 @@ def unit_vector(rng, catalog, mass=None):
     return vec / np.linalg.norm(vec)
 
 
-def random_triples(seed, codomain, domain, masses):
-    """One triple per entry of ``masses``: (u mass, v mass), None meaning an
-    unconcentrated vector; singular values descending."""
+def random_arrays(seed, codomain, domain, masses):
+    """s, u (N_out x k) and v (N_in x k) with one triple per entry of
+    ``masses``: (u mass, v mass), None meaning an unconcentrated vector;
+    singular values descending."""
     rng = np.random.default_rng(seed)
     s = np.sort(rng.uniform(0.1, 10.0, len(masses)))[::-1]
-    return [
-        SingularTriple(float(value), unit_vector(rng, codomain, mass_u),
-                       unit_vector(rng, domain, mass_v))
-        for value, (mass_u, mass_v) in zip(s, masses)
-    ]
+    u = np.zeros((codomain.dense_dim, len(masses)), dtype=complex)
+    v = np.zeros((domain.dense_dim, len(masses)), dtype=complex)
+    for i, (mass_u, mass_v) in enumerate(masses):
+        u[:, i] = unit_vector(rng, codomain, mass_u)
+        v[:, i] = unit_vector(rng, domain, mass_v)
+    return s, u, v
 
 
-def reference_attribution(triples, codomain, domain):
+def reference_attribution(u, v, codomain, domain):
     """Per-label loop: the first label of largest mass, kept at >= 99%."""
     def best(vec, catalog):
         label, best_mass = None, -1.0
@@ -79,8 +81,8 @@ def reference_attribution(triples, codomain, domain):
         return label, best_mass
 
     out = []
-    for t in triples:
-        (pi, mass_u), (rho, mass_v) = best(t.u, codomain), best(t.v, domain)
+    for u_col, v_col in zip(u.T, v.T):
+        (pi, mass_u), (rho, mass_v) = best(u_col, codomain), best(v_col, domain)
         keep = mass_u >= ATTRIBUTION_MASS and mass_v >= ATTRIBUTION_MASS
         out.append((pi, rho) if keep else None)
     return out
@@ -97,12 +99,10 @@ def reference_attribution(triples, codomain, domain):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_attribution_matches_per_label_reference(codomain, domain, masses, seed):
-    triples = random_triples(seed, codomain, domain, masses)
-    got = attribute_triples(triples, codomain, domain)
-    assert got == reference_attribution(triples, codomain, domain)
-    # left out, the attribution is computed by the same rule
-    assert SpectralData(codomain, domain, triples).attribution == got
-    data = SpectralData(codomain, domain, triples, got)  # passes its own mass rule
+    s, u, v = random_arrays(seed, codomain, domain, masses)
+    got = SpectralData(codomain, domain, s, u, v).attribution
+    assert got == reference_attribution(u, v, codomain, domain)
+    data = SpectralData(codomain, domain, s, u, v, got)  # passes its own mass rule
     assert data.attribution == got
 
 
@@ -121,14 +121,13 @@ def test_attribution_matches_per_label_reference(codomain, domain, masses, seed)
 def test_tikhonov_matches_dense_reassembly(
     codomain, domain, masses, seed, exponents, alpha, weighted_penalty
 ):
-    triples = random_triples(seed, codomain, domain, masses)
-    attribution = attribute_triples(triples, codomain, domain)
-    data = SpectralData(codomain, domain, triples, attribution)
+    s, u, v = random_arrays(seed, codomain, domain, masses)
+    data = SpectralData(codomain, domain, s, u, v)
     mu, nu = PowerLaw(exponents[0]), PowerLaw(exponents[1])
     rec = tikhonov_recover(data, mu, nu, alpha, weighted_penalty)
     dense = np.zeros((codomain.dense_dim, domain.dense_dim), dtype=complex)
-    for t in triples:
-        dense += t.s * np.outer(t.u, t.v.conj())
+    for i in range(len(s)):
+        dense += s[i] * np.outer(u[:, i], v[:, i].conj())
     assert set(rec.blocks) == set(data.attribution)
     scale = max((np.max(np.abs(block)) for block in rec.blocks.values()), default=0.0)
     for (pi, rho), block in rec.blocks.items():
@@ -150,3 +149,30 @@ def test_zero_operator_recovers_empty_symbol(codomain, domain, alpha):
     assert recover_bandlimited(data, UNIT_WEIGHT, UNIT_WEIGHT).blocks == {}
     assert not data.reassemble().any()
     assert data.reassemble().shape == (codomain.dense_dim, domain.dense_dim)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    codomain=catalogs,
+    domain=catalogs,
+    masses=st.lists(
+        st.tuples(st.sampled_from([None, *MASSES]), st.sampled_from([None, *MASSES])),
+        max_size=8,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+@example(codomain=enumerate_dual(SU2(), 2.0), domain=enumerate_dual(Torus(1), 1.0),
+         masses=[], seed=0)  # k = 0
+def test_spectral_data_json_round_trip_is_exact(codomain, domain, masses, seed):
+    """``from_dict(to_dict(d))`` through JSON text gives back the same numbers.
+    ``s`` comes back bit for bit. ``u`` and ``v`` come back equal entry by
+    entry: the parse forms ``re + 1j * im``, which keeps every value but turns
+    a negative zero imaginary part into a positive one."""
+    data = SpectralData(codomain, domain, *random_arrays(seed, codomain, domain, masses))
+    back = SpectralData.from_dict(json.loads(json.dumps(data.to_dict())))
+    assert back.s.tobytes() == data.s.tobytes()
+    for name in ("u", "v"):
+        got, want = getattr(back, name), getattr(data, name)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got, want)
+    assert back.attribution == data.attribution
