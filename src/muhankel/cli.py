@@ -79,19 +79,28 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _write_manifest(out_dir: Path, command: str, inputs: dict, outputs: dict,
-                    seed: int, config: dict) -> Path:
-    manifest = {
+def _emit(args, command: str, inputs: dict, config: dict, files: dict) -> None:
+    """Create ``--out-dir``, write the files ``--format`` selects (all of them
+    for commands without ``--format``), then ``<command>-manifest.json``
+    listing exactly the files written. ``files`` maps a manifest key to
+    ``(name, payload)`` for JSON or ``(name, header, rows)`` for CSV."""
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    fmt = getattr(args, "format", "both")
+    outputs = {}
+    for key, (name, *content) in files.items():
+        kind = "csv" if name.endswith(".csv") else "json"
+        if fmt in (kind, "both"):
+            outputs[key] = out / name
+            (_write_csv if kind == "csv" else _write_json)(outputs[key], *content)
+    _write_json(out / f"{command}-manifest.json", {
         "command": command,
         "tool_version": __version__,
-        "seed": seed,
+        "seed": args.seed,
         "inputs": {k: str(v) for k, v in inputs.items()},
         "outputs": {k: str(v) for k, v in outputs.items()},
         "config": config,
-    }
-    path = out_dir / f"{command}-manifest.json"
-    _write_json(path, manifest)
-    return path
+    })
 
 
 def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
@@ -101,12 +110,19 @@ def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
         pass
     else:
         return PowerLaw(exponent)
-    payload = json.loads(Path(spec).read_text())
-    values = {
-        IrrepLabel(catalog.group, tuple(entry["index"])): float(entry["value"])
-        for entry in payload["entries"]
-    }
+    values = {}
+    for entry in json.loads(Path(spec).read_text())["entries"]:
+        label = IrrepLabel(catalog.group, tuple(entry["index"]))
+        if label in values:
+            raise ValueError(f"weight table {spec} repeats index {label.index}")
+        values[label] = float(entry["value"])
     return TableWeight(values)
+
+
+def _with_weights(args, source):
+    """``source`` (a symbol or spectral data) with the ``--mu``/``--nu``
+    weights parsed against its codomain and domain."""
+    return source, _parse_weight(args.mu, source.codomain), _parse_weight(args.nu, source.domain)
 
 
 def _parse_float_list(spec: str) -> list[float]:
@@ -120,30 +136,17 @@ def _load_symbol(path: str) -> Symbol:
     return Symbol.from_dict(json.loads(Path(path).read_text()))
 
 
-def _out_dir(args) -> Path:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def cmd_catalog(args) -> int:
     group = parse_group(args.group)
     catalog = enumerate_dual(group, args.cutoff)
-    out = _out_dir(args)
-    cat_path = out / "catalog.json"
-    _write_json(cat_path, catalog.to_dict())
-    _write_manifest(
-        out, "catalog", {}, {"catalog": cat_path}, args.seed,
-        {"group": args.group, "cutoff": args.cutoff},
-    )
+    _emit(args, "catalog", {}, {"group": args.group, "cutoff": args.cutoff},
+          {"catalog": ("catalog.json", catalog.to_dict())})
     print(f"catalog: {len(catalog)} labels, dense dimension {catalog.dense_dim}")
     return EXIT_OK
 
 
 def cmd_spectrum(args) -> int:
-    sym = _load_symbol(args.symbol)
-    mu = _parse_weight(args.mu, sym.codomain)
-    nu = _parse_weight(args.nu, sym.domain)
+    sym, mu, nu = _with_weights(args, _load_symbol(args.symbol))
     params = SymbolClassParams(args.m, args.n)
     op = assemble(sym, mu, nu)
     report = spectrum(op)
@@ -151,8 +154,6 @@ def cmd_spectrum(args) -> int:
     schatten = {str(p): schatten_norm(report, p) for p in ps}
     criteria = [*norm_criteria(op, params), compactness_report(op, params)]
 
-    out = _out_dir(args)
-    outputs = {}
     payload = {
         "operator_norm": report.operator_norm,
         "singular_values": report.singular_values.tolist(),
@@ -169,29 +170,16 @@ def cmd_spectrum(args) -> int:
         ],
         "criteria": [v.to_dict() for v in criteria],
     }
-    if args.format in ("json", "both"):
-        outputs["report"] = out / "spectrum.json"
-        _write_json(outputs["report"], payload)
-    if args.format in ("csv", "both"):
-        outputs["values_csv"] = out / "spectrum_values.csv"
-        _write_csv(
-            outputs["values_csv"],
-            ["rank", "singular_value"],
-            [[i, v] for i, v in enumerate(report.singular_values)],
-        )
-        outputs["criteria_csv"] = out / "spectrum_criteria.csv"
-        _write_csv(
-            outputs["criteria_csv"],
-            ["name", "bound_value", "measured_value", "satisfied", "detail"],
-            [
-                [v.name, v.bound_value, v.measured_value, v.satisfied, v.detail]
-                for v in criteria
-            ],
-        )
-    _write_manifest(
-        out, "spectrum", {"symbol": args.symbol}, outputs, args.seed,
-        {"mu": args.mu, "nu": args.nu, "m": args.m, "n": args.n, "format": args.format},
-    )
+    _emit(args, "spectrum", {"symbol": args.symbol},
+          {"mu": args.mu, "nu": args.nu, "m": args.m, "n": args.n, "format": args.format}, {
+        "report": ("spectrum.json", payload),
+        "values_csv": ("spectrum_values.csv", ["rank", "singular_value"],
+                       [[i, v] for i, v in enumerate(report.singular_values)]),
+        "criteria_csv": ("spectrum_criteria.csv",
+                         ["name", "bound_value", "measured_value", "satisfied", "detail"],
+                         [[v.name, v.bound_value, v.measured_value, v.satisfied, v.detail]
+                          for v in criteria]),
+    })
     print(f"operator norm {report.operator_norm:.12g}")
     for verdict in criteria:
         print(f"{verdict.name}: {'ok' if verdict.satisfied else 'NOT satisfied'} ({verdict.detail})")
@@ -203,39 +191,19 @@ def cmd_schatten_scan(args) -> int:
     group = SU2(half_integers=args.spins == "half")
     verdict = schatten_series_scan(args.alpha, args.p, ladder, group)
     rows = schatten_series_table(args.alpha, args.p, ladder, group)
-    out = _out_dir(args)
-    outputs = {}
-    if args.format in ("json", "both"):
-        outputs["verdict"] = out / "schatten_scan.json"
-        _write_json(outputs["verdict"], {"verdict": verdict.to_dict(), "rows": rows})
-    if args.format in ("csv", "both"):
-        outputs["rows_csv"] = out / "schatten_scan.csv"
-        _write_csv(
-            outputs["rows_csv"],
-            ["l_max", "partial_sum", "increment", "increment_ratio", "operator_schatten"],
-            [
-                [
-                    row["l_max"],
-                    row["partial_sum"],
-                    row.get("increment", ""),
-                    row.get("increment_ratio", ""),
-                    row["operator_schatten"],
-                ]
-                for row in rows
-            ],
-        )
-    _write_manifest(
-        out, "schatten-scan", {}, outputs, args.seed,
-        {"p": args.p, "alpha": args.alpha, "ladder": args.ladder, "spins": args.spins},
-    )
+    columns = ["l_max", "partial_sum", "increment", "increment_ratio", "operator_schatten"]
+    _emit(args, "schatten-scan", {},
+          {"p": args.p, "alpha": args.alpha, "ladder": args.ladder, "spins": args.spins}, {
+        "verdict": ("schatten_scan.json", {"verdict": verdict.to_dict(), "rows": rows}),
+        "rows_csv": ("schatten_scan.csv", columns,
+                     [[row.get(c, "") for c in columns] for row in rows]),
+    })
     print(verdict.detail)
     return EXIT_OK
 
 
 def cmd_index(args) -> int:
-    sym = _load_symbol(args.symbol)
-    mu = _parse_weight(args.mu, sym.codomain)
-    nu = _parse_weight(args.nu, sym.domain)
+    sym, mu, nu = _with_weights(args, _load_symbol(args.symbol))
     try:
         report = index_report(assemble(sym, mu, nu), args.tolerance)
     except FormulaInapplicableError as exc:
@@ -256,13 +224,9 @@ def cmd_index(args) -> int:
         except ValueError as exc:
             payload["winding_error"] = str(exc)
 
-    out = _out_dir(args)
-    report_path = out / "index.json"
-    _write_json(report_path, payload)
-    _write_manifest(
-        out, "index", {"symbol": args.symbol}, {"report": report_path}, args.seed,
-        {"mu": args.mu, "nu": args.nu, "tolerance": args.tolerance},
-    )
+    _emit(args, "index", {"symbol": args.symbol},
+          {"mu": args.mu, "nu": args.nu, "tolerance": args.tolerance},
+          {"report": ("index.json", payload)})
 
     if report.formula_error is None:
         pairs = report.contributing_pairs
@@ -288,12 +252,8 @@ def cmd_index(args) -> int:
 
 def cmd_recover(args) -> int:
     data = SpectralData.from_dict(json.loads(Path(args.data).read_text()))
-    mu = _parse_weight(args.mu, data.codomain)
-    nu = _parse_weight(args.nu, data.domain)
+    data, mu, nu = _with_weights(args, data)
     recovered = tikhonov_recover(data, mu, nu, args.alpha, args.weighted_penalty)
-    out = _out_dir(args)
-    sym_path = out / "recovered_symbol.json"
-    _write_json(sym_path, recovered.to_dict())
     inputs = {"data": args.data}
     if args.true_symbol:
         truth = _load_symbol(args.true_symbol)
@@ -302,49 +262,34 @@ def cmd_recover(args) -> int:
         max_err = max(
             (float(np.max(np.abs(b))) for b in diff.blocks.values()), default=0.0
         )
-        print(f"max entry error vs true symbol: {max_err:.6g}")
+        check = f"max entry error vs true symbol: {max_err:.6g}"
     else:
         residual = assemble(recovered, mu, nu).to_dense() - data.reassemble()
-        print(f"max residual vs reassembled data: {np.max(np.abs(residual)) if residual.size else 0.0:.6g}")
-    _write_manifest(
-        out, "recover", inputs, {"symbol": sym_path}, args.seed,
-        {"mu": args.mu, "nu": args.nu,
-         "cutoff": max(data.codomain.cutoff, data.domain.cutoff),
-         "alpha": args.alpha, "weighted_penalty": args.weighted_penalty},
-    )
+        check = f"max residual vs reassembled data: {np.max(np.abs(residual)) if residual.size else 0.0:.6g}"
+    _emit(args, "recover", inputs,
+          {"mu": args.mu, "nu": args.nu,
+           "cutoff": max(data.codomain.cutoff, data.domain.cutoff),
+           "alpha": args.alpha, "weighted_penalty": args.weighted_penalty},
+          {"symbol": ("recovered_symbol.json", recovered.to_dict())})
+    print(check)
     print(f"recovered {len(recovered.blocks)} blocks")
     return EXIT_OK
 
 
 def cmd_stability(args) -> int:
-    sym = _load_symbol(args.symbol)
-    mu = _parse_weight(args.mu, sym.codomain)
-    nu = _parse_weight(args.nu, sym.domain)
+    sym, mu, nu = _with_weights(args, _load_symbol(args.symbol))
     deltas = _parse_float_list(args.delta_grid)
     rows, slope = stability_scan(
         sym, mu, nu, deltas, trials=args.trials, seed=args.seed,
         weighted_penalty=args.weighted_penalty,
     )
-    out = _out_dir(args)
-    outputs = {}
-    if args.format in ("csv", "both"):
-        outputs["table"] = out / "stability.csv"
-        _write_csv(
-            outputs["table"],
-            ["delta", "alpha", "mean_error", "std_error"],
-            [[r.delta, r.alpha, r.mean_error, r.std_error] for r in rows],
-        )
-    if args.format in ("json", "both"):
-        outputs["summary"] = out / "stability.json"
-        _write_json(
-            outputs["summary"],
-            {"rows": [r.to_dict() for r in rows], "slope": slope},
-        )
-    _write_manifest(
-        out, "stability", {"symbol": args.symbol}, outputs, args.seed,
-        {"mu": args.mu, "nu": args.nu, "delta_grid": args.delta_grid,
-         "trials": args.trials, "weighted_penalty": args.weighted_penalty},
-    )
+    _emit(args, "stability", {"symbol": args.symbol},
+          {"mu": args.mu, "nu": args.nu, "delta_grid": args.delta_grid,
+           "trials": args.trials, "weighted_penalty": args.weighted_penalty}, {
+        "table": ("stability.csv", ["delta", "alpha", "mean_error", "std_error"],
+                  [[r.delta, r.alpha, r.mean_error, r.std_error] for r in rows]),
+        "summary": ("stability.json", {"rows": [r.to_dict() for r in rows], "slope": slope}),
+    })
     for row in rows:
         print(
             f"delta {row.delta:.3g}: alpha {row.alpha:.3g}, "
@@ -357,6 +302,11 @@ def cmd_stability(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out-dir", default=".", help="directory for outputs")
     parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+
+
+def _add_weights(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--mu", default="0", help="power-law exponent or table JSON path")
+    parser.add_argument("--nu", default="0", help="power-law exponent or table JSON path")
 
 
 def _add_format(parser: argparse.ArgumentParser) -> None:
@@ -380,8 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="singular spectrum and norm criteria")
     p.add_argument("--symbol", required=True, help="symbol JSON path")
-    p.add_argument("--mu", default="0", help="power-law exponent or table JSON path")
-    p.add_argument("--nu", default="0", help="power-law exponent or table JSON path")
+    _add_weights(p)
     p.add_argument("--m", type=float, default=0.0, help="codomain decay order")
     p.add_argument("--n", type=float, default=0.0, help="domain decay order")
     p.add_argument("--p", type=float, default=None, help="extra Schatten exponent")
@@ -400,8 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="determinant-sign and numerical index")
     p.add_argument("--symbol", required=True)
-    p.add_argument("--mu", default="0")
-    p.add_argument("--nu", default="0")
+    _add_weights(p)
     p.add_argument("--tolerance", type=float, default=1e-8, help="relative rank tolerance")
     p.add_argument("--samples", type=int, default=256, help="circle samples for winding")
     _add_common(p)
@@ -409,8 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recover", help="Tikhonov symbol recovery from spectral data")
     p.add_argument("--data", required=True, help="spectral data JSON path")
-    p.add_argument("--mu", default="0")
-    p.add_argument("--nu", default="0")
+    _add_weights(p)
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--weighted-penalty", action="store_true")
     p.add_argument("--true-symbol", default=None, help="reference symbol for error report")
@@ -419,8 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("stability", help="noise-response experiment")
     p.add_argument("--symbol", required=True, help="true symbol JSON path")
-    p.add_argument("--mu", default="0")
-    p.add_argument("--nu", default="0")
+    _add_weights(p)
     p.add_argument("--delta-grid", default="1e-4,3e-4,1e-3,3e-3,1e-2")
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--weighted-penalty", action="store_true")

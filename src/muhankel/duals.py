@@ -11,6 +11,7 @@ assembly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Union
@@ -64,23 +65,9 @@ class Product:
 GroupKind = Union[SU2, Torus, Product]
 
 
-def _index_slots(group: GroupKind) -> int:
-    if isinstance(group, SU2):
-        return 1
-    if isinstance(group, Torus):
-        return group.d
-    return sum(_index_slots(f) for f in group.factors)
-
-
-def _split_index(group: Product, index: tuple) -> list[tuple[GroupKind, tuple]]:
-    """Split a concatenated product index into per-factor fragments."""
-    parts = []
-    pos = 0
-    for f in group.factors:
-        w = _index_slots(f)
-        parts.append((f, index[pos:pos + w]))
-        pos += w
-    return parts
+def _factors(group: GroupKind) -> tuple:
+    """The factors of a product; a single group is its own one factor."""
+    return group.factors if isinstance(group, Product) else (group,)
 
 
 def group_to_dict(group: GroupKind) -> dict:
@@ -128,72 +115,64 @@ def parse_group(spec: str) -> GroupKind:
 
 @dataclass(frozen=True)
 class IrrepLabel:
-    """One irreducible representation: a group kind plus an index vector."""
+    """One irreducible representation: a group kind plus an index vector.
+
+    Construction validates the index and stores the label's dimension,
+    Casimir eigenvalue and radial size (see :func:`_describe`).
+    """
 
     group: GroupKind
     index: tuple
+    dim: int = field(init=False, compare=False, repr=False)
+    casimir: float = field(init=False, compare=False, repr=False)
+    radius: float = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "index", tuple(int(i) for i in self.index))
-        _validate_index(self.group, self.index)
+        index = tuple(int(i) for i in self.index)
+        object.__setattr__(self, "index", index)
+        for name, value in zip(("dim", "casimir", "radius"), _describe(self.group, index)):
+            object.__setattr__(self, name, value)
 
 
-def _validate_index(group: GroupKind, index: tuple) -> None:
-    if len(index) != _index_slots(group):
-        raise ValueError(
-            f"index {index} has {len(index)} slots, group needs {_index_slots(group)}"
-        )
-    if isinstance(group, SU2):
-        k = index[0]
-        if k < 0:
-            raise ValueError(f"SU(2) label k must be >= 0, got {k}")
-        if not group.half_integers and k % 2 != 0:
-            raise ValueError(f"integer-spin SU(2) dual admits only even k, got {k}")
-    elif isinstance(group, Product):
-        for f, frag in _split_index(group, index):
-            _validate_index(f, frag)
+def _describe(group: GroupKind, index: tuple) -> tuple[int, float, float]:
+    """Validate ``index`` against ``group`` and return (dimension, Casimir
+    eigenvalue, radial size): 2l+1, l(l+1) and l on SU(2); 1, |n|^2 and |n|
+    on tori. Products multiply dimensions, add Casimirs and combine radial
+    sizes in quadrature."""
+    factors = _factors(group)
+    slots = [1 if isinstance(f, SU2) else f.d for f in factors]
+    if len(index) != sum(slots):
+        raise ValueError(f"index {index} has {len(index)} slots, group needs {sum(slots)}")
+    # Sums start at 0 in factor order, and a lone group's radial size is not
+    # squared and rooted, so values match the per-factor formulas bitwise.
+    dimension, cas, squares, pos = 1, 0, 0, 0
+    for f, width in zip(factors, slots):
+        frag = index[pos:pos + width]
+        pos += width
+        if isinstance(f, SU2):
+            k = frag[0]
+            if k < 0:
+                raise ValueError(f"SU(2) label k must be >= 0, got {k}")
+            if not f.half_integers and k % 2 != 0:
+                raise ValueError(f"integer-spin SU(2) dual admits only even k, got {k}")
+            d, c, r = k + 1, k * (k + 2) / 4.0, k / 2.0
+        else:
+            sq = sum(n * n for n in frag)
+            d, c, r = 1, float(sq), math.sqrt(sq)
+        dimension *= d
+        cas += c
+        squares += r ** 2
+    return dimension, cas, (math.sqrt(squares) if isinstance(group, Product) else r)
 
 
 def dim(label: IrrepLabel) -> int:
     """Dimension of the representation: 2l+1 on SU(2), 1 on tori."""
-    return _dim(label.group, label.index)
-
-
-def _dim(group: GroupKind, index: tuple) -> int:
-    if isinstance(group, SU2):
-        return index[0] + 1
-    if isinstance(group, Torus):
-        return 1
-    out = 1
-    for f, frag in _split_index(group, index):
-        out *= _dim(f, frag)
-    return out
+    return label.dim
 
 
 def casimir(label: IrrepLabel) -> float:
     """Casimir eigenvalue: l(l+1) on SU(2), |n|^2 on tori, additive on products."""
-    return _casimir(label.group, label.index)
-
-
-def _casimir(group: GroupKind, index: tuple) -> float:
-    if isinstance(group, SU2):
-        k = index[0]
-        return k * (k + 2) / 4.0
-    if isinstance(group, Torus):
-        return float(sum(n * n for n in index))
-    return sum(_casimir(f, frag) for f, frag in _split_index(group, index))
-
-
-def _radial_size(group: GroupKind, index: tuple) -> float:
-    """Radial size entering power-law weights: l on SU(2), |n| on tori,
-    combined in quadrature on products."""
-    if isinstance(group, SU2):
-        return index[0] / 2.0
-    if isinstance(group, Torus):
-        return math.sqrt(sum(n * n for n in index))
-    return math.sqrt(
-        sum(_radial_size(f, frag) ** 2 for f, frag in _split_index(group, index))
-    )
+    return label.casimir
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +199,10 @@ class TableWeight:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
         for label, value in self.values.items():
-            if not value > 0:
-                raise ValueError(f"weight table value for {label.index} must be > 0, got {value}")
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(
+                    f"weight table value for {label.index} must be finite and > 0, got {value}"
+                )
 
 
 Weight = Union[PowerLaw, TableWeight]
@@ -231,7 +212,7 @@ def weight_eval(weight: Weight, label: IrrepLabel) -> float:
     """Evaluate a weight at a label: a finite number > 0, or ValueError."""
     if isinstance(weight, PowerLaw):
         try:
-            value = (1.0 + _radial_size(label.group, label.index)) ** weight.exponent
+            value = (1.0 + label.radius) ** weight.exponent
         except OverflowError:
             value = math.inf
         if not (math.isfinite(value) and value > 0):
@@ -278,9 +259,8 @@ class DualCatalog:
         for position, label in enumerate(self.labels):
             if label in offsets:
                 raise ValueError(f"duplicate label {label.index} at position {position}")
-            d = dim(label)
-            offsets[label] = (start, d)
-            start += d
+            offsets[label] = (start, label.dim)
+            start += label.dim
         self.offsets = offsets
         self.dense_dim = start
         if start > MAX_DENSE_DIM:
@@ -312,8 +292,8 @@ class DualCatalog:
             "labels": [
                 {
                     "index": list(label.index),
-                    "dim": dim(label),
-                    "casimir": casimir(label),
+                    "dim": label.dim,
+                    "casimir": label.casimir,
                 }
                 for label in self.labels
             ],
@@ -325,72 +305,64 @@ class DualCatalog:
         labels = []
         for entry in data["labels"]:
             label = IrrepLabel(group, tuple(entry["index"]))
-            if "dim" in entry and int(entry["dim"]) != dim(label):
+            if "dim" in entry and int(entry["dim"]) != label.dim:
                 raise ValueError(
-                    f"label {label.index}: stored dim {entry['dim']} != {dim(label)}"
+                    f"label {label.index}: stored dim {entry['dim']} != {label.dim}"
                 )
             labels.append(label)
         return cls(group, float(data["cutoff"]), labels)
 
 
-def _su2_indices(group: SU2, budget: float) -> list[tuple[tuple, float]]:
-    out = []
+def _su2_indices(group: SU2, budget: float) -> Iterator[tuple[tuple, float]]:
     step = 1 if group.half_integers else 2
     k = 0
     while k * (k + 2) <= 4.0 * budget:
-        out.append(((k,), k * (k + 2) / 4.0))
+        yield (k,), k * (k + 2) / 4.0
         k += step
-    return out
 
 
-def _torus_points(d: int, budget: float) -> list[tuple]:
+def _torus_points(d: int, budget: float) -> Iterator[tuple]:
     if budget < 0:
-        return []
+        return
     if d == 0:
-        return [()]
+        yield ()
+        return
     r = int(math.isqrt(int(budget)))
     while (r + 1) ** 2 <= budget:
         r += 1
-    out = []
     for n in range(-r, r + 1):
         for rest in _torus_points(d - 1, budget - n * n):
-            out.append((n,) + rest)
-    return out
+            yield (n,) + rest
 
 
-def _factor_indices(factor: GroupKind, budget: float) -> list[tuple[tuple, float]]:
+def _factor_indices(factor: GroupKind, budget: float) -> Iterator[tuple[tuple, float]]:
     if isinstance(factor, SU2):
         return _su2_indices(factor, budget)
-    return [(pt, float(sum(n * n for n in pt))) for pt in _torus_points(factor.d, budget)]
+    return ((pt, float(sum(n * n for n in pt))) for pt in _torus_points(factor.d, budget))
 
 
-def _product_indices(factors: tuple, budget: float) -> list[tuple[tuple, float]]:
+def _product_indices(factors: tuple, budget: float) -> Iterator[tuple[tuple, float]]:
     if len(factors) == 1:
-        return _factor_indices(factors[0], budget)
-    out = []
+        yield from _factor_indices(factors[0], budget)
+        return
     for head, lam in _factor_indices(factors[0], budget):
         for tail, lam_rest in _product_indices(factors[1:], budget - lam):
-            out.append((head + tail, lam + lam_rest))
-    return out
+            yield head + tail, lam + lam_rest
 
 
 def enumerate_dual(group: GroupKind, cutoff: float) -> DualCatalog:
     """All labels with Casimir eigenvalue <= cutoff, deterministically ordered.
 
     Raises ValueError for non-finite or negative cutoffs and for truncations
-    whose dense dimension would exceed ``MAX_DENSE_DIM``.
+    with more than ``MAX_DENSE_DIM`` labels (enumeration stops at the first
+    label past the guard) or a larger dense dimension.
     """
     if not (math.isfinite(cutoff) and cutoff >= 0):
         raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
-    if isinstance(group, SU2):
-        indices = _su2_indices(group, cutoff)
-    elif isinstance(group, Torus):
-        indices = _factor_indices(group, cutoff)
-    else:
-        indices = _product_indices(group.factors, cutoff)
+    indices = list(itertools.islice(_product_indices(_factors(group), cutoff), MAX_DENSE_DIM + 1))
     if len(indices) > MAX_DENSE_DIM:
         raise ValueError(
-            f"cutoff {cutoff} yields {len(indices)} labels, over guard {MAX_DENSE_DIM}"
+            f"cutoff {cutoff} yields more labels than the guard {MAX_DENSE_DIM}"
         )
     indices.sort(key=lambda pair: (pair[1], pair[0]))
     labels = [IrrepLabel(group, idx) for idx, _ in indices]

@@ -367,3 +367,39 @@ def test_format_is_not_an_option_without_csv_output(tmp_path, capsys, argv):
         main([*argv, "--format", "csv", "--out-dir", str(tmp_path)])
     assert exit_info.value.code == 2
     assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entries, message", [
+    ([{"index": [0], "value": 1.0}, {"index": [1], "value": float("inf")}],
+     "weight table value for (1,) must be finite and > 0, got inf"),
+    ([{"index": [0], "value": 1.0}, {"index": [0], "value": 2.0}],
+     "repeats index (0,)"),
+])
+def test_bad_weight_table_exit_2(tmp_path, capsys, entries, message):
+    cat = enumerate_dual(SU2(), 2.0)
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
+    mu_path = write_json(tmp_path / "mu.json", {"entries": entries})
+    code = main(["spectrum", "--symbol", sym_path, "--mu", mu_path, "--out-dir", str(tmp_path)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "spectrum-manifest.json").exists()
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["spectrum", "--symbol", "sym.json"],
+     {"json": ["spectrum.json"], "csv": ["spectrum_criteria.csv", "spectrum_values.csv"]}),
+    (["schatten-scan", "--p", "2", "--alpha", "2"],
+     {"json": ["schatten_scan.json"], "csv": ["schatten_scan.csv"]}),
+    (["stability", "--symbol", "sym.json", "--delta-grid", "1e-3,1e-2", "--trials", "2"],
+     {"json": ["stability.json"], "csv": ["stability.csv"]}),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_format_writes_and_lists_only_the_chosen_files(tmp_path, monkeypatch, argv, files, fmt):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "sym.json", diagonal_symbol(enumerate_dual(SU2(), 2.0)).to_dict())
+    assert main([*argv, "--format", fmt, "--out-dir", "out"]) == 0
+    manifest_name = f"{argv[0]}-manifest.json"
+    written = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert written == sorted([*files[fmt], manifest_name])
+    listed = json.loads((tmp_path / "out" / manifest_name).read_text())["outputs"]
+    assert sorted(listed.values()) == [f"out/{name}" for name in sorted(files[fmt])]

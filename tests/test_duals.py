@@ -59,10 +59,13 @@ def test_enumerate_rejects_negative_cutoff():
         enumerate_dual(SU2(), -1.0)
 
 
-def test_enumerate_resource_guard():
-    # torus with |n| up to ~2e6 would need > 1e6 labels
-    with pytest.raises(ValueError):
-        enumerate_dual(Torus(1), 4.0e12)
+@pytest.mark.parametrize(
+    "group, cutoff", [(Torus(1), 4.0e12), (SU2(), 1.0e12)], ids=["torus", "su2"]
+)
+def test_enumerate_resource_guard(group, cutoff):
+    # |n| up to ~2e6 on the torus, k up to ~2e6 on SU(2): > 1e6 labels either way
+    with pytest.raises(ValueError, match=f"cutoff {cutoff} yields more labels than the guard"):
+        enumerate_dual(group, cutoff)
 
 
 def test_dim_values():
