@@ -118,7 +118,9 @@ class IrrepLabel:
     """One irreducible representation: a group kind plus an index vector.
 
     Construction validates the index and stores the label's dimension,
-    Casimir eigenvalue and radial size (see :func:`_describe`).
+    Casimir eigenvalue and radial size (see :func:`_describe`). The hash of
+    ``(group, index)`` is computed once: labels key every offset, weight and
+    block lookup, and rehashing would hash the group dataclass each time.
     """
 
     group: GroupKind
@@ -126,12 +128,17 @@ class IrrepLabel:
     dim: int = field(init=False, compare=False, repr=False)
     casimir: float = field(init=False, compare=False, repr=False)
     radius: float = field(init=False, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         index = tuple(int(i) for i in self.index)
         object.__setattr__(self, "index", index)
         for name, value in zip(("dim", "casimir", "radius"), _describe(self.group, index)):
             object.__setattr__(self, name, value)
+        object.__setattr__(self, "_hash", hash((self.group, index)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def _describe(group: GroupKind, index: tuple) -> tuple[int, float, float]:

@@ -10,6 +10,7 @@ reconciled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,8 @@ def numerical_index(
     Rank counts singular values above rank_tolerance times the largest one
     (zero operator has rank zero).
     """
-    if rank_tolerance <= 0:
-        raise ValueError(f"rank tolerance must be > 0, got {rank_tolerance}")
+    if not (math.isfinite(rank_tolerance) and rank_tolerance > 0):
+        raise ValueError(f"rank tolerance must be finite and > 0, got {rank_tolerance}")
     n_out, n_in = op.shape
     values = op.singular_values
     if values.size == 0 or values[0] == 0.0:

@@ -4,9 +4,18 @@ The operator carries one finite block T(pi, rho) = mu(pi) a(pi, rho) nu(rho)
 per stored symbol block, mapping the rho coordinate slice of the domain
 layout into the pi slice of the codomain layout. Blocks are weighted once at
 assembly and cached; application, adjoint, and densification all reuse the
-cache, so the adjoint's dense matrix is the exact conjugate transpose. The
-singular values of the dense matrix, and those of every weighted block, are
-computed once per operator and shared by every spectral consumer.
+cache, so the adjoint's dense matrix is the exact conjugate transpose.
+
+The stored blocks form a bipartite graph, codomain labels on one side and
+domain labels on the other. The operator's singular values are the union of
+those of its connected support components, each the dense matrix restricted
+to the component's labels; labels without a block add only zeros. Each
+operator is factored once by these components, and every spectral consumer
+reads that one factorization: a single-block component reuses the block's
+own singular values, the matrix of a component covering every label is
+entry for entry the one ``to_dense()`` builds, and the ``MAX_DENSE_ENTRIES``
+guard applies to each component's matrix, so a diagonal or matching operator
+may be far larger than one dense N x N matrix could be.
 """
 
 from __future__ import annotations
@@ -16,11 +25,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .duals import DualCatalog, TableWeight, Weight, weight_eval
+from .duals import DualCatalog, IrrepLabel, TableWeight, Weight, weight_eval
 from .symbols import BlockKey, Symbol
 
-# Largest dense matrix (entry count) that to_dense will materialize.
+# Largest dense matrix (entry count) that to_dense, or the factorization
+# for one support component, will materialize.
 MAX_DENSE_ENTRIES = 25_000_000
+
+# One support component: its codomain and domain labels in catalog order and
+# the keys of its stored blocks.
+Component = tuple[list[IrrepLabel], list[IrrepLabel], list[BlockKey]]
 
 
 @dataclass
@@ -31,6 +45,9 @@ class BlockOperator:
     mu: Weight
     nu: Weight
     weighted: dict[BlockKey, np.ndarray] = field(init=False, repr=False)
+    _block_values: dict[BlockKey, np.ndarray] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
 
     def __post_init__(self) -> None:
         _check_table_cover(self.mu, self.symbol.codomain, "mu")
@@ -89,24 +106,90 @@ class BlockOperator:
         return dense
 
     @cached_property
+    def components(self) -> list[Component]:
+        """Connected components of the support's bipartite graph (union-find
+        over the stored blocks), in the order of their first block. Labels
+        with no stored block belong to no component."""
+        parent: dict = {}
+
+        def find(node):
+            while parent.setdefault(node, node) != node:
+                parent[node] = parent[parent[node]]
+                node = parent[node]
+            return node
+
+        for pi, rho in self.weighted:
+            parent[find((0, pi))] = find((1, rho))
+        members: dict = {}
+        for key in self.weighted:
+            members.setdefault(find((0, key[0])), []).append(key)
+        components = []
+        for keys in members.values():
+            rows = sorted({pi for pi, _ in keys}, key=lambda l: self.codomain.offsets[l][0])
+            cols = sorted({rho for _, rho in keys}, key=lambda l: self.domain.offsets[l][0])
+            components.append((rows, cols, keys))
+        return components
+
+    @cached_property
     def singular_values(self) -> np.ndarray:
-        """Descending singular values of the dense matrix, from one SVD per
-        operator; read-only. The dense matrix itself is not kept."""
-        dense = self.to_dense()
-        values = np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
+        """Descending singular values of the dense matrix, length
+        min(n_out, n_in): the sorted union of the values of every support
+        component, zero-padded; read-only. One SVD per component, none for
+        a single-block component whose block values are known."""
+        parts = [self._component_values(component) for component in self.components]
+        n_out, n_in = self.shape
+        values = np.zeros(min(n_out, n_in))
+        if parts:
+            found = np.sort(np.concatenate(parts))[::-1]
+            values[: found.size] = found
         values.setflags(write=False)
+        return values
+
+    def _component_values(self, component: Component) -> np.ndarray:
+        """Singular values of one component's matrix: the dense matrix
+        restricted to the component's labels, in catalog order."""
+        rows, cols, keys = component
+        if len(keys) == 1:
+            return self._block_svd(keys[0])
+        n_rows = sum(l.dim for l in rows)
+        n_cols = sum(l.dim for l in cols)
+        if n_rows * n_cols > MAX_DENSE_ENTRIES:
+            raise ValueError(
+                f"support component of {len(rows)} x {len(cols)} labels would hold "
+                f"{n_rows} x {n_cols} = {n_rows * n_cols} entries, over guard "
+                f"{MAX_DENSE_ENTRIES}"
+            )
+        row_at, col_at = _local_offsets(rows), _local_offsets(cols)
+        matrix = np.zeros((n_rows, n_cols), dtype=np.complex128)
+        for pi, rho in keys:
+            matrix[row_at[pi] : row_at[pi] + pi.dim,
+                   col_at[rho] : col_at[rho] + rho.dim] = self.weighted[(pi, rho)]
+        return np.linalg.svd(matrix, compute_uv=False)
+
+    def _block_svd(self, key: BlockKey) -> np.ndarray:
+        """One entry of :attr:`block_singular_values`, computed on first use."""
+        values = self._block_values.get(key)
+        if values is None:
+            values = np.linalg.svd(self.weighted[key], compute_uv=False)
+            values.setflags(write=False)
+            self._block_values[key] = values
         return values
 
     @cached_property
     def block_singular_values(self) -> dict[BlockKey, np.ndarray]:
-        """Descending singular values of every weighted block, one SVD per
-        block per operator; read-only. Entry [0] is the block's 2-norm."""
-        per_block = {}
-        for key, block in self.weighted.items():
-            values = np.linalg.svd(block, compute_uv=False)
-            values.setflags(write=False)
-            per_block[key] = values
-        return per_block
+        """Descending singular values of every weighted block, in symbol order,
+        one SVD per block per operator; read-only. Entry [0] is the block's
+        2-norm."""
+        return {key: self._block_svd(key) for key in self.weighted}
+
+
+def _local_offsets(labels: list[IrrepLabel]) -> dict[IrrepLabel, int]:
+    """Start of each label's slice when ``labels`` are laid out in order."""
+    at, start = {}, 0
+    for label in labels:
+        at[label] = start
+        start += label.dim
+    return at
 
 
 def _check_table_cover(weight: Weight, catalog: DualCatalog, name: str) -> None:

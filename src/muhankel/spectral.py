@@ -13,6 +13,7 @@ each evaluator states an explicit finite proxy:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ def spectrum(op: BlockOperator) -> SpectrumReport:
 
 def schatten_norm(report: SpectrumReport, p: float) -> float:
     """(sum s_n^p)^(1/p) over the global singular values."""
-    if p <= 0:
-        raise ValueError(f"Schatten exponent must be > 0, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"Schatten exponent p must be finite and > 0, got {p}")
     total = float(np.sum(report.singular_values ** p))
     return total ** (1.0 / p)
 
@@ -247,12 +248,18 @@ def schatten_series_table(
     together with the exact truncated Schatten norm of the diagonal operator
     with decay alpha (whose block singular values are (1+l)^(-alpha), each
     with multiplicity 2l+1)."""
-    if p <= 0:
-        raise ValueError(f"Schatten exponent must be > 0, got {p}")
+    if not (math.isfinite(p) and p > 0):
+        raise ValueError(f"Schatten exponent p must be finite and > 0, got {p}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"decay alpha must be finite, got {alpha}")
     if not isinstance(group, SU2):
         raise ValueError(f"series scan is defined on SU(2) duals, got {group!r}")
-    if len(l_ladder) < 3 or any(b <= a for a, b in zip(l_ladder, l_ladder[1:])):
-        raise ValueError("cutoff ladder must be increasing with at least 3 rungs")
+    if (len(l_ladder) < 3 or not all(math.isfinite(l) for l in l_ladder)
+            or any(b <= a for a, b in zip(l_ladder, l_ladder[1:]))):
+        raise ValueError(
+            f"cutoff ladder must be finite and increasing with at least 3 rungs, "
+            f"got {list(l_ladder)}"
+        )
     rows = []
     prev_sum = None
     prev_increment = None

@@ -7,6 +7,7 @@ assembled operator holds the weighted blocks ``mu(pi) * a(pi, rho) * nu(rho)``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -117,8 +118,10 @@ class SymbolClassParams:
     n: float
 
     def __post_init__(self) -> None:
-        if self.m < 0 or self.n < 0:
-            raise ValueError(f"decay orders must be >= 0, got m={self.m}, n={self.n}")
+        if not all(math.isfinite(x) and x >= 0 for x in (self.m, self.n)):
+            raise ValueError(
+                f"decay orders must be finite and >= 0, got m={self.m}, n={self.n}"
+            )
 
 
 def class_norm(op: BlockOperator, params: SymbolClassParams) -> float:

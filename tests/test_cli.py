@@ -403,3 +403,29 @@ def test_format_writes_and_lists_only_the_chosen_files(tmp_path, monkeypatch, ar
     assert written == sorted([*files[fmt], manifest_name])
     listed = json.loads((tmp_path / "out" / manifest_name).read_text())["outputs"]
     assert sorted(listed.values()) == [f"out/{name}" for name in sorted(files[fmt])]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["index", "--symbol", "sym.json", "--tolerance", "nan"],
+     "rank tolerance must be finite and > 0, got nan"),
+    (["schatten-scan", "--p", "nan", "--alpha", "2"],
+     "Schatten exponent p must be finite and > 0, got nan"),
+    (["schatten-scan", "--p", "2", "--alpha", "nan"],
+     "decay alpha must be finite, got nan"),
+    (["schatten-scan", "--p", "2", "--alpha", "2", "--ladder", "64,nan,256,512"],
+     "cutoff ladder must be finite and increasing with at least 3 rungs, "
+     "got [64.0, nan, 256.0, 512.0]"),
+    (["spectrum", "--symbol", "sym.json", "--m", "nan"],
+     "decay orders must be finite and >= 0, got m=nan, n=0.0"),
+    (["spectrum", "--symbol", "sym.json", "--n", "nan"],
+     "decay orders must be finite and >= 0, got m=0.0, n=nan"),
+    (["spectrum", "--symbol", "sym.json", "--p", "nan"],
+     "Schatten exponent p must be finite and > 0, got nan"),
+])
+def test_nan_option_exit_2(tmp_path, monkeypatch, capsys, argv, message):
+    # each was accepted before, with a wrong rank or a NaN verdict and exit 0
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "sym.json", diagonal_symbol(enumerate_dual(SU2(), 2.0)).to_dict())
+    assert main([*argv, "--out-dir", "out"]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out" / f"{argv[0]}-manifest.json").exists()

@@ -114,6 +114,22 @@ def test_label_validation():
         Product((Product((SU2(), Torus(1))), SU2()))
 
 
+@pytest.mark.parametrize("group, index", [
+    (SU2(), (2,)), (Torus(2), (1, -1)), (Product((SU2(), Torus(1))), (3, -2)),
+])
+def test_equal_labels_are_interchangeable_keys(group, index):
+    # the hash is stored at construction; separately built equal labels,
+    # including ones read back from JSON, must still hash and look up alike
+    a = IrrepLabel(group, index)
+    b = IrrepLabel(group_from_dict(group_to_dict(group)), tuple(float(i) for i in index))
+    assert a is not b and a == b and hash(a) == hash(b)
+    table = {a: "a"}
+    table[b] = "b"
+    assert table == {a: "b"} and table[b] == "b"
+    other = IrrepLabel(Torus(1), (7,))
+    assert other != a and other not in table
+
+
 @pytest.mark.parametrize("group", [SU2(), SU2(half_integers=False), Torus(1), Torus(2)])
 @pytest.mark.parametrize("small,big", [(0.0, 3.0), (2.0, 9.0), (5.0, 5.0)])
 def test_enumeration_monotone_prefix(group, small, big):

@@ -298,15 +298,53 @@ def test_schatten_norm_rejects_nonpositive_p():
         schatten_norm(rep, 0.0)
 
 
+def component_shapes(blocks, keep=lambda label: True):
+    """(rows, cols) in dense coordinates of each connected component of the
+    bipartite graph of the kept blocks (codomain and domain labels as its
+    two sides), with the number of blocks in each."""
+    keys = [(pi, rho) for pi, rho in blocks if keep(pi) and keep(rho)]
+    root = {}
+
+    def find(node):
+        while root.get(node, node) != node:
+            node = root[node]
+        return node
+
+    for pi, rho in keys:
+        a, b = find(("out", pi)), find(("in", rho))
+        if a != b:
+            root[a] = b
+    groups = {}
+    for pi, rho in keys:
+        group = groups.setdefault(find(("out", pi)), [set(), set(), 0])
+        group[0].add(pi)
+        group[1].add(rho)
+        group[2] += 1
+    return [
+        ((sum(dim(l) for l in rows), sum(dim(l) for l in cols)), count)
+        for rows, cols, count in groups.values()
+    ]
+
+
 def test_spectrum_command_factors_each_operator_once(tmp_path, monkeypatch):
-    # spectrum: one SVD of the full operator, one of the half-cutoff operator
-    # that the compactness indicator reads, one per stored block (the block
-    # norms of the norm criteria and the compactness columns reuse it, so
-    # SVDs inside np.linalg.norm count too); index: one
+    # spectrum: one SVD per stored block (the block norms of the norm criteria
+    # and the compactness columns reuse it, so SVDs inside np.linalg.norm
+    # count too; a single-block component reuses it as well), plus one per
+    # multi-block support component of the full operator and one per
+    # component of the half-cutoff operator that the compactness indicator
+    # reads; index: one per component
     cat = enumerate_dual(SU2(), 6.0)
     sym = random_symbol(cat, cat, 0.5, 1)
     sym_path = tmp_path / "sym.json"
     sym_path.write_text(json.dumps(sym.to_dict()))
+    full = component_shapes(sym.blocks)
+    half = component_shapes(sym.blocks, lambda l: casimir(l) <= cat.cutoff / 2)
+    # the case this pins: the full operator is one component over every
+    # label; the half-cutoff operator's support leaves labels out
+    n = cat.dense_dim
+    n_half = cat.restrict(lambda l: casimir(l) <= cat.cutoff / 2).dense_dim
+    assert [shape for shape, _ in full] == [(n, n)]
+    assert [shape for shape, _ in half] != [(n_half, n_half)]
     shapes = []
     svd = np.linalg.svd
 
@@ -322,11 +360,11 @@ def test_spectrum_command_factors_each_operator_once(tmp_path, monkeypatch):
     common = ["--symbol", str(sym_path), "--mu", "0.5", "--nu", "-0.5",
               "--out-dir", str(tmp_path)]
     assert main(["spectrum", *common, "--m", "1", "--n", "1"]) == 0
-    n = cat.dense_dim
-    half = cat.restrict(lambda l: casimir(l) <= cat.cutoff / 2).dense_dim
-    want = [(n, n), (half, half), *(block.shape for block in sym.blocks.values())]
+    want = [block.shape for block in sym.blocks.values()]
+    want += [shape for shape, count in full if count > 1]
+    want += [shape for shape, _ in half]
     assert sorted(shapes) == sorted(want)
 
     shapes.clear()
     assert main(["index", *common]) == 0
-    assert shapes == [(n, n)]
+    assert sorted(shapes) == sorted(shape for shape, _ in full)
