@@ -40,7 +40,6 @@ from .recovery import (
     StabilityRow,
     forward,
     perturb_spectral_data,
-    recover_bandlimited,
     stability_scan,
     tikhonov_recover,
 )
@@ -52,7 +51,6 @@ from .spectral import (
     norm_criteria,
     schatten_norm,
     schatten_series_scan,
-    schatten_series_table,
     schur_constant,
     spectrum,
 )
@@ -106,7 +104,6 @@ __all__ = [
     "carleson_test",
     "compactness_report",
     "schatten_series_scan",
-    "schatten_series_table",
     "FormulaInapplicableError",
     "IndexReport",
     "index_formula",
@@ -119,7 +116,6 @@ __all__ = [
     "StabilityRow",
     "forward",
     "perturb_spectral_data",
-    "recover_bandlimited",
     "stability_scan",
     "tikhonov_recover",
     "__version__",

@@ -56,7 +56,6 @@ from .spectral import (
     norm_criteria,
     schatten_norm,
     schatten_series_scan,
-    schatten_series_table,
     spectrum,
 )
 from .symbols import Symbol, SymbolClassParams, hankel_coefficients, symbol_difference
@@ -103,6 +102,18 @@ def _emit(args, command: str, inputs: dict, config: dict, files: dict) -> None:
     })
 
 
+def _read_input(path: str, parse):
+    """``parse`` applied to the JSON file at ``path``. A wrong type or shape
+    inside the file (a number where a list belongs, a short list) surfaces
+    from parsing as TypeError, IndexError or AttributeError; it becomes a
+    ValueError naming the file, so that it exits as a validation error."""
+    data = json.loads(Path(path).read_text())
+    try:
+        return parse(data)
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise ValueError(f"malformed input file {path}: {exc}") from exc
+
+
 def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
     try:
         exponent = float(spec)
@@ -110,13 +121,17 @@ def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
         pass
     else:
         return PowerLaw(exponent)
-    values = {}
-    for entry in json.loads(Path(spec).read_text())["entries"]:
-        label = IrrepLabel(catalog.group, tuple(entry["index"]))
-        if label in values:
-            raise ValueError(f"weight table {spec} repeats index {label.index}")
-        values[label] = float(entry["value"])
-    return TableWeight(values)
+
+    def parse(data) -> TableWeight:
+        values = {}
+        for entry in data["entries"]:
+            label = IrrepLabel(catalog.group, tuple(entry["index"]))
+            if label in values:
+                raise ValueError(f"weight table {spec} repeats index {label.index}")
+            values[label] = float(entry["value"])
+        return TableWeight(values)
+
+    return _read_input(spec, parse)
 
 
 def _with_weights(args, source):
@@ -133,7 +148,7 @@ def _parse_float_list(spec: str) -> list[float]:
 
 
 def _load_symbol(path: str) -> Symbol:
-    return Symbol.from_dict(json.loads(Path(path).read_text()))
+    return _read_input(path, Symbol.from_dict)
 
 
 def cmd_catalog(args) -> int:
@@ -189,8 +204,7 @@ def cmd_spectrum(args) -> int:
 def cmd_schatten_scan(args) -> int:
     ladder = tuple(_parse_float_list(args.ladder))
     group = SU2(half_integers=args.spins == "half")
-    verdict = schatten_series_scan(args.alpha, args.p, ladder, group)
-    rows = schatten_series_table(args.alpha, args.p, ladder, group)
+    verdict, rows = schatten_series_scan(args.alpha, args.p, ladder, group)
     columns = ["l_max", "partial_sum", "increment", "increment_ratio", "operator_schatten"]
     _emit(args, "schatten-scan", {},
           {"p": args.p, "alpha": args.alpha, "ladder": args.ladder, "spins": args.spins}, {
@@ -251,7 +265,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    data = SpectralData.from_dict(json.loads(Path(args.data).read_text()))
+    data = _read_input(args.data, SpectralData.from_dict)
     data, mu, nu = _with_weights(args, data)
     recovered = tikhonov_recover(data, mu, nu, args.alpha, args.weighted_penalty)
     inputs = {"data": args.data}

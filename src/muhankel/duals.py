@@ -11,7 +11,6 @@ assembly.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Mapping, Union
@@ -131,7 +130,13 @@ class IrrepLabel:
     _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
-        index = tuple(int(i) for i in self.index)
+        try:
+            index = tuple(int(i) for i in self.index)
+            exact = index == tuple(self.index)  # 1.5 and "1" are not 1
+        except (OverflowError, ValueError):  # inf, nan, "abc"
+            exact = False
+        if not exact:
+            raise ValueError(f"label index {tuple(self.index)!r} must hold integers only")
         object.__setattr__(self, "index", index)
         for name, value in zip(("dim", "casimir", "radius"), _describe(self.group, index)):
             object.__setattr__(self, name, value)
@@ -270,10 +275,7 @@ class DualCatalog:
             start += label.dim
         self.offsets = offsets
         self.dense_dim = start
-        if start > MAX_DENSE_DIM:
-            raise ValueError(
-                f"catalog dense dimension {start} exceeds guard {MAX_DENSE_DIM}"
-            )
+        _check_dense_dim(start)
 
     def __len__(self) -> int:
         return len(self.labels)
@@ -320,6 +322,13 @@ class DualCatalog:
         return cls(group, float(data["cutoff"]), labels)
 
 
+def _check_dense_dim(dense_dim: int) -> None:
+    if dense_dim > MAX_DENSE_DIM:
+        raise ValueError(
+            f"catalog dense dimension {dense_dim} exceeds guard {MAX_DENSE_DIM}"
+        )
+
+
 def _su2_indices(group: SU2, budget: float) -> Iterator[tuple[tuple, float]]:
     step = 1 if group.half_integers else 2
     k = 0
@@ -334,9 +343,7 @@ def _torus_points(d: int, budget: float) -> Iterator[tuple]:
     if d == 0:
         yield ()
         return
-    r = int(math.isqrt(int(budget)))
-    while (r + 1) ** 2 <= budget:
-        r += 1
+    r = math.isqrt(int(budget))  # the largest r with r^2 <= budget
     for n in range(-r, r + 1):
         for rest in _torus_points(d - 1, budget - n * n):
             yield (n,) + rest
@@ -357,20 +364,54 @@ def _product_indices(factors: tuple, budget: float) -> Iterator[tuple[tuple, flo
             yield head + tail, lam + lam_rest
 
 
+def _predict_size(factors: tuple, budget: float, limit: int) -> tuple[int, int]:
+    """(labels, dense dimension) of what ``_product_indices(factors, budget)``
+    yields, counted without building an index: closed forms for one SU(2) or
+    circle factor, and one count of the remaining factors per index of the
+    first, with the same budget arithmetic as the enumeration. Once the label
+    count passes ``limit`` it stops and returns some count above ``limit``."""
+    if len(factors) == 1 and isinstance(factors[0], Torus) and factors[0].d > 1:
+        factors = (Torus(1),) * factors[0].d  # rows, as in _torus_points
+    factor = factors[0]
+    if len(factors) > 1:
+        labels = dense = 0
+        for head, lam in _factor_indices(factor, budget):
+            tail_labels, tail_dense = _predict_size(factors[1:], budget - lam, limit - labels)
+            labels += tail_labels
+            dense += (head[0] + 1 if isinstance(factor, SU2) else 1) * tail_dense
+            if labels > limit:
+                break
+        return labels, dense
+    if budget < 0:
+        return 0, 0
+    if isinstance(factor, Torus):
+        n = 2 * math.isqrt(int(budget)) + 1
+        return n, n
+    # k(k+2) <= 4 budget  <=>  (k+1)^2 <= floor(4 budget) + 1; a budget past
+    # (2 limit + 3)^2 / 4 is capped, as it passes the limit either way
+    k_max = math.isqrt(math.floor(min(4.0 * budget, (2 * limit + 3) ** 2)) + 1) - 1
+    if factor.half_integers:
+        return k_max + 1, (k_max + 1) * (k_max + 2) // 2
+    return k_max // 2 + 1, (k_max // 2 + 1) ** 2
+
+
 def enumerate_dual(group: GroupKind, cutoff: float) -> DualCatalog:
     """All labels with Casimir eigenvalue <= cutoff, deterministically ordered.
 
     Raises ValueError for non-finite or negative cutoffs and for truncations
-    with more than ``MAX_DENSE_DIM`` labels (enumeration stops at the first
-    label past the guard) or a larger dense dimension.
+    with more than ``MAX_DENSE_DIM`` labels or a larger dense dimension. Both
+    are predicted by counting before any label is built.
     """
     if not (math.isfinite(cutoff) and cutoff >= 0):
         raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
-    indices = list(itertools.islice(_product_indices(_factors(group), cutoff), MAX_DENSE_DIM + 1))
-    if len(indices) > MAX_DENSE_DIM:
+    factors = _factors(group)
+    count, dense_dim = _predict_size(factors, cutoff, MAX_DENSE_DIM)
+    if count > MAX_DENSE_DIM:
         raise ValueError(
             f"cutoff {cutoff} yields more labels than the guard {MAX_DENSE_DIM}"
         )
+    _check_dense_dim(dense_dim)
+    indices = list(_product_indices(factors, cutoff))
     indices.sort(key=lambda pair: (pair[1], pair[0]))
     labels = [IrrepLabel(group, idx) for idx, _ in indices]
     return DualCatalog(group, float(cutoff), labels)

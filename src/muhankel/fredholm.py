@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import IrrepLabel, dim
-from .operators import BlockOperator
+from .operators import BlockOperator, retained_count
 
 # Relative imaginary part above which a block determinant is not "real".
 DET_IMAG_TOL = 1e-9
@@ -92,11 +92,7 @@ def numerical_index(
     if not (math.isfinite(rank_tolerance) and rank_tolerance > 0):
         raise ValueError(f"rank tolerance must be finite and > 0, got {rank_tolerance}")
     n_out, n_in = op.shape
-    values = op.singular_values
-    if values.size == 0 or values[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(values > rank_tolerance * values[0]))
+    rank = retained_count(op.singular_values, rank_tolerance)
     kernel = n_in - rank
     cokernel = n_out - rank
     return rank, kernel, cokernel, kernel - cokernel

@@ -183,6 +183,16 @@ class BlockOperator:
         return {key: self._block_svd(key) for key in self.weighted}
 
 
+def retained_count(values: np.ndarray, rel_tol: float) -> int:
+    """How many of the descending ``values`` lie above ``rel_tol`` times the
+    largest; 0 for an empty or all-zero list. The retained values are a
+    prefix; this one rule sets the numerical rank, the smallest retained
+    singular value and the triples ``forward`` keeps."""
+    if values.size == 0 or values[0] == 0.0:
+        return 0
+    return int(np.count_nonzero(values > rel_tol * values[0]))
+
+
 def _local_offsets(labels: list[IrrepLabel]) -> dict[IrrepLabel, int]:
     """Start of each label's slice when ``labels`` are laid out in order."""
     at, start = {}, 0

@@ -3,9 +3,10 @@
 The forward map takes an assembled operator to its list of singular triples.
 Each triple is attributed to the block carrying (at least 99% of) the squared
 mass of its singular vectors; recovery reassembles every attributed block
-from its triples and divides out the weights. Degenerate data that cannot be
-attributed is refused rather than guessed at. Noisy data goes through the
-same pipeline with a closed-form per-block Tikhonov solve.
+from the triples and solves for the symbol block in closed form. There is one
+solver: with regularization alpha = 0 it divides out the weights exactly, and
+with alpha > 0 it is the Tikhonov estimate for noisy data. Degenerate data
+that cannot be attributed is refused rather than guessed at.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .duals import DualCatalog, IrrepLabel, Weight, weight_eval
-from .operators import BlockOperator, assemble
+from .operators import BlockOperator, assemble, retained_count
 from .symbols import (
     BlockKey,
     Symbol,
@@ -141,17 +142,11 @@ class SpectralData:
             im = np.array([entry[side + "_im"] for entry in entries], dtype=float)
             return (re.reshape(shape) + 1j * im.reshape(shape)).T
 
-        attribution: list[BlockKey | None] = []
-        for key in data["attribution"]:
-            if key is None:
-                attribution.append(None)
-            else:
-                attribution.append(
-                    (
-                        IrrepLabel(codomain.group, tuple(key[0])),
-                        IrrepLabel(domain.group, tuple(key[1])),
-                    )
-                )
+        attribution = [
+            None if key is None else (IrrepLabel(codomain.group, tuple(key[0])),
+                                      IrrepLabel(domain.group, tuple(key[1])))
+            for key in data["attribution"]
+        ]
         s = np.array([float(entry["s"]) for entry in entries])
         return cls(codomain, domain, s, stacked("u"), stacked("v"), attribution)
 
@@ -182,70 +177,43 @@ def forward(op: BlockOperator, zero_rel_tol: float = 1e-12) -> SpectralData:
     """
     u_mat, values, vh = np.linalg.svd(op.to_dense(), full_matrices=False)
     # the values descend, so the kept ones are a prefix and slices are views
-    k = np.count_nonzero(values > zero_rel_tol * values.max(initial=0.0))
+    k = retained_count(values, zero_rel_tol)
     return SpectralData(op.codomain, op.domain, values[:k], u_mat[:, :k], vh[:k].conj().T)
-
-
-def _require_attribution(data: SpectralData, context: str) -> None:
-    missing = sum(1 for key in data.attribution if key is None)
-    if missing:
-        raise AttributionError(
-            f"{context}: {missing} of {len(data.attribution)} triples are not "
-            "attributable to a single block; enlarge the singular-value gaps "
-            "or reduce the noise"
-        )
-
-
-def _block_sum(data: SpectralData, key: BlockKey, cols) -> np.ndarray:
-    """The (pi, rho) slice of sum_n s_n u_n v_n^H over the triples ``cols``."""
-    pi, rho = key
-    u = data.u[data.codomain.slice_of(pi), cols]
-    v = data.v[data.domain.slice_of(rho), cols]
-    return (u * data.s[cols]) @ v.conj().T
-
-
-def recover_bandlimited(data: SpectralData, mu: Weight, nu: Weight) -> Symbol:
-    """Exact recovery: rebuild each attributed block from its triples and
-    divide out the weights. Blocks without triples stay zero."""
-    _require_attribution(data, "recovery")
-    cols: dict[BlockKey, list[int]] = {}
-    for i, key in enumerate(data.attribution):
-        cols.setdefault(key, []).append(i)
-    blocks = {
-        (pi, rho): _block_sum(data, (pi, rho), idx)
-        / (weight_eval(mu, pi) * weight_eval(nu, rho))
-        for (pi, rho), idx in cols.items()
-    }
-    return Symbol(data.codomain, data.domain, blocks)
 
 
 def tikhonov_recover(
     data: SpectralData,
     mu: Weight,
     nu: Weight,
-    alpha: float,
+    alpha: float = 0.0,
     weighted_penalty: bool = False,
 ) -> Symbol:
-    """Least-squares recovery from noisy triples with quadratic penalty.
+    """Least-squares recovery of the symbol from its triples, with quadratic
+    penalty alpha (0 for exact recovery from clean data).
 
-    Each attributed block T is the block's slice of the noisy operator
-    matrix sum s_n u_n v_n^H, summed over all triples, and is solved in
-    closed form: with penalty alpha * ||a||_HS^2 the minimizer is
+    Each attributed block T is the block's slice of the reassembled matrix
+    sum s_n u_n v_n^H, summed over all triples, and is solved in closed
+    form: with penalty alpha * ||a||_HS^2 the minimizer is
     a = w T / (w^2 + alpha) with w = mu(pi) nu(rho); with the weighted penalty
-    alpha * ||w a||_HS^2 it is a = T / (w (1 + alpha)).
+    alpha * ||w a||_HS^2 it is a = T / (w (1 + alpha)). Either is T / w at
+    alpha = 0. Blocks without a triple stay zero.
     """
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"regularization parameter must be finite and >= 0, got {alpha}")
-    _require_attribution(data, "tikhonov recovery")
+    missing = data.attribution.count(None)
+    if missing:
+        raise AttributionError(
+            f"tikhonov recovery: {missing} of {len(data.attribution)} triples are not "
+            "attributable to a single block; enlarge the singular-value gaps "
+            "or reduce the noise"
+        )
     blocks = {}
-    for key in dict.fromkeys(data.attribution):
-        pi, rho = key
-        t_block = _block_sum(data, key, slice(None))
+    for pi, rho in dict.fromkeys(data.attribution):
+        u = data.u[data.codomain.slice_of(pi)]
+        t_block = (u * data.s) @ data.v[data.domain.slice_of(rho)].conj().T
         w = weight_eval(mu, pi) * weight_eval(nu, rho)
-        if weighted_penalty:
-            blocks[key] = t_block / (w * (1.0 + alpha))
-        else:
-            blocks[key] = w * t_block / (w * w + alpha)
+        blocks[(pi, rho)] = (t_block / (w * (1.0 + alpha)) if weighted_penalty
+                             else w * t_block / (w * w + alpha))
     return Symbol(data.codomain, data.domain, blocks)
 
 

@@ -28,7 +28,7 @@ from .duals import (
     dim,
     weight_eval,
 )
-from .operators import BlockOperator, assemble
+from .operators import BlockOperator, assemble, retained_count
 from .symbols import BlockKey, Symbol, SymbolClassParams, class_norm
 
 # Trend thresholds for the truncated proxies of infinite-sum criteria.
@@ -45,12 +45,6 @@ class SpectrumReport:
     singular_values: np.ndarray
     per_block: dict[BlockKey, np.ndarray]
     operator_norm: float
-
-    def nonzero(self, rel_tol: float = 1e-12) -> np.ndarray:
-        s = self.singular_values
-        if s.size == 0 or s[0] == 0.0:
-            return s[:0]
-        return s[s > rel_tol * s[0]]
 
 
 @dataclass
@@ -169,11 +163,8 @@ def _restrict_operator(op: BlockOperator, frac: float) -> BlockOperator:
 
 
 def _min_retained_sv(op: BlockOperator) -> float:
-    values = op.singular_values
-    if values.size == 0 or values[0] == 0.0:
-        return 0.0
-    kept = values[values > 1e-12 * values[0]]
-    return float(kept[-1]) if kept.size else 0.0
+    k = retained_count(op.singular_values, 1e-12)
+    return float(op.singular_values[k - 1]) if k else 0.0
 
 
 def compactness_report(op: BlockOperator, params: SymbolClassParams) -> CriterionVerdict:
@@ -233,21 +224,23 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
     )
 
 
-def _spin_grid(group: SU2, l_max: float) -> np.ndarray:
-    step = 0.5 if group.half_integers else 1.0
-    return np.arange(0.0, l_max + step / 2, step)
-
-
-def schatten_series_table(
+def schatten_series_scan(
     alpha: float,
     p: float,
     l_ladder: tuple[float, ...] = (64, 128, 256, 512),
     group: GroupKind = SU2(half_integers=False),
-) -> list[dict]:
-    """Partial sums of (2l+1)^2 (1+l)^(-p*alpha) at each rung of the ladder,
-    together with the exact truncated Schatten norm of the diagonal operator
-    with decay alpha (whose block singular values are (1+l)^(-alpha), each
-    with multiplicity 2l+1)."""
+) -> tuple[CriterionVerdict, list[dict]]:
+    """Convergence scan of the diagonal Schatten criterion series.
+
+    Each rung of the ladder gives a row with the partial sum of
+    (2l+1)^2 (1+l)^(-p*alpha), its increment over the previous rung and the
+    ratio of successive increments, together with the exact truncated
+    Schatten norm of the diagonal operator with decay alpha (whose block
+    singular values are (1+l)^(-alpha), each with multiplicity 2l+1). The
+    verdict calls the series convergent when the increments across the
+    factor-2 ladder shrink geometrically (every ratio below 0.75). Returns
+    (verdict, rows).
+    """
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"Schatten exponent p must be finite and > 0, got {p}")
     if not math.isfinite(alpha):
@@ -260,47 +253,26 @@ def schatten_series_table(
             f"cutoff ladder must be finite and increasing with at least 3 rungs, "
             f"got {list(l_ladder)}"
         )
-    rows = []
-    prev_sum = None
-    prev_increment = None
+    step = 0.5 if group.half_integers else 1.0
+    rows: list[dict] = []
     for l_max in l_ladder:
-        ls = _spin_grid(group, l_max)
-        weights = (2 * ls + 1) ** 2 * (1 + ls) ** (-p * alpha)
-        partial = float(np.sum(weights))
-        op_p = float(np.sum((2 * ls + 1) * (1 + ls) ** (-p * alpha)))
+        ls = np.arange(0.0, l_max + step / 2, step)
+        decay = (1 + ls) ** (-p * alpha)
         row = {
             "l_max": float(l_max),
-            "partial_sum": partial,
-            "operator_schatten": op_p ** (1.0 / p),
+            "partial_sum": float(np.sum((2 * ls + 1) ** 2 * decay)),
+            "operator_schatten": float(np.sum((2 * ls + 1) * decay)) ** (1.0 / p),
         }
-        if prev_sum is not None:
-            increment = partial - prev_sum
-            row["increment"] = increment
-            if prev_increment is not None:
-                if prev_increment == 0.0:
-                    row["increment_ratio"] = 0.0 if increment == 0.0 else float("inf")
-                else:
-                    row["increment_ratio"] = increment / prev_increment
-            prev_increment = increment
-        prev_sum = partial
+        if rows:
+            row["increment"] = increment = row["partial_sum"] - rows[-1]["partial_sum"]
+            prev = rows[-1].get("increment")
+            if prev is not None:
+                row["increment_ratio"] = (increment / prev if prev != 0.0
+                                          else 0.0 if increment == 0.0 else float("inf"))
         rows.append(row)
-    return rows
-
-
-def schatten_series_scan(
-    alpha: float,
-    p: float,
-    l_ladder: tuple[float, ...] = (64, 128, 256, 512),
-    group: GroupKind = SU2(half_integers=False),
-) -> CriterionVerdict:
-    """Convergence verdict for the diagonal Schatten criterion series: the
-    partial-sum increments across the factor-2 ladder must shrink
-    geometrically (every increment ratio below 0.75)."""
-    rows = schatten_series_table(alpha, p, l_ladder, group)
-    ratios = [row["increment_ratio"] for row in rows if "increment_ratio" in row]
-    measured = max(ratios) if ratios else 0.0
+    measured = max(row["increment_ratio"] for row in rows[2:])  # >= 3 rungs
     converges = measured < SERIES_RATIO_THRESHOLD
-    return CriterionVerdict(
+    verdict = CriterionVerdict(
         name="schatten_series",
         bound_value=SERIES_RATIO_THRESHOLD,
         measured_value=measured,
@@ -311,3 +283,4 @@ def schatten_series_scan(
             f"last partial sum={rows[-1]['partial_sum']:.6g}"
         ),
     )
+    return verdict, rows

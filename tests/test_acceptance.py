@@ -15,7 +15,7 @@ from muhankel.duals import (
 )
 from muhankel.fredholm import numerical_index, winding_number
 from muhankel.operators import assemble
-from muhankel.recovery import forward, recover_bandlimited, stability_scan
+from muhankel.recovery import forward, stability_scan, tikhonov_recover
 from muhankel.spectral import (
     compactness_report,
     norm_criteria,
@@ -120,9 +120,9 @@ def test_criterion_3_schur_bound_never_violated():
 def test_criterion_4_schatten_threshold_scan():
     start = time.perf_counter()
     verdicts = {
-        (2.0, 2.0): schatten_series_scan(2.0, 2.0).satisfied,
-        (2.0, 1.0): schatten_series_scan(1.0, 2.0).satisfied,
-        (2.0, 1.5): schatten_series_scan(1.5, 2.0).satisfied,
+        (2.0, 2.0): schatten_series_scan(2.0, 2.0)[0].satisfied,
+        (2.0, 1.0): schatten_series_scan(1.0, 2.0)[0].satisfied,
+        (2.0, 1.5): schatten_series_scan(1.5, 2.0)[0].satisfied,
     }
     elapsed = time.perf_counter() - start
     ok = verdicts == {(2.0, 2.0): True, (2.0, 1.0): False, (2.0, 1.5): False}
@@ -177,7 +177,7 @@ def test_criterion_7_round_trip_recovery():
     for seed in range(50):
         codomain, domain = (su2, su2) if seed % 2 else (torus, torus)
         sym = separated_matching(codomain, domain, mu, nu, seed)
-        recovered = recover_bandlimited(forward(assemble(sym, mu, nu)), mu, nu)
+        recovered = tikhonov_recover(forward(assemble(sym, mu, nu)), mu, nu, 0.0)
         for key in set(sym.blocks) | set(recovered.blocks):
             err = float(np.max(np.abs(recovered.block(*key) - sym.block(*key))))
             worst = max(worst, err)

@@ -429,3 +429,69 @@ def test_nan_option_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     assert main([*argv, "--out-dir", "out"]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "out" / f"{argv[0]}-manifest.json").exists()
+
+
+def put(*keys, value):
+    """Edit of a JSON payload that sets ``payload[k1][k2]... = value``."""
+    def edit(payload):
+        target = payload
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+        return payload
+    return edit
+
+
+MALFORMED = "malformed input file"
+
+
+@pytest.mark.parametrize("kind, edit, message", [
+    ("symbol", put("blocks", 0, "pi_index", value=5), MALFORMED),
+    ("symbol", put("blocks", 0, "re", value="abc"), MALFORMED),
+    ("symbol", put("blocks", 0, "re", value=None), MALFORMED),
+    ("symbol", lambda p: {**p, "blocks": {"first": p["blocks"][0]}}, MALFORMED),
+    ("symbol", put("codomain", "labels", value=3), MALFORMED),
+    ("symbol", put("codomain", "group", value="su2"), MALFORMED),
+    ("symbol", put("codomain", "labels", 1, "index", value=[1.5]),
+     "label index (1.5,) must hold integers only"),
+    ("symbol", put("blocks", 1, "rho_index", value="1"),
+     "label index ('1',) must hold integers only"),
+    ("data", put("attribution", 0, value=[[0]]), MALFORMED),
+    ("data", put("attribution", 0, value=5), MALFORMED),
+    ("data", put("triples", 0, "s", value=[1.0]), MALFORMED),
+    ("data", put("triples", value=3), MALFORMED),
+    ("mu", lambda _: {"entries": 5}, MALFORMED),
+    ("mu", lambda _: {"entries": [5]}, MALFORMED),
+    ("mu", lambda _: [1, 2], MALFORMED),
+    ("mu", lambda _: {"entries": [{"index": 0, "value": 1.0}]}, MALFORMED),
+    ("mu", lambda _: {"entries": [{"index": [0], "value": [1.0]}]}, MALFORMED),
+], ids=[
+    "pi-index-number", "re-string", "re-null", "blocks-object", "labels-number",
+    "group-string", "catalog-index-fraction", "block-index-string", "attribution-short",
+    "attribution-number", "s-list", "triples-number", "entries-number", "entry-number",
+    "table-list", "index-number", "value-list",
+])
+def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, message):
+    # each exited 1 with a traceback before: a TypeError, IndexError or
+    # AttributeError from parsing, or a silently truncated label index
+    monkeypatch.chdir(tmp_path)
+    cat = enumerate_dual(SU2(), 2.0)
+    sym = diagonal_symbol(cat, decay=1.0)
+    if kind == "data":
+        data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
+        assert data.fully_attributed
+        write_json(tmp_path / "data.json", edit(data.to_dict()))
+        argv = ["recover", "--data", "data.json"]
+    elif kind == "symbol":
+        write_json(tmp_path / "sym.json", edit(sym.to_dict()))
+        argv = ["spectrum", "--symbol", "sym.json"]
+    else:
+        write_json(tmp_path / "sym.json", sym.to_dict())
+        write_json(tmp_path / "mu.json", edit(None))
+        argv = ["spectrum", "--symbol", "sym.json", "--mu", "mu.json"]
+    assert main([*argv, "--out-dir", "out"]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    if message == MALFORMED:
+        assert f"{MALFORMED} {argv[-1]}:" in err
+    assert not (tmp_path / "out").exists()

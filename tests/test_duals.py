@@ -3,6 +3,7 @@ import json
 import pytest
 
 from muhankel.duals import (
+    MAX_DENSE_DIM,
     SU2,
     DualCatalog,
     IrrepLabel,
@@ -18,6 +19,7 @@ from muhankel.duals import (
     parse_group,
     weight_eval,
 )
+from muhankel.duals import _factors, _predict_size
 
 
 def su2_labels_oracle(cutoff, half_integers=True):
@@ -60,12 +62,43 @@ def test_enumerate_rejects_negative_cutoff():
 
 
 @pytest.mark.parametrize(
-    "group, cutoff", [(Torus(1), 4.0e12), (SU2(), 1.0e12)], ids=["torus", "su2"]
+    "group, cutoff",
+    [(Torus(1), 4.0e12), (SU2(), 1.0e12), (Torus(2), 4.0e5), (Torus(3), 5.0e3)],
+    ids=["torus", "su2", "torus2", "torus3"],
 )
 def test_enumerate_resource_guard(group, cutoff):
-    # |n| up to ~2e6 on the torus, k up to ~2e6 on SU(2): > 1e6 labels either way
+    # |n| up to ~2e6 on the torus, k up to ~2e6 on SU(2), about 1.26e6 and
+    # 1.48e6 lattice points on torus:2 and torus:3: > 1e6 labels every way
     with pytest.raises(ValueError, match=f"cutoff {cutoff} yields more labels than the guard"):
         enumerate_dual(group, cutoff)
+
+
+def test_enumerate_dense_dimension_guard():
+    # k = 0..1999 is 2000 labels, under the label guard; the dense dimension
+    # 2000 * 2001 / 2 is over it, and is reported exactly
+    with pytest.raises(ValueError, match="catalog dense dimension 2001000 exceeds guard"):
+        enumerate_dual(SU2(), 1.0e6)
+
+
+@pytest.mark.parametrize("spec, cutoff", [
+    ("su2", 420.0), ("su2int", 420.0), ("su2xtorus:1", 30.0), ("su2xsu2", 50.0),
+    ("torus:2xsu2int", 40.0), ("torus:1", 49.0), ("torus:2", 17.3), ("torus:3", 30.5),
+    ("su2int", 0.5), ("torus:1xtorus:2", 9.75), ("su2xsu2intxtorus:1", 12.25),
+])
+def test_predicted_size_equals_enumeration(spec, cutoff):
+    group = parse_group(spec)
+    catalog = enumerate_dual(group, cutoff)
+    predicted = _predict_size(_factors(group), cutoff, MAX_DENSE_DIM)
+    assert predicted == (len(catalog), catalog.dense_dim)
+
+
+@pytest.mark.parametrize("group, index", [
+    (SU2(), (1.5,)), (Torus(2), "10"), (Torus(1), ("3",)), (SU2(), (float("inf"),)),
+    (SU2(), (float("nan"),)),
+])
+def test_label_rejects_non_integer_index(group, index):
+    with pytest.raises(ValueError, match="must hold integers only"):
+        IrrepLabel(group, index)
 
 
 def test_dim_values():

@@ -10,7 +10,8 @@ from muhankel.duals import (
     dim,
     enumerate_dual,
 )
-from muhankel.operators import BlockOperator, assemble
+from muhankel.operators import BlockOperator, assemble, retained_count
+from muhankel.spectral import spectrum
 from muhankel.symbols import (
     Symbol,
     diagonal_symbol,
@@ -198,3 +199,18 @@ def test_dense_resource_guard(monkeypatch):
     monkeypatch.setattr(ops, "MAX_DENSE_ENTRIES", 10)
     with pytest.raises(ValueError):
         op.to_dense()
+
+
+def test_retained_count_rule():
+    # values strictly above rel_tol times the largest are kept
+    assert retained_count(np.array([]), 1e-12) == 0
+    assert retained_count(np.zeros(4), 1e-12) == 0
+    # 1.0 is exactly 0.5 * 2.0: at the threshold, so excluded
+    assert retained_count(np.array([2.0, 1.5, 1.0, 0.5]), 0.5) == 2
+    assert retained_count(np.array([2.0, 1.5, 1.0 + 1e-15, 0.5]), 0.5) == 3
+    assert retained_count(np.array([3.0]), 1e-12) == 1
+    # the zero operator keeps no singular value
+    cat = enumerate_dual(SU2(), 2.0)
+    zero = spectrum(assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT))
+    assert zero.singular_values.size == cat.dense_dim
+    assert retained_count(zero.singular_values, 1e-12) == 0

@@ -22,7 +22,6 @@ from muhankel.recovery import (
     SpectralData,
     forward,
     perturb_spectral_data,
-    recover_bandlimited,
     stability_scan,
     tikhonov_recover,
 )
@@ -114,7 +113,7 @@ def test_round_trip_identity():
     for base_seed, (cod, dom) in [(0, (su2, su2)), (1, (torus, torus)), (2, (su2, torus))]:
         sym = separated_matching(cod, dom, mu, nu, base_seed)
         data = forward(assemble(sym, mu, nu))
-        recovered = recover_bandlimited(data, mu, nu)
+        recovered = tikhonov_recover(data, mu, nu, 0.0)
         assert set(recovered.blocks) == set(sym.blocks)
         for key in sym.blocks:
             np.testing.assert_allclose(
@@ -129,14 +128,14 @@ def test_recover_single_block_known_svd():
     sym = Symbol(cat, cat, {(label, label): block})
     data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     assert sorted(t.s for t in data.triples) == [1.0, 3.0]
-    recovered = recover_bandlimited(data, UNIT_WEIGHT, UNIT_WEIGHT)
+    recovered = tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, 0.0)
     np.testing.assert_allclose(recovered.blocks[(label, label)], block, atol=1e-12)
 
 
 def test_recover_empty_data_gives_zero_symbol():
     cat = enumerate_dual(SU2(), 2.0)
     data = stacked(cat, cat, [], [])
-    assert recover_bandlimited(data, UNIT_WEIGHT, UNIT_WEIGHT).blocks == {}
+    assert tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, 0.0).blocks == {}
 
 
 def test_recovery_refuses_shared_domain_label():
@@ -148,20 +147,7 @@ def test_recovery_refuses_shared_domain_label():
     data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     assert not data.fully_attributed
     with pytest.raises(AttributionError, match="gap"):
-        recover_bandlimited(data, UNIT_WEIGHT, UNIT_WEIGHT)
-
-
-def test_tikhonov_alpha_zero_matches_exact():
-    cat = enumerate_dual(SU2(), 6.0)
-    mu, nu = PowerLaw(0.3), PowerLaw(0.7)
-    sym = separated_matching(cat, cat, mu, nu, 10)
-    data = forward(assemble(sym, mu, nu))
-    exact = recover_bandlimited(data, mu, nu)
-    regularized = tikhonov_recover(data, mu, nu, alpha=0.0)
-    for key in exact.blocks:
-        np.testing.assert_allclose(
-            regularized.block(*key), exact.block(*key), atol=1e-9
-        )
+        tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, 0.0)
 
 
 def test_tikhonov_scalar_case():
@@ -230,7 +216,7 @@ def test_recovery_commutes_with_weight_rescaling():
     sym = separated_matching(cat, cat, mu, nu, 40)
     scaled_mu = TableWeight({l: 3.0 * weight_eval(mu, l) for l in cat.labels})
     data = forward(assemble(sym, scaled_mu, nu))
-    recovered = recover_bandlimited(data, scaled_mu, nu)
+    recovered = tikhonov_recover(data, scaled_mu, nu, 0.0)
     for key in sym.blocks:
         np.testing.assert_allclose(recovered.blocks[key], sym.blocks[key], atol=1e-9)
 
@@ -259,7 +245,7 @@ def test_perturb_zero_delta_is_lossless():
     sym = separated_matching(cat, cat, UNIT_WEIGHT, UNIT_WEIGHT, 50)
     data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     noisy = perturb_spectral_data(data, 0.0, np.random.default_rng(0))
-    rec = recover_bandlimited(noisy, UNIT_WEIGHT, UNIT_WEIGHT)
+    rec = tikhonov_recover(noisy, UNIT_WEIGHT, UNIT_WEIGHT, 0.0)
     for key in sym.blocks:
         np.testing.assert_allclose(rec.blocks[key], sym.blocks[key], atol=1e-9)
 
@@ -292,7 +278,7 @@ def test_spectral_data_json_round_trip():
     back = SpectralData.from_dict(json.loads(json.dumps(data.to_dict())))
     assert back.attribution == data.attribution
     assert [t.s for t in back.triples] == [t.s for t in data.triples]
-    rec = recover_bandlimited(back, UNIT_WEIGHT, UNIT_WEIGHT)
+    rec = tikhonov_recover(back, UNIT_WEIGHT, UNIT_WEIGHT, 0.0)
     for key in sym.blocks:
         np.testing.assert_allclose(rec.blocks[key], sym.blocks[key], atol=1e-9)
 

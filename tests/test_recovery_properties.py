@@ -6,7 +6,7 @@ Needs ``hypothesis`` (in the ``test`` extra)."""
 import json
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from muhankel.duals import (
@@ -23,16 +23,22 @@ from muhankel.recovery import (
     ATTRIBUTION_MASS,
     SpectralData,
     forward,
-    recover_bandlimited,
     tikhonov_recover,
 )
-from muhankel.symbols import Symbol
+from muhankel.symbols import Symbol, random_matching_symbol
 
 
 GROUPS = [SU2(), SU2(half_integers=False), Torus(1), Torus(2), Product((SU2(), Torus(1)))]
 catalogs = st.builds(
     enumerate_dual, st.sampled_from(GROUPS), st.sampled_from([0.0, 1.0, 2.0, 4.0, 6.0])
 )
+# Criterion 7's catalogs: SU(2) and torus:1 with dense dimension 15, and a
+# product group.
+MATCHING_CATALOGS = [
+    enumerate_dual(SU2(), 6.0),
+    enumerate_dual(Torus(1), 49.0),
+    enumerate_dual(Product((SU2(), Torus(1))), 12.0),
+]
 # In-label mass of a concentrated vector: on both sides of the 0.99 rule,
 # never closer to it than rounding could blur.
 MASSES = [1.0, 0.999, ATTRIBUTION_MASS + 1e-6, ATTRIBUTION_MASS - 1e-6, 0.98, 0.5]
@@ -146,7 +152,6 @@ def test_zero_operator_recovers_empty_symbol(codomain, domain, alpha):
     data = forward(assemble(Symbol(codomain, domain, {}), UNIT_WEIGHT, UNIT_WEIGHT))
     assert data.triples == [] and data.u.shape == (codomain.dense_dim, 0)
     assert tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, alpha).blocks == {}
-    assert recover_bandlimited(data, UNIT_WEIGHT, UNIT_WEIGHT).blocks == {}
     assert not data.reassemble().any()
     assert data.reassemble().shape == (codomain.dense_dim, domain.dense_dim)
 
@@ -176,3 +181,32 @@ def test_spectral_data_json_round_trip_is_exact(codomain, domain, masses, seed):
         assert got.shape == want.shape and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
     assert back.attribution == data.attribution
+
+
+def well_separated(op, rel_gap=1e-3):
+    """True when the weighted blocks' nonzero singular values are pairwise
+    more than ``rel_gap`` times the largest apart, so that every singular
+    triple of the operator lies in one block."""
+    values = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False)
+                                     for b in op.weighted.values()]))
+    values = values[values > 1e-8 * values[-1]]
+    return bool(np.all(np.diff(values) > rel_gap * values[-1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    catalog=st.sampled_from(MATCHING_CATALOGS),
+    seed=st.integers(0, 2**32 - 1),
+    exponents=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+)
+def test_exact_recovery_round_trip_on_separated_matchings(catalog, seed, exponents):
+    """Recovery at alpha = 0 gives back every block of the symbol whose
+    forward map it reads, to criterion 7's entry bound."""
+    mu, nu = PowerLaw(exponents[0]), PowerLaw(exponents[1])
+    sym = random_matching_symbol(catalog, catalog, seed)
+    op = assemble(sym, mu, nu)
+    assume(well_separated(op))
+    rec = tikhonov_recover(forward(op), mu, nu)
+    assert set(rec.blocks) == set(sym.blocks)
+    for key, block in sym.blocks.items():
+        np.testing.assert_allclose(rec.blocks[key], block, rtol=0, atol=1e-9)

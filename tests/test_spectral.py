@@ -20,7 +20,6 @@ from muhankel.spectral import (
     norm_criteria,
     schatten_norm,
     schatten_series_scan,
-    schatten_series_table,
     schur_constant,
     spectrum,
 )
@@ -57,7 +56,6 @@ def test_spectrum_zero_operator():
     cat = enumerate_dual(SU2(), 2.0)
     rep = spectrum(assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT))
     assert rep.operator_norm == 0.0
-    assert rep.nonzero().size == 0
 
 
 def test_global_values_are_union_of_block_values():
@@ -260,7 +258,7 @@ def test_compactness_ratio_monotone_in_decay():
     [(2.0, 2.0, True), (2.0, 1.0, False), (2.0, 1.5, False)],
 )
 def test_schatten_series_verdicts(p, alpha, expect):
-    verdict = schatten_series_scan(alpha, p)
+    verdict, _ = schatten_series_scan(alpha, p)
     assert verdict.satisfied is expect, verdict.detail
 
 
@@ -273,7 +271,7 @@ def test_schatten_series_operator_cross_reference():
     # rung value must equal the Schatten norm of the assembled diagonal
     # operator with the same decay on the matching truncation
     p, alpha = 2.0, 1.0
-    rows = schatten_series_table(alpha, p, (1, 2, 4), SU2(half_integers=False))
+    _, rows = schatten_series_scan(alpha, p, (1, 2, 4), SU2(half_integers=False))
     cat = enumerate_dual(SU2(half_integers=False), 4.0 * 5.0)  # l <= 4
     assert max(l.index[0] // 2 for l in cat.labels) == 4
     op = assemble(diagonal_symbol(cat, decay=alpha), UNIT_WEIGHT, UNIT_WEIGHT)
@@ -287,7 +285,7 @@ def test_schatten_series_operator_cross_reference():
 def test_partial_sum_values():
     # first rung of the integer grid, p*alpha = 4, checked by hand:
     # l=0: 1, l=1: 9/16 = 0.5625
-    rows = schatten_series_table(2.0, 2.0, (1, 2, 4), SU2(half_integers=False))
+    _, rows = schatten_series_scan(2.0, 2.0, (1, 2, 4), SU2(half_integers=False))
     np.testing.assert_allclose(rows[0]["partial_sum"], 1.0 + 9.0 / 16.0, rtol=1e-12)
 
 
