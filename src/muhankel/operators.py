@@ -15,13 +15,16 @@ reads that one factorization: a single-block component reuses the block's
 own singular values, the matrix of a component covering every label is
 entry for entry the one ``to_dense()`` builds, and the ``MAX_DENSE_ENTRIES``
 guard applies to each component's matrix, so a diagonal or matching operator
-may be far larger than one dense N x N matrix could be.
+may be far larger than one dense N x N matrix could be. The compactness
+indicator reads the factorization over the blocks inside the half catalogs.
 """
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -107,9 +110,13 @@ class BlockOperator:
 
     @cached_property
     def components(self) -> list[Component]:
-        """Connected components of the support's bipartite graph (union-find
-        over the stored blocks), in the order of their first block. Labels
-        with no stored block belong to no component."""
+        """Connected components of the full support's bipartite graph."""
+        return self._components(self.weighted)
+
+    def _components(self, keys: Collection[BlockKey]) -> list[Component]:
+        """Connected components of the bipartite graph of the stored blocks
+        ``keys`` (union-find), in the order of their first block. Labels with
+        no block among ``keys`` belong to no component."""
         parent: dict = {}
 
         def find(node):
@@ -118,30 +125,33 @@ class BlockOperator:
                 node = parent[node]
             return node
 
-        for pi, rho in self.weighted:
+        for pi, rho in keys:
             parent[find((0, pi))] = find((1, rho))
         members: dict = {}
-        for key in self.weighted:
+        for key in keys:
             members.setdefault(find((0, key[0])), []).append(key)
         components = []
-        for keys in members.values():
-            rows = sorted({pi for pi, _ in keys}, key=lambda l: self.codomain.offsets[l][0])
-            cols = sorted({rho for _, rho in keys}, key=lambda l: self.domain.offsets[l][0])
-            components.append((rows, cols, keys))
+        for group in members.values():
+            rows = sorted({pi for pi, _ in group}, key=lambda l: self.codomain.offsets[l][0])
+            cols = sorted({rho for _, rho in group}, key=lambda l: self.domain.offsets[l][0])
+            components.append((rows, cols, group))
         return components
+
+    def support_values(self, keys: Collection[BlockKey]) -> np.ndarray:
+        """Descending singular values of the stored blocks ``keys`` alone, not
+        zero-padded: one SVD per component of that support, none for a
+        single-block component whose block values are known."""
+        parts = [self._component_values(component) for component in self._components(keys)]
+        return np.sort(np.concatenate(parts))[::-1] if parts else np.zeros(0)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Descending singular values of the dense matrix, length
-        min(n_out, n_in): the sorted union of the values of every support
-        component, zero-padded; read-only. One SVD per component, none for
-        a single-block component whose block values are known."""
-        parts = [self._component_values(component) for component in self.components]
+        """Descending singular values of the dense matrix: :meth:`support_values`
+        of every stored block, zero-padded to min(n_out, n_in); read-only."""
+        found = self.support_values(self.weighted)
         n_out, n_in = self.shape
         values = np.zeros(min(n_out, n_in))
-        if parts:
-            found = np.sort(np.concatenate(parts))[::-1]
-            values[: found.size] = found
+        values[: found.size] = found
         values.setflags(write=False)
         return values
 
@@ -159,7 +169,9 @@ class BlockOperator:
                 f"{n_rows} x {n_cols} = {n_rows * n_cols} entries, over guard "
                 f"{MAX_DENSE_ENTRIES}"
             )
-        row_at, col_at = _local_offsets(rows), _local_offsets(cols)
+        # start of each label's slice when the component's labels are laid out in order
+        row_at = dict(zip(rows, accumulate((l.dim for l in rows), initial=0)))
+        col_at = dict(zip(cols, accumulate((l.dim for l in cols), initial=0)))
         matrix = np.zeros((n_rows, n_cols), dtype=np.complex128)
         for pi, rho in keys:
             matrix[row_at[pi] : row_at[pi] + pi.dim,
@@ -183,6 +195,9 @@ class BlockOperator:
         return {key: self._block_svd(key) for key in self.weighted}
 
 
+ZERO_REL_TOL = 1e-12  # relative zero cut of forward's triples and the smallest retained value
+
+
 def retained_count(values: np.ndarray, rel_tol: float) -> int:
     """How many of the descending ``values`` lie above ``rel_tol`` times the
     largest; 0 for an empty or all-zero list. The retained values are a
@@ -191,15 +206,6 @@ def retained_count(values: np.ndarray, rel_tol: float) -> int:
     if values.size == 0 or values[0] == 0.0:
         return 0
     return int(np.count_nonzero(values > rel_tol * values[0]))
-
-
-def _local_offsets(labels: list[IrrepLabel]) -> dict[IrrepLabel, int]:
-    """Start of each label's slice when ``labels`` are laid out in order."""
-    at, start = {}, 0
-    for label in labels:
-        at[label] = start
-        start += label.dim
-    return at
 
 
 def _check_table_cover(weight: Weight, catalog: DualCatalog, name: str) -> None:

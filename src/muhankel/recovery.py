@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .duals import DualCatalog, IrrepLabel, Weight, weight_eval
-from .operators import BlockOperator, assemble, retained_count
+from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
 from .symbols import (
     BlockKey,
     Symbol,
@@ -169,15 +169,15 @@ def _heaviest_labels(vecs: np.ndarray, catalog: DualCatalog) -> tuple[list, np.n
     return [catalog.labels[b] for b in best], masses[best, np.arange(k)]
 
 
-def forward(op: BlockOperator, zero_rel_tol: float = 1e-12) -> SpectralData:
+def forward(op: BlockOperator) -> SpectralData:
     """Singular triples of the dense truncation, with block attribution.
 
-    Triples whose singular value is below ``zero_rel_tol`` times the largest
-    are dropped; a zero operator yields no triples.
+    Triples whose singular value is not above ``ZERO_REL_TOL`` times the
+    largest are dropped; a zero operator yields no triples.
     """
     u_mat, values, vh = np.linalg.svd(op.to_dense(), full_matrices=False)
     # the values descend, so the kept ones are a prefix and slices are views
-    k = retained_count(values, zero_rel_tol)
+    k = retained_count(values, ZERO_REL_TOL)
     return SpectralData(op.codomain, op.domain, values[:k], u_mat[:, :k], vh[:k].conj().T)
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import (
+    MAX_DENSE_DIM,
     DualCatalog,
     GroupKind,
     IrrepLabel,
@@ -28,8 +29,8 @@ from .duals import (
     dim,
     weight_eval,
 )
-from .operators import BlockOperator, assemble, retained_count
-from .symbols import BlockKey, Symbol, SymbolClassParams, class_norm
+from .operators import ZERO_REL_TOL, BlockOperator, retained_count
+from .symbols import BlockKey, SymbolClassParams, class_norm
 
 # Trend thresholds for the truncated proxies of infinite-sum criteria.
 SERIES_RATIO_THRESHOLD = 0.75     # Cauchy-increment ratio meaning "converges"
@@ -131,8 +132,8 @@ def carleson_test(nu: Weight, catalog: DualCatalog, t: float) -> CriterionVerdic
     """Truncated Carleson sum with sigma({rho}) = d_rho nu(rho)^2; the sum is
     recomputed at half the cutoff and called bounded when the relative growth
     across the outer half stays below 5%."""
-    if t <= 0:
-        raise ValueError(f"Carleson exponent must be > 0, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"Carleson exponent must be finite and > 0, got {t}")
     half = [r for r in catalog.labels if casimir(r) <= catalog.cutoff / 2.0]
     v_half = _carleson_value(nu, half, t)
     v_full = _carleson_value(nu, list(catalog.labels), t)
@@ -149,24 +150,6 @@ def carleson_test(nu: Weight, catalog: DualCatalog, t: float) -> CriterionVerdic
     )
 
 
-def _restrict_operator(op: BlockOperator, frac: float) -> BlockOperator:
-    lam_cod = op.codomain.cutoff * frac
-    lam_dom = op.domain.cutoff * frac
-    sub_cod = op.codomain.restrict(lambda l: casimir(l) <= lam_cod)
-    sub_dom = op.domain.restrict(lambda l: casimir(l) <= lam_dom)
-    blocks = {
-        key: block
-        for key, block in op.symbol.blocks.items()
-        if key[0] in sub_cod and key[1] in sub_dom
-    }
-    return assemble(Symbol(sub_cod, sub_dom, blocks), op.mu, op.nu)
-
-
-def _min_retained_sv(op: BlockOperator) -> float:
-    k = retained_count(op.singular_values, 1e-12)
-    return float(op.singular_values[k - 1]) if k else 0.0
-
-
 def compactness_report(op: BlockOperator, params: SymbolClassParams) -> CriterionVerdict:
     """Two decay indicators standing in for compactness of the full operator.
 
@@ -174,7 +157,8 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
     must shrink across the outer half of the domain catalog (final value at
     most half the first outer value, no growth beyond 5% along the way);
     (ii) spectral: the smallest retained singular value must drop by at least
-    10% when the truncation cutoff doubles from half to full.
+    10% when the truncation cutoff doubles from half to full; the half-cutoff
+    values are ``op.support_values`` of the blocks inside the half catalogs.
     The verdict is satisfied only when both fire.
     """
     lams = sorted({casimir(r) for r in op.domain.labels})
@@ -195,8 +179,12 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
         outer_ratio = outer[-1] / outer[0] if outer[0] > 0 else float("inf")
         decay_fired = monotone and outer_ratio <= OUTER_DECAY_RATIO
 
-    v_half = _min_retained_sv(_restrict_operator(op, 0.5))
-    v_full = _min_retained_sv(op)
+    half = [(pi, rho) for pi, rho in op.weighted
+            if casimir(pi) <= op.codomain.cutoff / 2 and casimir(rho) <= op.domain.cutoff / 2]
+    v_half, v_full = (
+        float(values[k - 1]) if (k := retained_count(values, ZERO_REL_TOL)) else 0.0
+        for values in (op.support_values(half), op.singular_values)
+    )
     if v_half == 0.0 and v_full == 0.0:
         spectral_fired = True
         sv_ratio = 0.0
@@ -254,6 +242,10 @@ def schatten_series_scan(
             f"got {list(l_ladder)}"
         )
     step = 0.5 if group.half_integers else 1.0
+    if l_ladder[0] < 0:  # the ladder increases: the first rung is the least
+        raise ValueError(f"cutoff ladder rung {l_ladder[0]:g} is negative")
+    if l_ladder[-1] / step + 1 > MAX_DENSE_DIM:
+        raise ValueError(f"cutoff ladder rung {l_ladder[-1]:g} has over {MAX_DENSE_DIM} spins")
     rows: list[dict] = []
     for l_max in l_ladder:
         ls = np.arange(0.0, l_max + step / 2, step)

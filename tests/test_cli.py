@@ -431,6 +431,21 @@ def test_nan_option_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     assert not (tmp_path / "out" / f"{argv[0]}-manifest.json").exists()
 
 
+@pytest.mark.parametrize("ladder, message", [
+    ("-5,-3,-1", "cutoff ladder rung -5 is negative"),
+    ("64,128,2e6", "cutoff ladder rung 2e+06 has over 1000000 spins"),
+    ("1,2,1e300", "cutoff ladder rung 1e+300 has over 1000000 spins"),
+])
+def test_schatten_scan_rung_guard_exit_2(tmp_path, capsys, ladder, message):
+    # negative rungs gave "converges" with exit 0, and the spin arrays of a
+    # large rung were built before any check
+    out = tmp_path / "out"
+    argv = ["schatten-scan", "--p", "2", "--alpha", "2", f"--ladder={ladder}"]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (out / "schatten-scan-manifest.json").exists()
+
+
 def put(*keys, value):
     """Edit of a JSON payload that sets ``payload[k1][k2]... = value``."""
     def edit(payload):

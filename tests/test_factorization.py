@@ -1,18 +1,27 @@
 """The factorization by support components against the dense SVD: random
-SU(2), torus and product catalogs and supports, plus the cases the dense path
-cannot reach and the per-component size guard. Needs ``hypothesis`` (in the
+SU(2), torus and product catalogs and supports, the half-cutoff support that
+the compactness indicator reads, the cases the dense path cannot reach and
+the per-component size guard; over the same draws, the adjoint identity and
+the numerical index's invariance under scaling. Needs ``hypothesis`` (in the
 ``test`` extra)."""
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import muhankel.operators as ops
-from muhankel.duals import SU2, PowerLaw, Product, Torus, dim, enumerate_dual
+from muhankel.duals import SU2, PowerLaw, Product, Torus, casimir, dim, enumerate_dual
 from muhankel.fredholm import numerical_index
-from muhankel.operators import assemble
-from muhankel.symbols import Symbol, diagonal_symbol, random_matching_symbol, random_symbol
+from muhankel.operators import ZERO_REL_TOL, assemble, retained_count
+from muhankel.spectral import compactness_report
+from muhankel.symbols import (
+    Symbol,
+    SymbolClassParams,
+    diagonal_symbol,
+    random_matching_symbol,
+    random_symbol,
+)
 
 GROUPS = {"su2": SU2(), "torus:1": Torus(1), "su2xtorus:1": Product((SU2(), Torus(1)))}
 RANK_TOLERANCE = 1e-8
@@ -37,8 +46,8 @@ def drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed):
     return Symbol(codomain, domain, blocks)
 
 
-@settings(max_examples=80, deadline=None)
-@given(
+# the arguments of drawn_symbol, plus the exponents of the power-law weights
+DRAWS = dict(
     group=st.sampled_from(sorted(GROUPS)),
     cut_out=st.sampled_from([0.0, 1.0, 2.0, 4.0, 6.0]),
     cut_in=st.sampled_from([0.0, 1.0, 2.0, 4.0, 6.0]),
@@ -48,6 +57,20 @@ def drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed):
     seed=st.integers(0, 2**16),
     exponents=st.tuples(st.sampled_from([-1.0, 0.0, 0.5]), st.sampled_from([-0.5, 0.0, 1.0])),
 )
+
+
+def min_retained(values):
+    k = retained_count(values, ZERO_REL_TOL)
+    return float(values[k - 1]) if k else 0.0
+
+
+def dense_values(op):
+    dense = op.to_dense()
+    return np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**DRAWS)
 # one component over every label; several single-block components; empty
 # rows and columns; non-square catalogs; zero blocks
 @example(group="su2", cut_out=6.0, cut_in=6.0, support="random", density=1.0,
@@ -63,8 +86,7 @@ def test_component_values_match_dense_svd(
 ):
     sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
     op = assemble(sym, PowerLaw(exponents[0]), PowerLaw(exponents[1]))
-    dense = op.to_dense()
-    want = np.linalg.svd(dense, compute_uv=False) if dense.size else np.zeros(0)
+    want = dense_values(op)
     got = op.singular_values
     assert got.shape == want.shape == (min(op.shape),)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -118,3 +140,68 @@ def test_connected_operator_keeps_the_dense_svd_values():
     np.testing.assert_array_equal(
         op.singular_values, np.linalg.svd(op.to_dense(), compute_uv=False)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**DRAWS)
+# one component over every label that the half cutoffs split into a
+# three-block and a single-block component
+@example(group="torus:1", cut_out=6.0, cut_in=6.0, support="random", density=0.3,
+         zero_share=0.0, seed=12, exponents=(0.5, -0.5))
+def test_half_cutoff_values_match_restricted_dense_svd(
+    group, cut_out, cut_in, support, density, zero_share, seed, exponents
+):
+    sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
+    mu, nu = PowerLaw(exponents[0]), PowerLaw(exponents[1])
+    op = assemble(sym, mu, nu)
+    codomain = sym.codomain.restrict(lambda l: casimir(l) <= cut_out / 2)
+    domain = sym.domain.restrict(lambda l: casimir(l) <= cut_in / 2)
+    blocks = {
+        key: block for key, block in sym.blocks.items()
+        if key[0] in codomain and key[1] in domain
+    }
+    v_half = min_retained(dense_values(assemble(Symbol(codomain, domain, blocks), mu, nu)))
+    np.testing.assert_allclose(
+        min_retained(op.support_values(list(blocks))), v_half, rtol=1e-10, atol=0
+    )
+    if len({casimir(r) for r in sym.domain.labels}) < 2:
+        return  # the compactness indicators need two Casimir levels
+    v_full = min_retained(dense_values(op))
+    ratio = compactness_report(op, SymbolClassParams(0.0, 0.0)).measured_value
+    if v_half > 0.0:
+        np.testing.assert_allclose(ratio, v_full / v_half, rtol=1e-10, atol=0)
+    else:
+        assert ratio == (0.0 if v_full == 0.0 else float("inf"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(**DRAWS)
+def test_adjoint_identity(group, cut_out, cut_in, support, density, zero_share, seed, exponents):
+    sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
+    op = assemble(sym, PowerLaw(exponents[0]), PowerLaw(exponents[1]))
+    adj = op.adjoint()
+    dense = op.to_dense()
+    np.testing.assert_array_equal(adj.to_dense(), dense.conj().T)
+    rng = np.random.default_rng(seed)
+    n_out, n_in = op.shape
+    f = rng.standard_normal(n_in) + 1j * rng.standard_normal(n_in)
+    g = rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)
+    gap = abs(np.vdot(g, op.apply(f)) - np.vdot(adj.apply(g), f))
+    # |<T f, g>| <= ||T||_F |f| |g| bounds both pairings
+    assert gap <= 1e-12 * np.linalg.norm(dense) * np.linalg.norm(f) * np.linalg.norm(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**DRAWS, log_scale=st.floats(-3.0, 3.0), phase=st.floats(0.0, 2 * np.pi))
+def test_numerical_index_invariant_under_scaling(
+    group, cut_out, cut_in, support, density, zero_share, seed, exponents, log_scale, phase
+):
+    sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
+    mu, nu = PowerLaw(exponents[0]), PowerLaw(exponents[1])
+    op = assemble(sym, mu, nu)
+    values = op.singular_values
+    if values.size and values[0] > 0.0:
+        cut = RANK_TOLERANCE * values[0]
+        assume(np.all(np.abs(values - cut) > 0.01 * cut))
+    scaled = assemble(sym.scaled(10.0**log_scale * np.exp(1j * phase)), mu, nu)
+    assert numerical_index(scaled, RANK_TOLERANCE) == numerical_index(op, RANK_TOLERANCE)

@@ -222,6 +222,14 @@ def test_carleson_rejects_nonpositive_exponent():
         carleson_test(UNIT_WEIGHT, cat, 0.0)
 
 
+@pytest.mark.parametrize("t", [float("nan"), float("inf")])
+def test_carleson_rejects_non_finite_exponent(t):
+    # nan gave a NaN verdict and inf a satisfied one
+    cat = enumerate_dual(Torus(1), 4.0)
+    with pytest.raises(ValueError, match=f"Carleson exponent must be finite and > 0, got {t}"):
+        carleson_test(UNIT_WEIGHT, cat, t)
+
+
 def test_compactness_decaying_family_fires_both():
     cat = enumerate_dual(SU2(), 30.0)
     op = assemble(diagonal_symbol(cat), UNIT_WEIGHT, PowerLaw(-2.0))
@@ -328,21 +336,24 @@ def test_spectrum_command_factors_each_operator_once(tmp_path, monkeypatch):
     # spectrum: one SVD per stored block (the block norms of the norm criteria
     # and the compactness columns reuse it, so SVDs inside np.linalg.norm
     # count too; a single-block component reuses it as well), plus one per
-    # multi-block support component of the full operator and one per
-    # component of the half-cutoff operator that the compactness indicator
-    # reads; index: one per component
+    # multi-block support component of the full operator and of the
+    # half-cutoff support that the compactness indicator reads; index: one
+    # per component
     cat = enumerate_dual(SU2(), 6.0)
-    sym = random_symbol(cat, cat, 0.5, 1)
-    sym_path = tmp_path / "sym.json"
-    sym_path.write_text(json.dumps(sym.to_dict()))
-    full = component_shapes(sym.blocks)
-    half = component_shapes(sym.blocks, lambda l: casimir(l) <= cat.cutoff / 2)
-    # the case this pins: the full operator is one component over every
-    # label; the half-cutoff operator's support leaves labels out
+    connected = random_symbol(cat, cat, 0.5, 1)
+    matching = random_matching_symbol(cat, cat, 2, pairs=len(cat.labels))
+
+    def half(sym):
+        return component_shapes(sym.blocks, lambda l: casimir(l) <= cat.cutoff / 2)
+
+    # the cases this pins: the connected operator is one component over every
+    # label, and its half-cutoff support leaves labels out; the matching's
+    # half-cutoff support is single blocks whose SVDs the spectrum already took
     n = cat.dense_dim
     n_half = cat.restrict(lambda l: casimir(l) <= cat.cutoff / 2).dense_dim
-    assert [shape for shape, _ in full] == [(n, n)]
-    assert [shape for shape, _ in half] != [(n_half, n_half)]
+    assert [shape for shape, _ in component_shapes(connected.blocks)] == [(n, n)]
+    assert [shape for shape, _ in half(connected)] != [(n_half, n_half)]
+    assert half(matching) and all(count == 1 for _, count in half(matching))
     shapes = []
     svd = np.linalg.svd
 
@@ -355,14 +366,18 @@ def test_spectrum_command_factors_each_operator_once(tmp_path, monkeypatch):
     # module, not the public name
     impl = getattr(np.linalg, "_linalg", None) or np.linalg.linalg  # numpy 2 / 1
     monkeypatch.setattr(impl, "svd", counting_svd)
+    sym_path = tmp_path / "sym.json"
     common = ["--symbol", str(sym_path), "--mu", "0.5", "--nu", "-0.5",
               "--out-dir", str(tmp_path)]
-    assert main(["spectrum", *common, "--m", "1", "--n", "1"]) == 0
-    want = [block.shape for block in sym.blocks.values()]
-    want += [shape for shape, count in full if count > 1]
-    want += [shape for shape, _ in half]
-    assert sorted(shapes) == sorted(want)
+    for sym in (connected, matching):
+        sym_path.write_text(json.dumps(sym.to_dict()))
+        full = component_shapes(sym.blocks)
+        shapes.clear()
+        assert main(["spectrum", *common, "--m", "1", "--n", "1"]) == 0
+        want = [block.shape for block in sym.blocks.values()]
+        want += [shape for shape, count in full + half(sym) if count > 1]
+        assert sorted(shapes) == sorted(want)
 
-    shapes.clear()
-    assert main(["index", *common]) == 0
-    assert sorted(shapes) == sorted(shape for shape, _ in full)
+        shapes.clear()
+        assert main(["index", *common]) == 0
+        assert sorted(shapes) == sorted(shape for shape, _ in full)
