@@ -40,6 +40,7 @@ from .duals import (
     parse_group,
 )
 from .fredholm import (
+    RANK_TOL,
     FormulaInapplicableError,
     index_report,
     winding_number,
@@ -364,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("index", help="determinant-sign and numerical index")
     p.add_argument("--symbol", required=True)
     _add_weights(p)
-    p.add_argument("--tolerance", type=float, default=1e-8, help="relative rank tolerance")
+    p.add_argument("--tolerance", type=float, default=RANK_TOL, help="relative rank tolerance")
     p.add_argument("--samples", type=int, default=256, help="circle samples for winding")
     _add_common(p)
     p.set_defaults(func=cmd_index)

@@ -1,9 +1,10 @@
 """Truncated unitary duals of compact groups.
 
-Supported groups are SU(2), tori T^d, and flat products of those. An
-irreducible representation is identified by an integer index vector
-(k = 2l for SU(2) spins, a frequency vector for tori, concatenation for
-products). A :class:`DualCatalog` enumerates every label whose Casimir
+Supported groups are SU(2), tori T^d, and flat products of those. By
+Peter-Weyl the dual of a product is the product of its factors' duals, and
+the dual of T^d is d copies of the circle's, so an irreducible representation
+is a tuple of one-slot atoms: an SU(2) spin stored as k = 2l, or a circle
+frequency n. A :class:`DualCatalog` enumerates every label whose Casimir
 eigenvalue lies below a cutoff and lays the labels out contiguously in a
 dense coordinate range, giving a deterministic block layout for operator
 assembly.
@@ -64,9 +65,16 @@ class Product:
 GroupKind = Union[SU2, Torus, Product]
 
 
-def _factors(group: GroupKind) -> tuple:
-    """The factors of a product; a single group is its own one factor."""
-    return group.factors if isinstance(group, Product) else (group,)
+_CIRCLE = Torus(1)
+
+
+def _atoms(group: GroupKind) -> tuple:
+    """One atom per index slot: each SU(2) factor as it is, and the circle
+    ``Torus(1)`` once per torus dimension."""
+    atoms = []
+    for f in group.factors if isinstance(group, Product) else (group,):
+        atoms.extend((f,) if isinstance(f, SU2) else (_CIRCLE,) * f.d)
+    return tuple(atoms)
 
 
 def group_to_dict(group: GroupKind) -> dict:
@@ -151,30 +159,23 @@ def _describe(group: GroupKind, index: tuple) -> tuple[int, float, float]:
     eigenvalue, radial size): 2l+1, l(l+1) and l on SU(2); 1, |n|^2 and |n|
     on tori. Products multiply dimensions, add Casimirs and combine radial
     sizes in quadrature."""
-    factors = _factors(group)
-    slots = [1 if isinstance(f, SU2) else f.d for f in factors]
-    if len(index) != sum(slots):
-        raise ValueError(f"index {index} has {len(index)} slots, group needs {sum(slots)}")
-    # Sums start at 0 in factor order, and a lone group's radial size is not
-    # squared and rooted, so values match the per-factor formulas bitwise.
-    dimension, cas, squares, pos = 1, 0, 0, 0
-    for f, width in zip(factors, slots):
-        frag = index[pos:pos + width]
-        pos += width
-        if isinstance(f, SU2):
-            k = frag[0]
+    atoms = _atoms(group)
+    if len(index) != len(atoms):
+        raise ValueError(f"index {index} has {len(index)} slots, group needs {len(atoms)}")
+    dimension, cas, squares = 1, 0, 0
+    for atom, k in zip(atoms, index):
+        if isinstance(atom, SU2):
             if k < 0:
                 raise ValueError(f"SU(2) label k must be >= 0, got {k}")
-            if not f.half_integers and k % 2 != 0:
+            if not atom.half_integers and k % 2 != 0:
                 raise ValueError(f"integer-spin SU(2) dual admits only even k, got {k}")
-            d, c, r = k + 1, k * (k + 2) / 4.0, k / 2.0
+            dimension *= k + 1
+            cas += k * (k + 2) / 4.0
+            squares += (k / 2.0) ** 2
         else:
-            sq = sum(n * n for n in frag)
-            d, c, r = 1, float(sq), math.sqrt(sq)
-        dimension *= d
-        cas += c
-        squares += r ** 2
-    return dimension, cas, (math.sqrt(squares) if isinstance(group, Product) else r)
+            cas += k * k
+            squares += k * k
+    return dimension, float(cas), math.sqrt(squares)
 
 
 def dim(label: IrrepLabel) -> int:
@@ -329,70 +330,51 @@ def _check_dense_dim(dense_dim: int) -> None:
         )
 
 
-def _su2_indices(group: SU2, budget: float) -> Iterator[tuple[tuple, float]]:
-    step = 1 if group.half_integers else 2
-    k = 0
-    while k * (k + 2) <= 4.0 * budget:
-        yield (k,), k * (k + 2) / 4.0
-        k += step
+def _k_max(budget: float) -> int:
+    """The largest k with k(k+2) <= 4 budget, i.e. (k+1)^2 <= floor(4 budget)
+    + 1. A budget past (2 MAX_DENSE_DIM + 3)^2 / 4 is capped: one SU(2) slot
+    then passes the guard on its own."""
+    return math.isqrt(math.floor(min(4.0 * budget, (2 * MAX_DENSE_DIM + 3) ** 2)) + 1) - 1
 
 
-def _torus_points(d: int, budget: float) -> Iterator[tuple]:
-    if budget < 0:
+def _walk(atoms: tuple, budget: float) -> Iterator[tuple[tuple, float, int]]:
+    """Yield (index, Casimir eigenvalue, dimension) of every label of the
+    atoms' product with Casimir eigenvalue <= ``budget``, lazily, the first
+    atom slowest. Every budget passed down is >= 0."""
+    if not atoms:
+        yield (), 0, 1
         return
-    if d == 0:
-        yield ()
-        return
-    r = math.isqrt(int(budget))  # the largest r with r^2 <= budget
-    for n in range(-r, r + 1):
-        for rest in _torus_points(d - 1, budget - n * n):
-            yield (n,) + rest
+    atom = atoms[0]
+    if isinstance(atom, SU2):
+        heads = ((k, k * (k + 2) / 4.0, k + 1)
+                 for k in range(0, _k_max(budget) + 1, 1 if atom.half_integers else 2))
+    else:
+        # the largest r with r^2 <= budget; capped like _k_max
+        r = min(math.isqrt(int(budget)), MAX_DENSE_DIM)
+        heads = ((n, n * n, 1) for n in range(-r, r + 1))
+    for k, lam, d in heads:
+        for tail, lam_rest, d_rest in _walk(atoms[1:], budget - lam):
+            yield (k,) + tail, lam + lam_rest, d * d_rest
 
 
-def _factor_indices(factor: GroupKind, budget: float) -> Iterator[tuple[tuple, float]]:
-    if isinstance(factor, SU2):
-        return _su2_indices(factor, budget)
-    return ((pt, float(sum(n * n for n in pt))) for pt in _torus_points(factor.d, budget))
-
-
-def _product_indices(factors: tuple, budget: float) -> Iterator[tuple[tuple, float]]:
-    if len(factors) == 1:
-        yield from _factor_indices(factors[0], budget)
-        return
-    for head, lam in _factor_indices(factors[0], budget):
-        for tail, lam_rest in _product_indices(factors[1:], budget - lam):
-            yield head + tail, lam + lam_rest
-
-
-def _predict_size(factors: tuple, budget: float, limit: int) -> tuple[int, int]:
-    """(labels, dense dimension) of what ``_product_indices(factors, budget)``
-    yields, counted without building an index: closed forms for one SU(2) or
-    circle factor, and one count of the remaining factors per index of the
-    first, with the same budget arithmetic as the enumeration. Once the label
-    count passes ``limit`` it stops and returns some count above ``limit``."""
-    if len(factors) == 1 and isinstance(factors[0], Torus) and factors[0].d > 1:
-        factors = (Torus(1),) * factors[0].d  # rows, as in _torus_points
-    factor = factors[0]
-    if len(factors) > 1:
-        labels = dense = 0
-        for head, lam in _factor_indices(factor, budget):
-            tail_labels, tail_dense = _predict_size(factors[1:], budget - lam, limit - labels)
-            labels += tail_labels
-            dense += (head[0] + 1 if isinstance(factor, SU2) else 1) * tail_dense
-            if labels > limit:
-                break
-        return labels, dense
-    if budget < 0:
-        return 0, 0
-    if isinstance(factor, Torus):
-        n = 2 * math.isqrt(int(budget)) + 1
-        return n, n
-    # k(k+2) <= 4 budget  <=>  (k+1)^2 <= floor(4 budget) + 1; a budget past
-    # (2 limit + 3)^2 / 4 is capped, as it passes the limit either way
-    k_max = math.isqrt(math.floor(min(4.0 * budget, (2 * limit + 3) ** 2)) + 1) - 1
-    if factor.half_integers:
-        return k_max + 1, (k_max + 1) * (k_max + 2) // 2
-    return k_max // 2 + 1, (k_max // 2 + 1) ** 2
+def _count(atoms: tuple, budget: float) -> tuple[int, int]:
+    """(labels, dense dimension) of ``_walk(atoms, budget)`` without building
+    an index: the walk over all atoms but the last, and a closed form for the
+    last. Each step adds at least one label, so once the count passes
+    ``MAX_DENSE_DIM`` it stops and returns some count above the guard."""
+    labels = dense = 0
+    last = atoms[-1]
+    for _, lam, d in _walk(atoms[:-1], budget):
+        if isinstance(last, Torus):
+            n = nd = 2 * math.isqrt(int(budget - lam)) + 1
+        else:  # dimensions 1, 2, ..., n, or 1, 3, ..., 2n - 1 on integer spins
+            n = _k_max(budget - lam) // (1 if last.half_integers else 2) + 1
+            nd = n * (n + 1) // 2 if last.half_integers else n * n
+        labels += n
+        dense += d * nd
+        if labels > MAX_DENSE_DIM:
+            break
+    return labels, dense
 
 
 def enumerate_dual(group: GroupKind, cutoff: float) -> DualCatalog:
@@ -400,18 +382,17 @@ def enumerate_dual(group: GroupKind, cutoff: float) -> DualCatalog:
 
     Raises ValueError for non-finite or negative cutoffs and for truncations
     with more than ``MAX_DENSE_DIM`` labels or a larger dense dimension. Both
-    are predicted by counting before any label is built.
+    are counted before any label is built.
     """
     if not (math.isfinite(cutoff) and cutoff >= 0):
         raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
-    factors = _factors(group)
-    count, dense_dim = _predict_size(factors, cutoff, MAX_DENSE_DIM)
+    atoms = _atoms(group)
+    count, dense_dim = _count(atoms, cutoff)
     if count > MAX_DENSE_DIM:
         raise ValueError(
             f"cutoff {cutoff} yields more labels than the guard {MAX_DENSE_DIM}"
         )
     _check_dense_dim(dense_dim)
-    indices = list(_product_indices(factors, cutoff))
-    indices.sort(key=lambda pair: (pair[1], pair[0]))
-    labels = [IrrepLabel(group, idx) for idx, _ in indices]
+    found = sorted(_walk(atoms, cutoff), key=lambda entry: (entry[1], entry[0]))
+    labels = [IrrepLabel(group, index) for index, _, _ in found]
     return DualCatalog(group, float(cutoff), labels)

@@ -20,6 +20,10 @@ from .operators import BlockOperator, retained_count
 
 # Relative imaginary part above which a block determinant is not "real".
 DET_IMAG_TOL = 1e-9
+# Winding loops with a sample of modulus at or below this are rejected.
+MIN_LOOP_MODULUS = 1e-9
+# Default relative rank tolerance of the numerical index.
+RANK_TOL = 1e-8
 
 ContributingPair = tuple[IrrepLabel, IrrepLabel, int]
 
@@ -82,7 +86,7 @@ def index_formula(op: BlockOperator) -> tuple[int, list[ContributingPair]]:
 
 
 def numerical_index(
-    op: BlockOperator, rank_tolerance: float = 1e-8
+    op: BlockOperator, rank_tolerance: float = RANK_TOL
 ) -> tuple[int, int, int, int]:
     """(rank, kernel dim, cokernel dim, index) of the dense truncation.
 
@@ -98,7 +102,7 @@ def numerical_index(
     return rank, kernel, cokernel, kernel - cokernel
 
 
-def index_report(op: BlockOperator, rank_tolerance: float = 1e-8) -> IndexReport:
+def index_report(op: BlockOperator, rank_tolerance: float = RANK_TOL) -> IndexReport:
     """Run both index routes; formula inapplicability is recorded, not fatal.
     If the numerical SVD fails as well, FormulaInapplicableError names both."""
     formula = None
@@ -128,19 +132,19 @@ def index_report(op: BlockOperator, rank_tolerance: float = 1e-8) -> IndexReport
     )
 
 
-def winding_number(samples, min_modulus: float = 1e-9) -> int:
+def winding_number(samples) -> int:
     """Winding of a closed loop sampled at equispaced circle points.
 
     Sums principal-branch phase increments around the loop. Any sample with
-    modulus at or below ``min_modulus`` rejects the input, as does any phase
-    step of magnitude >= pi (the sampling cannot resolve the turn).
+    modulus at or below ``MIN_LOOP_MODULUS`` rejects the input, as does any
+    phase step of magnitude >= pi (the sampling cannot resolve the turn).
     """
     z = np.asarray(samples, dtype=np.complex128)
     if z.size < 2:
         raise ValueError("winding number needs at least two samples")
-    if np.min(np.abs(z)) <= min_modulus:
+    if np.min(np.abs(z)) <= MIN_LOOP_MODULUS:
         raise ValueError(
-            f"loop passes within {min_modulus} of the origin; winding undefined"
+            f"loop passes within {MIN_LOOP_MODULUS} of the origin; winding undefined"
         )
     steps = np.angle(np.roll(z, -1) / z)
     if np.max(np.abs(steps)) >= np.pi - 1e-12:

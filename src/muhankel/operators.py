@@ -108,11 +108,6 @@ class BlockOperator:
             dense[self.codomain.slice_of(pi), self.domain.slice_of(rho)] = block
         return dense
 
-    @cached_property
-    def components(self) -> list[Component]:
-        """Connected components of the full support's bipartite graph."""
-        return self._components(self.weighted)
-
     def _components(self, keys: Collection[BlockKey]) -> list[Component]:
         """Connected components of the bipartite graph of the stored blocks
         ``keys`` (union-find), in the order of their first block. Labels with

@@ -154,17 +154,15 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
     """Two decay indicators standing in for compactness of the full operator.
 
     (i) decay: the column quantity (1+lambda_rho)^(n/2) * max_pi ||T(pi,rho)||
-    must shrink across the outer half of the domain catalog (final value at
-    most half the first outer value, no growth beyond 5% along the way);
+    must shrink across the outer half of the domain's Casimir levels (final
+    value at most half the first outer value, no growth beyond 5% along the
+    way; a single level is its own outer half);
     (ii) spectral: the smallest retained singular value must drop by at least
     10% when the truncation cutoff doubles from half to full; the half-cutoff
     values are ``op.support_values`` of the blocks inside the half catalogs.
     The verdict is satisfied only when both fire.
     """
     lams = sorted({casimir(r) for r in op.domain.labels})
-    if len(lams) < 2:
-        raise ValueError("compactness indicators need at least two distinct Casimir levels")
-
     col_norm: dict[float, float] = {lam: 0.0 for lam in lams}
     for (pi, rho), values in op.block_singular_values.items():
         val = (1.0 + casimir(rho)) ** (params.n / 2.0) * float(values[0])

@@ -70,6 +70,19 @@ def test_spectrum_diagonal(tmp_path):
     assert len(values_csv) == 1 + 15  # header + one row per singular value
 
 
+def test_spectrum_single_casimir_level(tmp_path):
+    # one label, so one Casimir level: the compactness indicators read that
+    # level as the outer half, and both ratios of the identity are 1
+    cat = enumerate_dual(SU2(), 0.0)
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    assert report["singular_values"] == [1.0]
+    [compactness] = [c for c in report["criteria"] if c["name"] == "compactness_indicators"]
+    assert not compactness["satisfied"] and compactness["measured_value"] == 1.0
+    assert "outer-half ratio=1," in compactness["detail"]
+
+
 def test_spectrum_bad_schema_exit_2(tmp_path):
     bad = write_json(tmp_path / "sym.json", {"blocks": []})
     assert main(["spectrum", "--symbol", bad, "--out-dir", str(tmp_path)]) == 2

@@ -1,9 +1,12 @@
+import itertools
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muhankel.duals import (
-    MAX_DENSE_DIM,
     SU2,
     DualCatalog,
     IrrepLabel,
@@ -19,7 +22,7 @@ from muhankel.duals import (
     parse_group,
     weight_eval,
 )
-from muhankel.duals import _factors, _predict_size
+from muhankel.duals import _atoms, _count
 
 
 def su2_labels_oracle(cutoff, half_integers=True):
@@ -73,6 +76,14 @@ def test_enumerate_resource_guard(group, cutoff):
         enumerate_dual(group, cutoff)
 
 
+@pytest.mark.parametrize("spec, cutoff", [("torus:1xsu2", 1e300), ("su2xsu2", 1e308)])
+def test_enumerate_guard_at_huge_cutoffs(spec, cutoff):
+    # one slot alone passes the guard, so its range is capped: no walk over
+    # 1e150 near-zero budgets, and no floor of 4 * 1e308 = inf
+    with pytest.raises(ValueError, match=re.escape(f"cutoff {cutoff} yields more labels")):
+        enumerate_dual(parse_group(spec), cutoff)
+
+
 def test_enumerate_dense_dimension_guard():
     # k = 0..1999 is 2000 labels, under the label guard; the dense dimension
     # 2000 * 2001 / 2 is over it, and is reported exactly
@@ -88,8 +99,69 @@ def test_enumerate_dense_dimension_guard():
 def test_predicted_size_equals_enumeration(spec, cutoff):
     group = parse_group(spec)
     catalog = enumerate_dual(group, cutoff)
-    predicted = _predict_size(_factors(group), cutoff, MAX_DENSE_DIM)
-    assert predicted == (len(catalog), catalog.dense_dim)
+    assert _count(_atoms(group), cutoff) == (len(catalog), catalog.dense_dim)
+
+
+ATOM_SLOTS = {"su2": 1, "su2int": 1, "torus:1": 1, "torus:2": 2, "torus:3": 3}
+# Largest cutoff drawn per index slot count, so that the oracle's box of
+# per-slot values stays under about 30k indices.
+CUTOFF_CAP = {1: 40, 2: 40, 3: 40, 4: 40, 5: 12, 6: 8.75, 7: 3.75, 8: 3.75, 9: 3.75}
+
+
+def slot_values(spec, cutoff):
+    """(value, Casimir, dimension) of every one-slot label of ``spec`` within
+    the cutoff, one list per index slot, found by trying every value."""
+    if spec.startswith("su2"):
+        step = 2 if spec == "su2int" else 1
+        return [[(k, k * (k + 2) / 4.0, k + 1) for k in range(0, 200, step)
+                 if k * (k + 2) / 4.0 <= cutoff]]
+    return [[(n, n * n, 1) for n in range(-100, 101) if n * n <= cutoff]] * ATOM_SLOTS[spec]
+
+
+def brute_force_dual(specs, cutoff):
+    """(index, Casimir, dimension) of the truncated dual of the product of
+    ``specs``: the product of per-slot values, filtered by the summed
+    Casimir and sorted by (Casimir, index)."""
+    slots = [values for spec in specs for values in slot_values(spec, cutoff)]
+    found = []
+    for combo in itertools.product(*slots):
+        cas = sum(c for _, c, _ in combo)
+        if cas <= cutoff:
+            d = 1
+            for _, _, dk in combo:
+                d *= dk
+            found.append((tuple(k for k, _, _ in combo), cas, d))
+    return sorted(found, key=lambda entry: (entry[1], entry[0]))
+
+
+@st.composite
+def specs_and_cutoffs(draw):
+    specs = draw(st.lists(st.sampled_from(sorted(ATOM_SLOTS)), min_size=1, max_size=3))
+    cap = CUTOFF_CAP[sum(ATOM_SLOTS[s] for s in specs)]
+    cutoff = draw(st.one_of(
+        st.integers(0, int(4 * cap)).map(lambda q: q / 4),  # every Casimir of SU(2) and T^d
+        st.floats(0, cap),
+    ))
+    return specs, cutoff
+
+
+@settings(max_examples=60, deadline=None)
+@given(specs_and_cutoffs())
+def test_enumeration_matches_brute_force(drawn):
+    specs, cutoff = drawn
+    group = parse_group("x".join(specs))
+    catalog = enumerate_dual(group, cutoff)
+    oracle = brute_force_dual(specs, cutoff)
+    assert [l.index for l in catalog.labels] == [index for index, _, _ in oracle]
+    assert [l.dim for l in catalog.labels] == [d for _, _, d in oracle]
+    assert [l.casimir for l in catalog.labels] == [cas for _, cas, _ in oracle]
+    assert catalog.dense_dim == sum(d for _, _, d in oracle)
+    assert _count(_atoms(group), cutoff) == (len(catalog), catalog.dense_dim)
+
+
+def test_product_radius_adds_slot_squares():
+    # l = 1/2 and n = (1, 1): sqrt(1/4 + 1 + 1), exactly
+    assert IrrepLabel(parse_group("su2xtorus:2"), (1, 1, 1)).radius == 1.5
 
 
 @pytest.mark.parametrize("group, index", [

@@ -184,7 +184,7 @@ def test_winding_dominant_negative_mode():
 def test_winding_rejects_vanishing_sample():
     samples = np.array([1.0, 1e-12, 1.0, 1.0])
     with pytest.raises(ValueError, match="origin"):
-        winding_number(samples, min_modulus=1e-9)
+        winding_number(samples)
 
 
 def test_winding_rejects_undersampling():

@@ -5,6 +5,7 @@ fixture file; all other text matches exactly. The fixtures and the script
 that writes them (tests/golden/make_golden.py) are regenerated only on a
 parent commit."""
 
+import importlib.util
 import json
 import re
 import shutil
@@ -52,4 +53,20 @@ def test_golden(case, tmp_path, monkeypatch, capsys):
     for path in want.values():
         assert_matches(
             (tmp_path / path).read_text(), (fixture / path).read_text(), path
+        )
+
+
+def test_make_golden_rewrites_the_inputs(tmp_path):
+    # the fixture script runs only when fixtures are regenerated; this keeps
+    # its imports and its generators' draw order from drifting in between
+    spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    make_golden.write_inputs(tmp_path / "inputs")
+    want = sorted(p.name for p in (GOLDEN / "inputs").iterdir())
+    assert sorted(p.name for p in (tmp_path / "inputs").iterdir()) == want
+    for name in want:
+        assert_matches(
+            (tmp_path / "inputs" / name).read_text(),
+            (GOLDEN / "inputs" / name).read_text(), name,
         )

@@ -252,6 +252,18 @@ def test_compactness_zero_symbol_vacuous():
     assert compactness_report(op, SymbolClassParams(0.0, 0.0)).satisfied
 
 
+def test_compactness_single_casimir_level():
+    # the one level is the outer half: the identity reads both ratios 1, the
+    # zero operator stays vacuously satisfied
+    cat = enumerate_dual(SU2(), 0.0)
+    identity = compactness_report(
+        assemble(diagonal_symbol(cat), UNIT_WEIGHT, UNIT_WEIGHT), SymbolClassParams(0.0, 0.0)
+    )
+    assert not identity.satisfied and identity.measured_value == 1.0
+    zero = assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT)
+    assert compactness_report(zero, SymbolClassParams(0.0, 0.0)).satisfied
+
+
 def test_compactness_ratio_monotone_in_decay():
     cat = enumerate_dual(SU2(), 30.0)
     ratios = []
