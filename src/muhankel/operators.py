@@ -16,7 +16,8 @@ own singular values, the matrix of a component covering every label is
 entry for entry the one ``to_dense()`` builds, and the ``MAX_DENSE_ENTRIES``
 guard applies to each component's matrix, so a diagonal or matching operator
 may be far larger than one dense N x N matrix could be. The compactness
-indicator reads the factorization over the blocks inside the half catalogs.
+indicator reads the factorization over the blocks inside the half catalogs,
+and ``forward`` reads which component holds each coordinate.
 """
 
 from __future__ import annotations
@@ -132,18 +133,43 @@ class BlockOperator:
             components.append((rows, cols, group))
         return components
 
+    @cached_property
+    def components(self) -> list[Component]:
+        """The support components of every stored block."""
+        return self._components(self.weighted)
+
+    @cached_property
+    def coordinate_components(self) -> tuple[np.ndarray, np.ndarray]:
+        """Position in :attr:`components` of the component holding each
+        codomain and each domain coordinate, -1 for a label with no block;
+        read-only."""
+        rows = np.full(self.shape[0], -1)
+        cols = np.full(self.shape[1], -1)
+        for i, (pis, rhos, _) in enumerate(self.components):
+            for pi in pis:
+                rows[self.codomain.slice_of(pi)] = i
+            for rho in rhos:
+                cols[self.domain.slice_of(rho)] = i
+        rows.setflags(write=False)
+        cols.setflags(write=False)
+        return rows, cols
+
     def support_values(self, keys: Collection[BlockKey]) -> np.ndarray:
         """Descending singular values of the stored blocks ``keys`` alone, not
         zero-padded: one SVD per component of that support, none for a
         single-block component whose block values are known."""
-        parts = [self._component_values(component) for component in self._components(keys)]
+        return self._sorted_values(self._components(keys))
+
+    def _sorted_values(self, components: list[Component]) -> np.ndarray:
+        parts = [self._component_values(component) for component in components]
         return np.sort(np.concatenate(parts))[::-1] if parts else np.zeros(0)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Descending singular values of the dense matrix: :meth:`support_values`
-        of every stored block, zero-padded to min(n_out, n_in); read-only."""
-        found = self.support_values(self.weighted)
+        """Descending singular values of the dense matrix: those of every
+        component in :attr:`components`, zero-padded to min(n_out, n_in);
+        read-only."""
+        found = self._sorted_values(self.components)
         n_out, n_in = self.shape
         values = np.zeros(min(n_out, n_in))
         values[: found.size] = found

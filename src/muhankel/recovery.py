@@ -1,12 +1,17 @@
 """Symbol recovery from singular-value data.
 
 The forward map takes an assembled operator to its list of singular triples.
-Each triple is attributed to the block carrying (at least 99% of) the squared
-mass of its singular vectors; recovery reassembles every attributed block
-from the triples and solves for the symbol block in closed form. There is one
-solver: with regularization alpha = 0 it divides out the weights exactly, and
-with alpha > 0 it is the Tikhonov estimate for noisy data. Degenerate data
-that cannot be attributed is refused rather than guessed at.
+They come from one SVD of the dense matrix, whose phases the stability
+experiment draws its noise on. Where a triple's rounding leakage outside its
+support component is within ``ZERO_REL_TOL``, it is set to exact zeros, so
+that the vectors vanish outside their component as the exact ones do and
+each such entry is written as 0.0. Each triple is attributed to the block
+carrying (at least 99% of) the squared mass of its singular vectors;
+recovery reassembles every attributed block from the triples and solves for
+the symbol block in closed form. There is one solver: with regularization
+alpha = 0 it divides out the weights exactly, and with alpha > 0 it is the
+Tikhonov estimate for noisy data. Degenerate data that cannot be attributed
+is refused rather than guessed at.
 """
 
 from __future__ import annotations
@@ -21,7 +26,9 @@ from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
 from .symbols import (
     BlockKey,
     Symbol,
+    complex_from_parts,
     hs_norm,
+    parse_numbers,
     symbol_difference,
 )
 
@@ -135,20 +142,29 @@ class SpectralData:
                     got = f"length {len(value)}" if isinstance(value, list) else repr(value)
                     raise ValueError(f"triple {i}: {part} must be a list of {n} numbers, got {got}")
 
-        def stacked(side: str) -> np.ndarray:
+        def stacked(name: str, ndim: int) -> np.ndarray:
+            """Field ``name`` of every entry, one row each; a value that is not
+            ``ndim`` deep in numbers is refused naming its triple."""
+            values = [entry[name] for entry in entries]
+            try:
+                return parse_numbers(values, ndim + 1, name)
+            except TypeError:
+                for i, value in enumerate(values):
+                    parse_numbers(value, ndim, f"triple {i}: {name}")
+                raise
+
+        def vectors(side: str) -> np.ndarray:
             """N x k, one column per entry."""
             shape = (len(entries), dims[side])
-            re = np.array([entry[side + "_re"] for entry in entries], dtype=float)
-            im = np.array([entry[side + "_im"] for entry in entries], dtype=float)
-            return (re.reshape(shape) + 1j * im.reshape(shape)).T
+            return complex_from_parts(stacked(side + "_re", 1).reshape(shape).T,
+                                      stacked(side + "_im", 1).reshape(shape).T)
 
         attribution = [
             None if key is None else (IrrepLabel(codomain.group, tuple(key[0])),
                                       IrrepLabel(domain.group, tuple(key[1])))
             for key in data["attribution"]
         ]
-        s = np.array([float(entry["s"]) for entry in entries])
-        return cls(codomain, domain, s, stacked("u"), stacked("v"), attribution)
+        return cls(codomain, domain, stacked("s", 0), vectors("u"), vectors("v"), attribution)
 
 
 def _first_fault(bad: np.ndarray, fault: str) -> None:
@@ -172,13 +188,40 @@ def _heaviest_labels(vecs: np.ndarray, catalog: DualCatalog) -> tuple[list, np.n
 def forward(op: BlockOperator) -> SpectralData:
     """Singular triples of the dense truncation, with block attribution.
 
-    Triples whose singular value is not above ``ZERO_REL_TOL`` times the
-    largest are dropped; a zero operator yields no triples.
+    The triples come from one SVD of the dense matrix. Those whose singular
+    value is not above ``ZERO_REL_TOL`` times the largest are dropped; a
+    zero operator yields no triples. The rest have their rounding leakage
+    outside their support component set to exact zeros
+    (:func:`_snap_to_components`).
     """
     u_mat, values, vh = np.linalg.svd(op.to_dense(), full_matrices=False)
-    # the values descend, so the kept ones are a prefix and slices are views
+    # the values descend, so the kept ones are a prefix
     k = retained_count(values, ZERO_REL_TOL)
-    return SpectralData(op.codomain, op.domain, values[:k], u_mat[:, :k], vh[:k].conj().T)
+    u = np.ascontiguousarray(u_mat[:, :k])
+    v = np.ascontiguousarray(vh[:k].conj().T)
+    _snap_to_components(op, u, v)
+    return SpectralData(op.codomain, op.domain, values[:k], u, v)
+
+
+def _snap_to_components(op: BlockOperator, u: np.ndarray, v: np.ndarray) -> None:
+    """In place, for the singular vectors in the columns of ``u`` and ``v``:
+    a triple's home is the support component of ``op`` holding the largest
+    entry of its ``u``. When the parts of ``u`` and ``v`` outside the home
+    both have norm at most ``ZERO_REL_TOL``, they are rounding leakage and
+    become exact zeros; the entries inside keep their bits. A triple with
+    more weight outside, such as one mixing two components that share a
+    singular value, is left as it is."""
+    if u.shape[1] == 0:
+        return
+    rows, cols = op.coordinate_components
+    home = rows[np.argmax(np.abs(u), axis=0)]
+    out_u = rows[:, None] != home
+    out_v = cols[:, None] != home
+    snap = ((np.linalg.norm(np.where(out_u, u, 0.0), axis=0) <= ZERO_REL_TOL)
+            & (np.linalg.norm(np.where(out_v, v, 0.0), axis=0) <= ZERO_REL_TOL))
+    # assigned, not multiplied by a mask, so that the zeros carry no sign
+    u[out_u & snap] = 0.0
+    v[out_v & snap] = 0.0
 
 
 def tikhonov_recover(

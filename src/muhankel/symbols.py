@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -27,6 +28,54 @@ if TYPE_CHECKING:
     from .operators import BlockOperator
 
 BlockKey = tuple[IrrepLabel, IrrepLabel]
+
+
+def parse_numbers(value, ndim: int, what: str) -> np.ndarray:
+    """The JSON ``value``, numbers in lists nested ``ndim`` deep, as a float
+    array; an empty list passes at any depth. Anything else (a string, a
+    boolean, null, a list too deep, too shallow or ragged) raises a
+    TypeError naming ``what`` and the first such entry. numpy alone would
+    read "0.5" as 0.5 and, among numbers, true as 1.0, so where it read a 0
+    or a 1 (x * x == x) the entries' types are checked too."""
+    try:
+        arr = np.array(value)
+    except ValueError:  # ragged lists
+        arr = np.array(None)
+    if (arr.dtype.kind in "iuf" and (arr.ndim == ndim or arr.size == 0)
+            and not ((arr * arr == arr).any() and _holds_bool(value, arr.ndim))):
+        return arr.astype(float, copy=False)
+    raise TypeError(_fault(value, ndim, what) or f"{what} is not a rectangular array of numbers")
+
+
+def _holds_bool(value, ndim: int) -> bool:
+    """Whether rectangular lists ``value``, ``ndim`` deep, hold a boolean."""
+    if ndim == 0:
+        return type(value) is bool
+    for _ in range(ndim - 1):
+        value = chain.from_iterable(value)
+    return bool in set(map(type, value))
+
+
+def _fault(value, ndim: int, at: str) -> str | None:
+    """The first entry of ``value`` that is not a number ``ndim`` lists deep."""
+    if ndim == 0:
+        return None if type(value) in (int, float) else f"{at} is {value!r}, not a number"
+    if not isinstance(value, list):
+        return f"{at} is {value!r}, not a list"
+    for i, item in enumerate(value):
+        found = _fault(item, ndim - 1, f"{at}[{i}]")
+        if found:
+            return found
+    return None
+
+
+def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array re + i im, each part keeping its bits: re + 1j * im
+    would turn a -0.0 real part into +0.0."""
+    out = np.empty(re.shape, dtype=np.complex128)
+    out.real = re
+    out.imag = im
+    return out
 
 
 def _freeze(block: np.ndarray) -> np.ndarray:
@@ -106,7 +155,14 @@ class Symbol:
             rho = IrrepLabel(domain.group, tuple(entry["rho_index"]))
             if (pi, rho) in blocks:
                 raise ValueError(f"duplicate block ({pi.index}, {rho.index})")
-            blocks[(pi, rho)] = np.asarray(entry["re"]) + 1j * np.asarray(entry["im"])
+            what = f"block ({pi.index}, {rho.index})"
+            try:  # one conversion and one check for both parts
+                re, im = parse_numbers([entry["re"], entry["im"]], 3, what)
+            except TypeError:
+                parse_numbers(entry["re"], 2, f"{what} re")
+                parse_numbers(entry["im"], 2, f"{what} im")
+                raise TypeError(f"{what} has re and im of different shapes") from None
+            blocks[(pi, rho)] = complex_from_parts(re, im)
         return cls(codomain, domain, blocks)
 
 

@@ -523,3 +523,32 @@ def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, 
     if message == MALFORMED:
         assert f"{MALFORMED} {argv[-1]}:" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    # numpy reads a true among numbers as 1.0, and a block of booleans too
+    (put("blocks", 1, "re", 0, 1, value=True), "block ((1,), (1,)) re[0][1] is True"),
+    (put("blocks", 0, "im", value=[[False]]), "block ((0,), (0,)) im[0][0] is False"),
+    (put("blocks", 2, "im", 1, 0, value="0.5"), "block ((2,), (2,)) im[1][0] is '0.5'"),
+], ids=["true-among-numbers", "false-block", "string"])
+def test_non_number_symbol_entry_exit_2(tmp_path, capsys, edit, message):
+    cat = enumerate_dual(SU2(), 2.0)
+    sym_path = write_json(tmp_path / "sym.json", edit(diagonal_symbol(cat).to_dict()))
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 2
+    assert f"{message}, not a number" in capsys.readouterr().err
+    assert not (tmp_path / "spectrum-manifest.json").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (put("triples", 1, "u_re", 0, value="0.5"), "triple 1: u_re[0] is '0.5'"),
+    (put("triples", 0, "s", value="0.5"), "triple 0: s is '0.5'"),
+    (put("triples", 2, "v_im", 3, value=[0.0]), "triple 2: v_im[3] is [0.0]"),
+    (put("triples", 1, "v_re", 0, value=True), "triple 1: v_re[0] is True"),
+], ids=["string-entry", "string-value", "nested-list", "boolean"])
+def test_non_number_spectral_data_exit_2(tmp_path, capsys, edit, message):
+    cat = enumerate_dual(SU2(), 2.0)
+    data = forward(assemble(diagonal_symbol(cat, decay=1.0), UNIT_WEIGHT, UNIT_WEIGHT))
+    data_path = write_json(tmp_path / "data.json", edit(data.to_dict()))
+    assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 2
+    assert f"{message}, not a number" in capsys.readouterr().err
+    assert not (tmp_path / "recovered_symbol.json").exists()

@@ -1,9 +1,12 @@
 """The factorization by support components against the dense SVD: random
 SU(2), torus and product catalogs and supports, the half-cutoff support that
 the compactness indicator reads, the cases the dense path cannot reach and
-the per-component size guard; over the same draws, the adjoint identity and
-the numerical index's invariance under scaling. Needs ``hypothesis`` (in the
-``test`` extra)."""
+the per-component size guard; over the same draws, forward's exact zeros
+outside each triple's component, the adjoint identity, and the numerical
+index's invariance under scaling and additivity over direct sums. Needs
+``hypothesis`` (in the ``test`` extra)."""
+
+import json
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ import muhankel.operators as ops
 from muhankel.duals import SU2, PowerLaw, Product, Torus, casimir, dim, enumerate_dual
 from muhankel.fredholm import numerical_index
 from muhankel.operators import ZERO_REL_TOL, assemble, retained_count
+from muhankel.recovery import SpectralData, _snap_to_components, forward
 from muhankel.spectral import compactness_report
 from muhankel.symbols import (
     Symbol,
@@ -34,6 +38,11 @@ def drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed):
     blocks is then set to zero."""
     codomain = enumerate_dual(GROUPS[group], cut_out)
     domain = enumerate_dual(GROUPS[group], cut_in)
+    return drawn_on(codomain, domain, support, density, zero_share, seed)
+
+
+def drawn_on(codomain, domain, support, density, zero_share, seed):
+    """:func:`drawn_symbol` on the given catalogs."""
     if support == "random":
         sym = random_symbol(codomain, domain, density, seed)
     else:
@@ -172,6 +181,93 @@ def test_half_cutoff_values_match_restricted_dense_svd(
         assert ratio == (0.0 if v_full == 0.0 else float("inf"))
 
 
+def bits(values):
+    """The raw bits of a float or complex array, so that -0.0 and +0.0 differ."""
+    return np.ascontiguousarray(values).view(np.uint64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**DRAWS)
+# a matching on the product group
+@example(group="su2xtorus:1", cut_out=4.0, cut_in=4.0, support="matching", density=1.0,
+         zero_share=0.0, seed=3, exponents=(0.5, -0.5))
+def test_forward_zeroes_leakage_outside_the_home_component(
+    group, cut_out, cut_in, support, density, zero_share, seed, exponents
+):
+    sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
+    op = assemble(sym, PowerLaw(exponents[0]), PowerLaw(exponents[1]))
+    data = forward(op)
+    u_mat, values, vh = np.linalg.svd(op.to_dense(), full_matrices=False)
+    k = data.s.size
+    assert k == retained_count(values, ZERO_REL_TOL)
+    np.testing.assert_array_equal(bits(data.s), bits(values[:k]))
+    rows, cols = op.coordinate_components
+    for i in range(k):
+        u, v = u_mat[:, i], vh[i].conj()
+        home = rows[np.argmax(np.abs(u))]
+        out_u, out_v = rows != home, cols != home
+        # inside the home component: the dense SVD's columns, bit for bit
+        np.testing.assert_array_equal(bits(data.u[~out_u, i]), bits(u[~out_u]))
+        np.testing.assert_array_equal(bits(data.v[~out_v, i]), bits(v[~out_v]))
+        if np.linalg.norm(u[out_u]) <= ZERO_REL_TOL and np.linalg.norm(v[out_v]) <= ZERO_REL_TOL:
+            # exact +0.0 outside, real and imaginary parts alike
+            assert not bits(data.u[out_u, i]).any() and not bits(data.v[out_v, i]).any()
+        else:
+            np.testing.assert_array_equal(bits(data.u[:, i]), bits(u))
+            np.testing.assert_array_equal(bits(data.v[:, i]), bits(v))
+    back = SpectralData.from_dict(json.loads(json.dumps(data.to_dict())))
+    for got, want in ((back.s, data.s), (back.u, data.u), (back.v, data.v)):
+        np.testing.assert_array_equal(bits(got), bits(want))
+    assert back.attribution == data.attribution
+
+
+def test_forward_zeroes_a_separated_matching_outside_each_block():
+    cat = enumerate_dual(GROUPS["su2xtorus:1"], 6.0)
+    op = assemble(random_matching_symbol(cat, cat, 0, pairs=len(cat)),
+                  PowerLaw(0.5), PowerLaw(-0.5))
+    data = forward(op)
+    assert data.fully_attributed
+    for i, (pi, rho) in enumerate(data.attribution):
+        outside_u = np.ones(cat.dense_dim, dtype=bool)
+        outside_u[cat.slice_of(pi)] = False
+        outside_v = np.ones(cat.dense_dim, dtype=bool)
+        outside_v[cat.slice_of(rho)] = False
+        assert not bits(data.u[outside_u, i]).any() and not bits(data.v[outside_v, i]).any()
+
+
+def test_snap_leaves_a_mixed_triple_as_it_is():
+    # two single-block components, (a, a) and (b, b), that share the singular
+    # value 1: any rotation of their unit vectors is a valid SVD, and one at
+    # 45 degrees puts half of each vector's mass outside its home
+    cat = enumerate_dual(Torus(1), 1.0)
+    a, b = cat.labels[:2]
+    op = assemble(Symbol(cat, cat, {(a, a): np.ones((1, 1)), (b, b): np.ones((1, 1))}),
+                  PowerLaw(0.0), PowerLaw(0.0))
+    mixed = np.zeros((cat.dense_dim, 2), dtype=complex)
+    mixed[cat.slice_of(a)] = [[np.sqrt(0.5), np.sqrt(0.5)]]
+    mixed[cat.slice_of(b)] = [[np.sqrt(0.5), -np.sqrt(0.5)]]
+    u, v = mixed.copy(), mixed.copy()
+    _snap_to_components(op, u, v)
+    np.testing.assert_array_equal(bits(u), bits(mixed))
+    np.testing.assert_array_equal(bits(v), bits(mixed))
+    # leakage just above the cut on either side keeps both vectors as they
+    # are; just below it on both sides, it becomes exact zeros
+    def leaking(leak):
+        vec = np.zeros((cat.dense_dim, 1), dtype=complex)
+        vec[cat.slice_of(a)] = np.sqrt(1 - leak**2)
+        vec[cat.slice_of(b)] = 0.0 - leak  # +0.0, not -0.0, for no leak
+        return vec
+
+    above, below, clean = leaking(10 * ZERO_REL_TOL), leaking(0.1 * ZERO_REL_TOL), leaking(0.0)
+    for want_u, want_v in ((above, clean), (clean, above), (below, below)):
+        u, v = want_u.copy(), want_v.copy()
+        _snap_to_components(op, u, v)
+        if want_u is below:
+            want_u = want_v = clean
+        np.testing.assert_array_equal(bits(u), bits(want_u))
+        np.testing.assert_array_equal(bits(v), bits(want_v))
+
+
 @settings(max_examples=40, deadline=None)
 @given(**DRAWS)
 def test_adjoint_identity(group, cut_out, cut_in, support, density, zero_share, seed, exponents):
@@ -203,3 +299,38 @@ def test_numerical_index_invariant_under_scaling(
         assume(np.all(np.abs(values - cut) > 0.01 * cut))
     scaled = assemble(sym.scaled(10.0**log_scale * np.exp(1j * phase)), mu, nu)
     assert numerical_index(scaled, RANK_TOLERANCE) == numerical_index(op, RANK_TOLERANCE)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**DRAWS, split=st.integers(0, 2**16))
+def test_numerical_index_additive_over_a_direct_sum(
+    group, cut_out, cut_in, support, density, zero_share, seed, exponents, split
+):
+    # two symbols on disjoint halves of one pair of catalogs, drawn at random
+    codomain = enumerate_dual(GROUPS[group], cut_out)
+    domain = enumerate_dual(GROUPS[group], cut_in)
+    rng = np.random.default_rng(split)
+    first_out = {l for l in codomain.labels if rng.uniform() < 0.5}
+    first_in = {l for l in domain.labels if rng.uniform() < 0.5}
+    mu, nu = PowerLaw(exponents[0]), PowerLaw(exponents[1])
+    summands = []
+    for n, first in enumerate((True, False)):
+        summands.append(drawn_on(
+            codomain.restrict(lambda l: (l in first_out) == first),
+            domain.restrict(lambda l: (l in first_in) == first),
+            support, density, zero_share, seed + n,
+        ))
+    total = assemble(Symbol(codomain, domain, {**summands[0].blocks, **summands[1].blocks}),
+                     mu, nu)
+    parts = [assemble(summand, mu, nu) for summand in summands]
+    # the rank cut is relative to each operator's largest value: drop draws
+    # where a summand's value lies near its own cut or the direct sum's
+    top = max((float(op.singular_values[0]) for op in parts if op.singular_values.size),
+              default=0.0)
+    for op in parts:
+        values = op.singular_values
+        if values.size and values[0] > 0.0:
+            low, high = sorted((RANK_TOLERANCE * values[0], RANK_TOLERANCE * top))
+            assume(not np.any((values > 0.99 * low) & (values <= 1.01 * high)))
+    want = np.sum([numerical_index(op, RANK_TOLERANCE) for op in parts], axis=0)
+    assert numerical_index(total, RANK_TOLERANCE) == tuple(int(x) for x in want)
