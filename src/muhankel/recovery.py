@@ -199,8 +199,20 @@ def forward(op: BlockOperator) -> SpectralData:
     k = retained_count(values, ZERO_REL_TOL)
     u = np.ascontiguousarray(u_mat[:, :k])
     v = np.ascontiguousarray(vh[:k].conj().T)
+    _canonical_phases(u, v)
     _snap_to_components(op, u, v)
     return SpectralData(op.codomain, op.domain, values[:k], u, v)
+
+
+def _canonical_phases(u: np.ndarray, v: np.ndarray) -> None:
+    """In place, multiply each column pair of ``u`` and ``v`` by the unit
+    phase that makes the largest-modulus entry of the ``u`` column real and
+    positive (the first such entry on ties), so that the operator, not the
+    SVD routine, fixes each triple's phase."""
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    phase = top.conj() / np.abs(top)
+    u *= phase
+    v *= phase
 
 
 def _snap_to_components(op: BlockOperator, u: np.ndarray, v: np.ndarray) -> None:

@@ -9,6 +9,13 @@ pass. They record what the CLI wrote before a change; the test then reruns
 every case on the changed code and requires the same files. Regenerating on
 the changed code would compare the change with itself.
 
+The one exception is a declared output change: a commit that changes what
+the CLI writes on purpose, and changes nothing else, runs this script and
+keeps only the files that the change is declared to move, restoring every
+other rewritten file. Its message lists each moved number, before and
+after. The canonical phase of ``forward``'s triples was introduced this
+way; it moved ``stability/`` and ``inputs/su2-matching-data.json``.
+
 Layout: ``inputs/`` holds the symbol and spectral-data files the cases read.
 Each case directory holds ``argv.json`` (the command line, run from a
 directory that contains ``inputs/``), ``stdout.txt`` and ``out/``, the files

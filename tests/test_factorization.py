@@ -201,9 +201,13 @@ def test_forward_zeroes_leakage_outside_the_home_component(
     k = data.s.size
     assert k == retained_count(values, ZERO_REL_TOL)
     np.testing.assert_array_equal(bits(data.s), bits(values[:k]))
+    u_mat, v_mat = u_mat[:, :k], vh[:k].conj().T
+    top = u_mat[np.argmax(np.abs(u_mat), axis=0), np.arange(k)]
+    phase = top.conj() / np.abs(top)
+    u_mat, v_mat = u_mat * phase, v_mat * phase
     rows, cols = op.coordinate_components
     for i in range(k):
-        u, v = u_mat[:, i], vh[i].conj()
+        u, v = u_mat[:, i], v_mat[:, i]
         home = rows[np.argmax(np.abs(u))]
         out_u, out_v = rows != home, cols != home
         # inside the home component: the dense SVD's columns, bit for bit

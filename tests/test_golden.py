@@ -3,7 +3,8 @@ its manifest lists under ``outputs``, plus its stdout, must match the
 fixture. Numbers agree to 1e-12 relative to the largest magnitude in the
 fixture file; all other text matches exactly. The fixtures and the script
 that writes them (tests/golden/make_golden.py) are regenerated only on a
-parent commit."""
+parent commit, or in a commit that declares an output change and does
+nothing else (see that script's docstring)."""
 
 import importlib.util
 import json
