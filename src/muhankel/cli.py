@@ -24,6 +24,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -303,7 +304,7 @@ def cmd_stability(args) -> int:
            "trials": args.trials, "weighted_penalty": args.weighted_penalty}, {
         "table": ("stability.csv", ["delta", "alpha", "mean_error", "std_error"],
                   [[r.delta, r.alpha, r.mean_error, r.std_error] for r in rows]),
-        "summary": ("stability.json", {"rows": [r.to_dict() for r in rows], "slope": slope}),
+        "summary": ("stability.json", {"rows": [asdict(r) for r in rows], "slope": slope}),
     })
     for row in rows:
         print(

@@ -17,7 +17,7 @@ entry for entry the one ``to_dense()`` builds, and the ``MAX_DENSE_ENTRIES``
 guard applies to each component's matrix, so a diagonal or matching operator
 may be far larger than one dense N x N matrix could be. The compactness
 indicator reads the factorization over the blocks inside the half catalogs,
-and ``forward`` reads which component holds each coordinate.
+and ``forward`` takes its singular vectors from the same component matrices.
 """
 
 from __future__ import annotations
@@ -49,9 +49,6 @@ class BlockOperator:
     mu: Weight
     nu: Weight
     weighted: dict[BlockKey, np.ndarray] = field(init=False, repr=False)
-    _block_values: dict[BlockKey, np.ndarray] = field(
-        init=False, repr=False, compare=False, default_factory=dict
-    )
 
     def __post_init__(self) -> None:
         _check_table_cover(self.mu, self.symbol.codomain, "mu")
@@ -138,22 +135,6 @@ class BlockOperator:
         """The support components of every stored block."""
         return self._components(self.weighted)
 
-    @cached_property
-    def coordinate_components(self) -> tuple[np.ndarray, np.ndarray]:
-        """Position in :attr:`components` of the component holding each
-        codomain and each domain coordinate, -1 for a label with no block;
-        read-only."""
-        rows = np.full(self.shape[0], -1)
-        cols = np.full(self.shape[1], -1)
-        for i, (pis, rhos, _) in enumerate(self.components):
-            for pi in pis:
-                rows[self.codomain.slice_of(pi)] = i
-            for rho in rhos:
-                cols[self.domain.slice_of(rho)] = i
-        rows.setflags(write=False)
-        cols.setflags(write=False)
-        return rows, cols
-
     def support_values(self, keys: Collection[BlockKey]) -> np.ndarray:
         """Descending singular values of the stored blocks ``keys`` alone, not
         zero-padded: one SVD per component of that support, none for a
@@ -177,11 +158,18 @@ class BlockOperator:
         return values
 
     def _component_values(self, component: Component) -> np.ndarray:
-        """Singular values of one component's matrix: the dense matrix
-        restricted to the component's labels, in catalog order."""
+        """Singular values of one component's matrix."""
+        keys = component[2]
+        if len(keys) == 1:
+            return self.block_singular_values[keys[0]]
+        return np.linalg.svd(self._component_matrix(component), compute_uv=False)
+
+    def _component_matrix(self, component: Component) -> np.ndarray:
+        """The dense matrix restricted to one component's labels, in catalog
+        order; for a single-block component, the weighted block itself."""
         rows, cols, keys = component
         if len(keys) == 1:
-            return self._block_svd(keys[0])
+            return self.weighted[keys[0]]
         n_rows = sum(l.dim for l in rows)
         n_cols = sum(l.dim for l in cols)
         if n_rows * n_cols > MAX_DENSE_ENTRIES:
@@ -197,23 +185,18 @@ class BlockOperator:
         for pi, rho in keys:
             matrix[row_at[pi] : row_at[pi] + pi.dim,
                    col_at[rho] : col_at[rho] + rho.dim] = self.weighted[(pi, rho)]
-        return np.linalg.svd(matrix, compute_uv=False)
-
-    def _block_svd(self, key: BlockKey) -> np.ndarray:
-        """One entry of :attr:`block_singular_values`, computed on first use."""
-        values = self._block_values.get(key)
-        if values is None:
-            values = np.linalg.svd(self.weighted[key], compute_uv=False)
-            values.setflags(write=False)
-            self._block_values[key] = values
-        return values
+        return matrix
 
     @cached_property
     def block_singular_values(self) -> dict[BlockKey, np.ndarray]:
         """Descending singular values of every weighted block, in symbol order,
         one SVD per block per operator; read-only. Entry [0] is the block's
         2-norm."""
-        return {key: self._block_svd(key) for key in self.weighted}
+        values = {}
+        for key, block in self.weighted.items():
+            values[key] = np.linalg.svd(block, compute_uv=False)
+            values[key].setflags(write=False)
+        return values
 
 
 ZERO_REL_TOL = 1e-12  # relative zero cut of forward's triples and the smallest retained value

@@ -1,11 +1,12 @@
 """Symbol recovery from singular-value data.
 
 The forward map takes an assembled operator to its list of singular triples.
-They come from one SVD of the dense matrix, whose phases the stability
-experiment draws its noise on. Where a triple's rounding leakage outside its
-support component is within ``ZERO_REL_TOL``, it is set to exact zeros, so
-that the vectors vanish outside their component as the exact ones do and
-each such entry is written as 0.0. Each triple is attributed to the block
+They come from one SVD per support component, the factorization every
+spectral consumer reads, so each triple's vectors are exact zeros outside
+its component and each such entry is written as 0.0. Each triple's phase
+makes the largest entry of its left vector real and positive, so the basis
+the stability experiment draws its noise on is fixed by the operator, not by
+the SVD routine. Each triple is attributed to the block
 carrying (at least 99% of) the squared mass of its singular vectors;
 recovery reassembles every attributed block from the triples and solves for
 the symbol block in closed form. There is one solver: with regularization
@@ -186,22 +187,40 @@ def _heaviest_labels(vecs: np.ndarray, catalog: DualCatalog) -> tuple[list, np.n
 
 
 def forward(op: BlockOperator) -> SpectralData:
-    """Singular triples of the dense truncation, with block attribution.
+    """Singular triples of the operator, with block attribution.
 
-    The triples come from one SVD of the dense matrix. Those whose singular
-    value is not above ``ZERO_REL_TOL`` times the largest are dropped; a
-    zero operator yields no triples. The rest have their rounding leakage
-    outside their support component set to exact zeros
-    (:func:`_snap_to_components`).
+    Each support component's matrix is factored once, with its vectors, and
+    each triple's phase is fixed on the component's own vectors
+    (:func:`_canonical_phases`); embedded in the dense layout, the vectors
+    are then exactly +0.0 outside their component. The triples of all
+    components are merged by a stable descending sort of their values, and
+    those not above ``ZERO_REL_TOL`` times the largest are dropped; a zero
+    operator yields no triples.
     """
-    u_mat, values, vh = np.linalg.svd(op.to_dense(), full_matrices=False)
-    # the values descend, so the kept ones are a prefix
-    k = retained_count(values, ZERO_REL_TOL)
-    u = np.ascontiguousarray(u_mat[:, :k])
-    v = np.ascontiguousarray(vh[:k].conj().T)
-    _canonical_phases(u, v)
-    _snap_to_components(op, u, v)
-    return SpectralData(op.codomain, op.domain, values[:k], u, v)
+    factored = []
+    for component in op.components:
+        u_c, s_c, vh_c = np.linalg.svd(op._component_matrix(component), full_matrices=False)
+        v_c = vh_c.conj().T
+        _canonical_phases(u_c, v_c)
+        factored.append((component, s_c, u_c, v_c))
+    values = np.concatenate([s_c for _, s_c, _, _ in factored]) if factored else np.zeros(0)
+    order = np.argsort(-values, kind="stable")
+    k = retained_count(values[order], ZERO_REL_TOL)
+    # position of each component's triples in the merged order
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    u = np.zeros((op.shape[0], k), dtype=np.complex128)
+    v = np.zeros((op.shape[1], k), dtype=np.complex128)
+    start = 0
+    for (rows, cols, _), s_c, u_c, v_c in factored:
+        at = position[start : start + s_c.size]
+        start += s_c.size
+        kept = at < k
+        row_at = np.r_[tuple(map(op.codomain.slice_of, rows))]
+        col_at = np.r_[tuple(map(op.domain.slice_of, cols))]
+        u[np.ix_(row_at, at[kept])] = u_c[:, kept]
+        v[np.ix_(col_at, at[kept])] = v_c[:, kept]
+    return SpectralData(op.codomain, op.domain, values[order[:k]], u, v)
 
 
 def _canonical_phases(u: np.ndarray, v: np.ndarray) -> None:
@@ -213,27 +232,6 @@ def _canonical_phases(u: np.ndarray, v: np.ndarray) -> None:
     phase = top.conj() / np.abs(top)
     u *= phase
     v *= phase
-
-
-def _snap_to_components(op: BlockOperator, u: np.ndarray, v: np.ndarray) -> None:
-    """In place, for the singular vectors in the columns of ``u`` and ``v``:
-    a triple's home is the support component of ``op`` holding the largest
-    entry of its ``u``. When the parts of ``u`` and ``v`` outside the home
-    both have norm at most ``ZERO_REL_TOL``, they are rounding leakage and
-    become exact zeros; the entries inside keep their bits. A triple with
-    more weight outside, such as one mixing two components that share a
-    singular value, is left as it is."""
-    if u.shape[1] == 0:
-        return
-    rows, cols = op.coordinate_components
-    home = rows[np.argmax(np.abs(u), axis=0)]
-    out_u = rows[:, None] != home
-    out_v = cols[:, None] != home
-    snap = ((np.linalg.norm(np.where(out_u, u, 0.0), axis=0) <= ZERO_REL_TOL)
-            & (np.linalg.norm(np.where(out_v, v, 0.0), axis=0) <= ZERO_REL_TOL))
-    # assigned, not multiplied by a mask, so that the zeros carry no sign
-    u[out_u & snap] = 0.0
-    v[out_v & snap] = 0.0
 
 
 def tikhonov_recover(
@@ -309,14 +307,6 @@ class StabilityRow:
     alpha: float
     mean_error: float
     std_error: float
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "alpha": self.alpha,
-            "mean_error": self.mean_error,
-            "std_error": self.std_error,
-        }
 
 
 def stability_scan(

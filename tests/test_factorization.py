@@ -1,8 +1,9 @@
 """The factorization by support components against the dense SVD: random
 SU(2), torus and product catalogs and supports, the half-cutoff support that
 the compactness indicator reads, the cases the dense path cannot reach and
-the per-component size guard; over the same draws, forward's exact zeros
-outside each triple's component, the adjoint identity, and the numerical
+the per-component size guard; over the same draws, forward against the
+dense SVD with the same phase rule and its exact zeros outside each
+triple's component, the adjoint identity, and the numerical
 index's invariance under scaling and additivity over direct sums. Needs
 ``hypothesis`` (in the ``test`` extra)."""
 
@@ -17,7 +18,7 @@ import muhankel.operators as ops
 from muhankel.duals import SU2, PowerLaw, Product, Torus, casimir, dim, enumerate_dual
 from muhankel.fredholm import numerical_index
 from muhankel.operators import ZERO_REL_TOL, assemble, retained_count
-from muhankel.recovery import SpectralData, _snap_to_components, forward
+from muhankel.recovery import SpectralData, forward, tikhonov_recover
 from muhankel.spectral import compactness_report
 from muhankel.symbols import (
     Symbol,
@@ -29,6 +30,7 @@ from muhankel.symbols import (
 
 GROUPS = {"su2": SU2(), "torus:1": Torus(1), "su2xtorus:1": Product((SU2(), Torus(1)))}
 RANK_TOLERANCE = 1e-8
+VECTOR_TOL = 1e-13
 
 
 def drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed):
@@ -106,13 +108,15 @@ def test_component_values_match_dense_svd(
     )
 
 
-def test_diagonal_operator_past_the_dense_guard():
+def test_diagonal_operator_past_the_dense_guard(monkeypatch):
     # N = 5050: one dense matrix would hold 25.5M entries, over the 25M guard;
     # each component is one block, and its values are analytic
     cat = enumerate_dual(SU2(), 2500.0)
     assert cat.dense_dim == 5050
     decay, s, t = 0.5, 0.3, -0.2
-    op = assemble(diagonal_symbol(cat, decay), PowerLaw(s), PowerLaw(t))
+    mu, nu = PowerLaw(s), PowerLaw(t)
+    sym = diagonal_symbol(cat, decay)
+    op = assemble(sym, mu, nu)
     with pytest.raises(ValueError, match="dense matrix would hold 25502500 entries"):
         op.to_dense()
     want = []
@@ -122,6 +126,19 @@ def test_diagonal_operator_past_the_dense_guard():
     np.testing.assert_allclose(
         op.singular_values, np.sort(want)[::-1], rtol=1e-12, atol=0
     )
+    # forward and recovery on a few of those blocks, never densified: the
+    # whole diagonal would need two 5050 x 5050 complex vector arrays
+    def refuse(self):
+        raise AssertionError("to_dense called")
+
+    monkeypatch.setattr(ops.BlockOperator, "to_dense", refuse)
+    few = {(l, l): sym.blocks[(l, l)] for l in (cat.labels[0], cat.labels[50], cat.labels[-1])}
+    data = forward(assemble(Symbol(cat, cat, few), mu, nu))
+    assert data.u.shape == (5050, 1 + 51 + 100)
+    recovered = tikhonov_recover(data, mu, nu)
+    assert recovered.blocks.keys() == few.keys()
+    for key, block in few.items():
+        np.testing.assert_allclose(recovered.blocks[key], block, rtol=0, atol=1e-9)
 
 
 def test_dense_guard_applies_to_each_component(monkeypatch):
@@ -132,11 +149,13 @@ def test_dense_guard_applies_to_each_component(monkeypatch):
     connected = assemble(random_symbol(cat, cat, 1.0, 0), PowerLaw(0.0), PowerLaw(0.0))
     diagonal = assemble(diagonal_symbol(cat), PowerLaw(0.0), PowerLaw(0.0))
     monkeypatch.setattr(ops, "MAX_DENSE_ENTRIES", 30)
-    with pytest.raises(
-        ValueError, match=r"support component of 3 x 3 labels would hold 6 x 6 = 36 entries"
-    ):
-        connected.singular_values
+    for factor in (lambda: connected.singular_values, lambda: forward(connected)):
+        with pytest.raises(
+            ValueError, match=r"support component of 3 x 3 labels would hold 6 x 6 = 36 entries"
+        ):
+            factor()
     np.testing.assert_array_equal(diagonal.singular_values, np.ones(6))
+    np.testing.assert_array_equal(forward(diagonal).s, np.ones(6))
 
 
 def test_connected_operator_keeps_the_dense_svd_values():
@@ -186,90 +205,121 @@ def bits(values):
     return np.ascontiguousarray(values).view(np.uint64)
 
 
+def dense_forward(op):
+    """The reference that ``forward`` is held to: one SVD of the dense matrix,
+    the ``retained_count`` cut, and the phase that makes the largest-modulus
+    entry of each ``u`` real and positive (the first such entry on ties).
+    Returns every dense singular value and the retained triples."""
+    u_mat, values, vh = np.linalg.svd(op.to_dense(), full_matrices=False)
+    k = retained_count(values, ZERO_REL_TOL)
+    u, v = u_mat[:, :k], vh[:k].conj().T
+    top = u[np.argmax(np.abs(u), axis=0), np.arange(k)]
+    phase = top.conj() / np.abs(top)
+    return values, SpectralData(op.codomain, op.domain, values[:k], u * phase, v * phase)
+
+
+def coordinate_components(op):
+    """Position in ``op.components`` of the component holding each codomain
+    and each domain coordinate, -1 for a label with no block."""
+    rows, cols = np.full(op.shape[0], -1), np.full(op.shape[1], -1)
+    for i, (pis, rhos, _) in enumerate(op.components):
+        for pi in pis:
+            rows[op.codomain.slice_of(pi)] = i
+        for rho in rhos:
+            cols[op.domain.slice_of(rho)] = i
+    return rows, cols
+
+
 @settings(max_examples=60, deadline=None)
 @given(**DRAWS)
-# a matching on the product group
+# a matching on the product group; one component over every label
 @example(group="su2xtorus:1", cut_out=4.0, cut_in=4.0, support="matching", density=1.0,
          zero_share=0.0, seed=3, exponents=(0.5, -0.5))
-def test_forward_zeroes_leakage_outside_the_home_component(
+@example(group="su2", cut_out=6.0, cut_in=6.0, support="random", density=1.0,
+         zero_share=0.0, seed=0, exponents=(0.5, -0.5))
+def test_forward_matches_the_dense_svd_inside_each_component(
     group, cut_out, cut_in, support, density, zero_share, seed, exponents
 ):
     sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
     op = assemble(sym, PowerLaw(exponents[0]), PowerLaw(exponents[1]))
     data = forward(op)
-    u_mat, values, vh = np.linalg.svd(op.to_dense(), full_matrices=False)
-    k = data.s.size
-    assert k == retained_count(values, ZERO_REL_TOL)
-    np.testing.assert_array_equal(bits(data.s), bits(values[:k]))
-    u_mat, v_mat = u_mat[:, :k], vh[:k].conj().T
-    top = u_mat[np.argmax(np.abs(u_mat), axis=0), np.arange(k)]
-    phase = top.conj() / np.abs(top)
-    u_mat, v_mat = u_mat * phase, v_mat * phase
-    rows, cols = op.coordinate_components
+    values, want = dense_forward(op)
+    k = want.s.size
+    assert data.s.size == k
+    if k == 0:
+        return
+    np.testing.assert_allclose(data.s, want.s, rtol=0, atol=1e-12 * values[0])
+    # each retained value's distance to its neighbours in the dense list,
+    # relative to the largest value and at most 1; a vector is fixed only up
+    # to rounding over that gap, and values that tie may mix in the dense SVD
+    padded = np.concatenate(([np.inf], values, [-np.inf]))
+    gaps = np.minimum(padded[:-2] - padded[1:-1], padded[1:-1] - padded[2:])[:k]
+    gaps = np.minimum(gaps / values[0], 1.0)
+    for i in np.flatnonzero(gaps > 1e-6):
+        for got, ref in ((data.u[:, i], want.u[:, i]), (data.v[:, i], want.v[:, i])):
+            np.testing.assert_allclose(got, ref, rtol=0, atol=VECTOR_TOL / gaps[i])
+        assert data.attribution[i] == want.attribution[i]
+    # outside its own component each triple is +0.0, real and imaginary
+    # parts alike
+    rows, cols = coordinate_components(op)
     for i in range(k):
-        u, v = u_mat[:, i], v_mat[:, i]
-        home = rows[np.argmax(np.abs(u))]
-        out_u, out_v = rows != home, cols != home
-        # inside the home component: the dense SVD's columns, bit for bit
-        np.testing.assert_array_equal(bits(data.u[~out_u, i]), bits(u[~out_u]))
-        np.testing.assert_array_equal(bits(data.v[~out_v, i]), bits(v[~out_v]))
-        if np.linalg.norm(u[out_u]) <= ZERO_REL_TOL and np.linalg.norm(v[out_v]) <= ZERO_REL_TOL:
-            # exact +0.0 outside, real and imaginary parts alike
-            assert not bits(data.u[out_u, i]).any() and not bits(data.v[out_v, i]).any()
-        else:
-            np.testing.assert_array_equal(bits(data.u[:, i]), bits(u))
-            np.testing.assert_array_equal(bits(data.v[:, i]), bits(v))
+        home = rows[np.argmax(np.abs(data.u[:, i]))]
+        assert not bits(data.u[rows != home, i]).any()
+        assert not bits(data.v[cols != home, i]).any()
     back = SpectralData.from_dict(json.loads(json.dumps(data.to_dict())))
-    for got, want in ((back.s, data.s), (back.u, data.u), (back.v, data.v)):
-        np.testing.assert_array_equal(bits(got), bits(want))
+    for got, ref in ((back.s, data.s), (back.u, data.u), (back.v, data.v)):
+        np.testing.assert_array_equal(bits(got), bits(ref))
     assert back.attribution == data.attribution
 
 
+def redrawn_matching(cutoff):
+    """A full matching on ``su2xtorus:1``; past cutoff 6 its blocks are
+    redrawn from ``default_rng(1)`` as (re + 1j im) / sqrt(2), block by
+    block. At cutoff 30 it holds nearly equal values in separate blocks,
+    which a dense SVD mixes at the level of rounding."""
+    cat = enumerate_dual(GROUPS["su2xtorus:1"], cutoff)
+    sym = random_matching_symbol(cat, cat, 0, pairs=len(cat))
+    if cutoff <= 6.0:
+        return sym
+    rng = np.random.default_rng(1)
+    blocks = {}
+    for key, block in sym.blocks.items():
+        re = rng.standard_normal(block.shape)
+        blocks[key] = (re + 1j * rng.standard_normal(block.shape)) / np.sqrt(2.0)
+    return Symbol(cat, cat, blocks)
+
+
 def test_forward_zeroes_a_separated_matching_outside_each_block():
+    for sym in (redrawn_matching(6.0), redrawn_matching(30.0)):
+        cat = sym.codomain
+        data = forward(assemble(sym, PowerLaw(0.5), PowerLaw(-0.5)))
+        assert data.fully_attributed
+        for i, (pi, rho) in enumerate(data.attribution):
+            outside_u = np.ones(cat.dense_dim, dtype=bool)
+            outside_u[cat.slice_of(pi)] = False
+            outside_v = np.ones(cat.dense_dim, dtype=bool)
+            outside_v[cat.slice_of(rho)] = False
+            assert not bits(data.u[outside_u, i]).any()
+            assert not bits(data.v[outside_v, i]).any()
+
+
+def test_forward_keeps_tied_values_of_separate_components_apart():
+    # a matching whose square blocks are unitary: separate components share
+    # the singular value 1, and a dense SVD is free to mix their vectors
     cat = enumerate_dual(GROUPS["su2xtorus:1"], 6.0)
-    op = assemble(random_matching_symbol(cat, cat, 0, pairs=len(cat)),
-                  PowerLaw(0.5), PowerLaw(-0.5))
-    data = forward(op)
+    rng = np.random.default_rng(0)
+    blocks = {}
+    for key, block in random_matching_symbol(cat, cat, 0, pairs=len(cat)).blocks.items():
+        if block.shape[0] == block.shape[1]:
+            block, _ = np.linalg.qr(rng.standard_normal(block.shape)
+                                    + 1j * rng.standard_normal(block.shape))
+        blocks[key] = block
+    mu = nu = PowerLaw(0.0)
+    data = forward(assemble(Symbol(cat, cat, blocks), mu, nu))
     assert data.fully_attributed
-    for i, (pi, rho) in enumerate(data.attribution):
-        outside_u = np.ones(cat.dense_dim, dtype=bool)
-        outside_u[cat.slice_of(pi)] = False
-        outside_v = np.ones(cat.dense_dim, dtype=bool)
-        outside_v[cat.slice_of(rho)] = False
-        assert not bits(data.u[outside_u, i]).any() and not bits(data.v[outside_v, i]).any()
-
-
-def test_snap_leaves_a_mixed_triple_as_it_is():
-    # two single-block components, (a, a) and (b, b), that share the singular
-    # value 1: any rotation of their unit vectors is a valid SVD, and one at
-    # 45 degrees puts half of each vector's mass outside its home
-    cat = enumerate_dual(Torus(1), 1.0)
-    a, b = cat.labels[:2]
-    op = assemble(Symbol(cat, cat, {(a, a): np.ones((1, 1)), (b, b): np.ones((1, 1))}),
-                  PowerLaw(0.0), PowerLaw(0.0))
-    mixed = np.zeros((cat.dense_dim, 2), dtype=complex)
-    mixed[cat.slice_of(a)] = [[np.sqrt(0.5), np.sqrt(0.5)]]
-    mixed[cat.slice_of(b)] = [[np.sqrt(0.5), -np.sqrt(0.5)]]
-    u, v = mixed.copy(), mixed.copy()
-    _snap_to_components(op, u, v)
-    np.testing.assert_array_equal(bits(u), bits(mixed))
-    np.testing.assert_array_equal(bits(v), bits(mixed))
-    # leakage just above the cut on either side keeps both vectors as they
-    # are; just below it on both sides, it becomes exact zeros
-    def leaking(leak):
-        vec = np.zeros((cat.dense_dim, 1), dtype=complex)
-        vec[cat.slice_of(a)] = np.sqrt(1 - leak**2)
-        vec[cat.slice_of(b)] = 0.0 - leak  # +0.0, not -0.0, for no leak
-        return vec
-
-    above, below, clean = leaking(10 * ZERO_REL_TOL), leaking(0.1 * ZERO_REL_TOL), leaking(0.0)
-    for want_u, want_v in ((above, clean), (clean, above), (below, below)):
-        u, v = want_u.copy(), want_v.copy()
-        _snap_to_components(op, u, v)
-        if want_u is below:
-            want_u = want_v = clean
-        np.testing.assert_array_equal(bits(u), bits(want_u))
-        np.testing.assert_array_equal(bits(v), bits(want_v))
+    recovered = tikhonov_recover(data, mu, nu)
+    for key, block in blocks.items():
+        np.testing.assert_allclose(recovered.blocks[key], block, rtol=0, atol=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

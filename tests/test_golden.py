@@ -1,6 +1,6 @@
-"""Golden CLI outputs: every case under tests/golden/ is rerun and each file
-its manifest lists under ``outputs``, plus its stdout, must match the
-fixture. Numbers agree to 1e-12 relative to the largest magnitude in the
+"""Golden CLI outputs: every case under tests/golden/ is rerun and its
+manifest, each file the manifest lists under ``outputs`` and its stdout
+must match the fixture. Numbers agree to 1e-12 relative to the largest magnitude in the
 fixture file; all other text matches exactly. The fixtures and the script
 that writes them (tests/golden/make_golden.py) are regenerated only on a
 parent commit, or in a commit that declares an output change and does
@@ -47,11 +47,10 @@ def test_golden(case, tmp_path, monkeypatch, capsys):
     assert main(argv) == 0
     assert_matches(capsys.readouterr().out, (fixture / "stdout.txt").read_text(), "stdout")
 
-    manifest_name = f"{argv[0]}-manifest.json"
-    want = json.loads((fixture / "out" / manifest_name).read_text())["outputs"]
-    got = json.loads((tmp_path / "out" / manifest_name).read_text())["outputs"]
-    assert got == want
-    for path in want.values():
+    manifest = f"out/{argv[0]}-manifest.json"
+    want = (fixture / manifest).read_text()
+    assert_matches((tmp_path / manifest).read_text(), want, manifest)
+    for path in json.loads(want)["outputs"].values():
         assert_matches(
             (tmp_path / path).read_text(), (fixture / path).read_text(), path
         )
