@@ -10,7 +10,6 @@ from (possibly noisy) singular-value data.
 from .duals import (
     SU2,
     DualCatalog,
-    GroupKind,
     IrrepLabel,
     PowerLaw,
     Product,
@@ -26,7 +25,6 @@ from .duals import (
 )
 from .fredholm import (
     FormulaInapplicableError,
-    IndexReport,
     index_formula,
     index_report,
     numerical_index,
@@ -35,7 +33,6 @@ from .fredholm import (
 from .operators import BlockOperator, assemble
 from .recovery import (
     AttributionError,
-    SingularTriple,
     SpectralData,
     StabilityRow,
     forward,
@@ -44,7 +41,6 @@ from .recovery import (
     tikhonov_recover,
 )
 from .spectral import (
-    CriterionVerdict,
     SpectrumReport,
     carleson_test,
     compactness_report,
@@ -67,56 +63,3 @@ from .symbols import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "SU2",
-    "Torus",
-    "Product",
-    "GroupKind",
-    "IrrepLabel",
-    "PowerLaw",
-    "TableWeight",
-    "Weight",
-    "UNIT_WEIGHT",
-    "DualCatalog",
-    "enumerate_dual",
-    "parse_group",
-    "dim",
-    "casimir",
-    "weight_eval",
-    "Symbol",
-    "SymbolClassParams",
-    "class_norm",
-    "diagonal_symbol",
-    "hankel_symbol_from_fourier",
-    "hs_norm",
-    "random_matching_symbol",
-    "random_symbol",
-    "symbol_difference",
-    "BlockOperator",
-    "assemble",
-    "SpectrumReport",
-    "CriterionVerdict",
-    "spectrum",
-    "schatten_norm",
-    "norm_criteria",
-    "schur_constant",
-    "carleson_test",
-    "compactness_report",
-    "schatten_series_scan",
-    "FormulaInapplicableError",
-    "IndexReport",
-    "index_formula",
-    "index_report",
-    "numerical_index",
-    "winding_number",
-    "AttributionError",
-    "SingularTriple",
-    "SpectralData",
-    "StabilityRow",
-    "forward",
-    "perturb_spectral_data",
-    "stability_scan",
-    "tikhonov_recover",
-    "__version__",
-]

@@ -1,23 +1,24 @@
 """Symbol recovery from singular-value data.
 
-The forward map takes an assembled operator to its list of singular triples.
-They come from one SVD per support component, the factorization every
-spectral consumer reads, so each triple's vectors are exact zeros outside
-its component and each such entry is written as 0.0. Each triple's phase
-makes the largest entry of its left vector real and positive, so the basis
-the stability experiment draws its noise on is fixed by the operator, not by
-the SVD routine. Each triple is attributed to the block
-carrying (at least 99% of) the squared mass of its singular vectors;
-recovery reassembles every attributed block from the triples and solves for
-the symbol block in closed form. There is one solver: with regularization
-alpha = 0 it divides out the weights exactly, and with alpha > 0 it is the
-Tikhonov estimate for noisy data. Degenerate data that cannot be attributed
-is refused rather than guessed at.
+The forward map takes an assembled operator to its singular triples. They
+come from one SVD per support component, the factorization every spectral
+consumer reads, so each triple's vectors are exact zeros outside its
+component; the data file stores each vector by its runs of entries that are
+not bitwise zero (a file listing every entry still reads). Each triple's
+phase makes the largest entry of its left vector real and positive, so the
+operator, not the SVD routine, fixes the basis the stability experiment
+draws its noise on. Each triple is attributed to the block carrying (at
+least 99% of) the squared mass of its singular vectors; recovery solves
+each attributed block of the matrix reassembled from the triples in closed
+form: with regularization alpha = 0 it divides out the weights exactly, and
+with alpha > 0 it is the Tikhonov estimate for noisy data. Degenerate data
+that cannot be attributed is refused rather than guessed at.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -27,7 +28,6 @@ from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
 from .symbols import (
     BlockKey,
     Symbol,
-    complex_from_parts,
     hs_norm,
     parse_numbers,
     symbol_difference,
@@ -116,13 +116,17 @@ class SpectralData:
         return (self.u * self.s) @ self.v.conj().T
 
     def to_dict(self) -> dict:
-        parts = [vecs.T.tolist() for vecs in (self.u.real, self.u.imag, self.v.real, self.v.imag)]
+        """The JSON form: each triple's ``u_runs`` and ``v_runs`` are the
+        [start, length] runs of its entries that are not bitwise zero (both
+        parts +0.0), and ``u_re``/``u_im``/``v_re``/``v_im`` hold only those
+        entries, every bit kept."""
+        names = ("u_runs", "u_re", "u_im", "v_runs", "v_re", "v_im")
         return {
             "codomain": self.codomain.to_dict(),
             "domain": self.domain.to_dict(),
             "triples": [
-                {"s": s, "u_re": u_re, "u_im": u_im, "v_re": v_re, "v_im": v_im}
-                for s, u_re, u_im, v_re, v_im in zip(self.s.tolist(), *parts)
+                {"s": s, **dict(zip(names, fields))} for s, *fields
+                in zip(self.s.tolist(), *_support_runs(self.u), *_support_runs(self.v))
             ],
             "attribution": [
                 None if key is None else [list(key[0].index), list(key[1].index)]
@@ -132,40 +136,107 @@ class SpectralData:
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SpectralData":
+        """Inverse of :meth:`to_dict`. An entry without ``u_runs`` (or
+        ``v_runs``) holds that side in full, one value per coordinate; the
+        runs are checked to be integer pairs, sorted, non-overlapping and
+        inside the catalog, and each value list to fill them exactly."""
         codomain = DualCatalog.from_dict(data["codomain"])
         domain = DualCatalog.from_dict(data["domain"])
         entries = data["triples"]
-        dims = {"u": codomain.dense_dim, "v": domain.dense_dim}
-        for i, entry in enumerate(entries):
-            for part in ("u_re", "u_im", "v_re", "v_im"):
-                value, n = entry[part], dims[part[0]]
-                if not isinstance(value, list) or len(value) != n:
-                    got = f"length {len(value)}" if isinstance(value, list) else repr(value)
-                    raise ValueError(f"triple {i}: {part} must be a list of {n} numbers, got {got}")
-
-        def stacked(name: str, ndim: int) -> np.ndarray:
-            """Field ``name`` of every entry, one row each; a value that is not
-            ``ndim`` deep in numbers is refused naming its triple."""
-            values = [entry[name] for entry in entries]
-            try:
-                return parse_numbers(values, ndim + 1, name)
-            except TypeError:
-                for i, value in enumerate(values):
-                    parse_numbers(value, ndim, f"triple {i}: {name}")
-                raise
-
-        def vectors(side: str) -> np.ndarray:
-            """N x k, one column per entry."""
-            shape = (len(entries), dims[side])
-            return complex_from_parts(stacked(side + "_re", 1).reshape(shape).T,
-                                      stacked(side + "_im", 1).reshape(shape).T)
-
+        values = _numbers([entry["s"] for entry in entries], "s", 0)
+        u = _read_side(entries, "u", codomain.dense_dim)
+        v = _read_side(entries, "v", domain.dense_dim)
         attribution = [
             None if key is None else (IrrepLabel(codomain.group, tuple(key[0])),
                                       IrrepLabel(domain.group, tuple(key[1])))
             for key in data["attribution"]
         ]
-        return cls(codomain, domain, stacked("s", 0), vectors("u"), vectors("v"), attribution)
+        return cls(codomain, domain, values, u, v, attribution)
+
+
+def _support_runs(vecs: np.ndarray) -> tuple[list, list, list]:
+    """Per column of ``vecs`` (N x k): the [start, length] runs of its
+    entries whose bits are not all zero, and those entries' real and
+    imaginary parts, each as one list per column."""
+    n, k = vecs.shape
+    rows = np.ascontiguousarray(vecs.T)  # k x N, one triple per row
+    halves = rows.view(np.uint64).reshape(k, n, 2)
+    keep = (halves[..., 0] | halves[..., 1]) != 0
+    # one False after each row and before the first, so that no run crosses a row
+    flat = np.pad(keep, ((0, 0), (0, 1))).ravel()
+    edges = np.flatnonzero(np.diff(flat, prepend=False))
+    starts, ends = edges[0::2], edges[1::2]
+    runs = np.stack([starts % (n + 1), ends - starts], axis=1).tolist()
+    kept = rows[keep]
+    per_value = keep.sum(axis=1)
+    return (_split(runs, np.bincount(starts // (n + 1), minlength=k)),
+            _split(kept.real.tolist(), per_value), _split(kept.imag.tolist(), per_value))
+
+
+def _split(flat: list, counts: np.ndarray) -> list[list]:
+    """``flat`` cut into consecutive lists of the given lengths."""
+    ends = np.cumsum(counts).tolist()
+    return [flat[a:b] for a, b in zip([0, *ends], ends)]
+
+
+def _numbers(values: list, name: str, ndim: int) -> np.ndarray:
+    """Field ``name`` of each entry, numbers ``ndim`` lists deep, joined end
+    to end into one array; a faulty value is refused naming its triple."""
+    try:
+        return parse_numbers(list(chain.from_iterable(values)) if ndim else values, 1, name)
+    except TypeError:
+        for i, value in enumerate(values):
+            parse_numbers(value, ndim, f"triple {i}: {name}")
+        raise
+
+
+def _parse_runs(runs, n: int, what: str) -> list:
+    """``runs`` checked to be [start, length] pairs of integers, each of
+    length at least 1, sorted, non-overlapping and inside ``n`` coordinates."""
+    if not isinstance(runs, list):
+        raise ValueError(f"{what} is {runs!r}, not a list of [start, length] pairs")
+    end = 0
+    for j, run in enumerate(runs):
+        if not (isinstance(run, list) and len(run) == 2 and all(type(x) is int for x in run)):
+            raise ValueError(f"{what}[{j}] is {run!r}, not a [start, length] pair of integers")
+        start, length = run
+        if length < 1:
+            raise ValueError(f"{what}[{j}] has length {length}, not at least 1")
+        if start < end:
+            raise ValueError(f"{what}[{j}] starts at {start}, before {end}")
+        end = start + length
+        if end > n:
+            raise ValueError(f"{what}[{j}] ends at {end}, past the {n} coordinates")
+    return runs
+
+
+def _read_side(entries: list, side: str, n: int) -> np.ndarray:
+    """The ``side`` ("u" or "v") vectors of the triple ``entries`` as an
+    n x k array, zero outside each entry's runs."""
+    field, runs, parts = side + "_runs", [], {"re": [], "im": []}
+    for i, entry in enumerate(entries):
+        given = field in entry
+        runs.append(_parse_runs(entry[field], n, f"triple {i}: {field}") if given else [[0, n]])
+        total = sum(length for _, length in runs[-1])
+        for part, lists in parts.items():
+            value = entry[f"{side}_{part}"]
+            if not isinstance(value, list) or len(value) != total:
+                got = f"length {len(value)}" if isinstance(value, list) else repr(value)
+                fill = f", the total length of {field}" if given else ""
+                raise ValueError(f"triple {i}: {side}_{part} must be a list of {total} "
+                                 f"numbers{fill}, got {got}")
+            lists.append(value)
+    values = {part: _numbers(lists, f"{side}_{part}", 1) for part, lists in parts.items()}
+    flat = [(i, start, length) for i, triple in enumerate(runs) for start, length in triple]
+    owner, starts, lengths = np.array(flat, dtype=np.int64).reshape(-1, 3).T
+    # coordinate of each value: its run's start plus its place in the run
+    before = np.cumsum(lengths) - lengths
+    at = np.arange(lengths.sum()) + np.repeat(starts - before, lengths)
+    column = np.repeat(owner, lengths)
+    out = np.zeros((n, len(entries)), dtype=np.complex128)
+    out.real[at, column] = values["re"]
+    out.imag[at, column] = values["im"]
+    return out
 
 
 def _first_fault(bad: np.ndarray, fault: str) -> None:

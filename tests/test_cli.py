@@ -542,7 +542,7 @@ def test_non_number_symbol_entry_exit_2(tmp_path, capsys, edit, message):
 @pytest.mark.parametrize("edit, message", [
     (put("triples", 1, "u_re", 0, value="0.5"), "triple 1: u_re[0] is '0.5'"),
     (put("triples", 0, "s", value="0.5"), "triple 0: s is '0.5'"),
-    (put("triples", 2, "v_im", 3, value=[0.0]), "triple 2: v_im[3] is [0.0]"),
+    (put("triples", 2, "v_im", 1, value=[0.0]), "triple 2: v_im[1] is [0.0]"),
     (put("triples", 1, "v_re", 0, value=True), "triple 1: v_re[0] is True"),
 ], ids=["string-entry", "string-value", "nested-list", "boolean"])
 def test_non_number_spectral_data_exit_2(tmp_path, capsys, edit, message):
@@ -551,4 +551,47 @@ def test_non_number_spectral_data_exit_2(tmp_path, capsys, edit, message):
     data_path = write_json(tmp_path / "data.json", edit(data.to_dict()))
     assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 2
     assert f"{message}, not a number" in capsys.readouterr().err
+    assert not (tmp_path / "recovered_symbol.json").exists()
+
+
+def runs_of_triple_1(u_runs, u_re=(1.0,), u_im=(0.0,)):
+    """Edit of triple 1's left vector, which lies on coordinate 1 of 6."""
+    def edit(payload):
+        payload["triples"][1].update(u_runs=u_runs, u_re=list(u_re), u_im=list(u_im))
+        return payload
+    return edit
+
+
+RUN_PAIR = "not a [start, length] pair of integers"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (runs_of_triple_1([[-1, 1]]), "triple 1: u_runs[0] starts at -1, before 0"),
+    (runs_of_triple_1([[5, 2]], [1.0, 0.0], [0.0, 0.0]),
+     "triple 1: u_runs[0] ends at 7, past the 6 coordinates"),
+    (runs_of_triple_1([[0, 2], [1, 1]], [0.0, 1.0, 0.0], [0.0] * 3),
+     "triple 1: u_runs[1] starts at 1, before 2"),
+    (runs_of_triple_1([[3, 1], [1, 1]], [0.0, 1.0], [0.0, 0.0]),
+     "triple 1: u_runs[1] starts at 1, before 4"),
+    (runs_of_triple_1([[1.5, 1]]), f"triple 1: u_runs[0] is [1.5, 1], {RUN_PAIR}"),
+    (runs_of_triple_1([[1, 0]]), "triple 1: u_runs[0] has length 0, not at least 1"),
+    (runs_of_triple_1([[True, 1]]), f"triple 1: u_runs[0] is [True, 1], {RUN_PAIR}"),
+    (runs_of_triple_1([[1, "1"]]), f"triple 1: u_runs[0] is [1, '1'], {RUN_PAIR}"),
+    (runs_of_triple_1([1, 1]), f"triple 1: u_runs[0] is 1, {RUN_PAIR}"),
+    (runs_of_triple_1(1), "triple 1: u_runs is 1, not a list of [start, length] pairs"),
+    (runs_of_triple_1([[1, 2]]),
+     "triple 1: u_re must be a list of 2 numbers, the total length of u_runs, got length 1"),
+    (runs_of_triple_1([[1, 2]], [1.0, 0.0]),
+     "triple 1: u_im must be a list of 2 numbers, the total length of u_runs, got length 1"),
+], ids=["start-below-0", "past-n", "overlapping", "unsorted", "fractional-start",
+        "zero-length", "boolean", "string", "flat-pair", "number", "total-differs",
+        "im-shorter"])
+def test_spectral_data_runs_exit_2(tmp_path, capsys, edit, message):
+    cat = enumerate_dual(SU2(), 2.0)
+    data = forward(assemble(diagonal_symbol(cat, decay=1.0), UNIT_WEIGHT, UNIT_WEIGHT))
+    payload = data.to_dict()
+    assert payload["triples"][1]["u_runs"] == [[1, 1]]
+    data_path = write_json(tmp_path / "data.json", edit(payload))
+    assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
     assert not (tmp_path / "recovered_symbol.json").exists()

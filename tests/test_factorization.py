@@ -3,7 +3,8 @@ SU(2), torus and product catalogs and supports, the half-cutoff support that
 the compactness indicator reads, the cases the dense path cannot reach and
 the per-component size guard; over the same draws, forward against the
 dense SVD with the same phase rule and its exact zeros outside each
-triple's component, the adjoint identity, and the numerical
+triple's component, the spectral-data file's runs and bitwise round trip
+with signed zeros marked in, the adjoint identity, and the numerical
 index's invariance under scaling and additivity over direct sums. Needs
 ``hypothesis`` (in the ``test`` extra)."""
 
@@ -321,6 +322,53 @@ def test_forward_keeps_tied_values_of_separate_components_apart():
     for key, block in blocks.items():
         np.testing.assert_allclose(recovered.blocks[key], block, rtol=0, atol=1e-9)
 
+
+# entries a mark writes, (real, imaginary): signed zeros, and the smallest
+# subnormal, which lies below every tolerance and must be kept all the same
+MARKS = [(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0), (5e-324, 0.0)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(**DRAWS, marks=st.lists(st.tuples(st.floats(0, 1), st.sampled_from("uv"),
+                                         st.floats(0, 1), st.sampled_from(MARKS)), max_size=4))
+# a -0.0 inside a run: triple 0 spans every coordinate of its one component
+@example(group="su2", cut_out=6.0, cut_in=6.0, support="random", density=1.0,
+         zero_share=0.0, seed=0, exponents=(0.5, -0.5), marks=[(0.0, "u", 0.5, (-0.0, -0.0))])
+# a lone -0.0 outside the component: triple 0 sits on one block of a matching,
+# and the mark falls on the last coordinate, far from it
+@example(group="su2xtorus:1", cut_out=4.0, cut_in=4.0, support="matching", density=1.0,
+         zero_share=0.0, seed=3, exponents=(0.0, 0.0), marks=[(0.0, "v", 1.0, (0.0, -0.0))])
+def test_spectral_data_file_keeps_every_bit(
+    group, cut_out, cut_in, support, density, zero_share, seed, exponents, marks
+):
+    sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
+    data = forward(assemble(sym, PowerLaw(exponents[0]), PowerLaw(exponents[1])))
+    k = data.s.size
+    vecs = {"u": data.u.copy(), "v": data.v.copy()}
+    for triple, side, coordinate, (re, im) in marks if k else []:
+        column = vecs[side][:, min(int(triple * k), k - 1)]
+        at = min(int(coordinate * column.size), column.size - 1)
+        column.real[at], column.imag[at] = re, im
+        norm = np.linalg.norm(column)
+        assume(norm > 0)
+        column /= norm
+    marked = SpectralData(data.codomain, data.domain, data.s, vecs["u"], vecs["v"])
+    payload = json.loads(json.dumps(marked.to_dict()))
+    # the runs are maximal and cover exactly the entries whose bits are not
+    # all zero, real and imaginary parts together
+    for i, entry in enumerate(payload["triples"]):
+        for side, vec in (("u", marked.u[:, i]), ("v", marked.v[:, i])):
+            covered = np.zeros(vec.size, dtype=bool)
+            end = -1
+            for start, length in entry[side + "_runs"]:
+                assert start > end and length >= 1
+                covered[start : start + length] = True
+                end = start + length
+            np.testing.assert_array_equal(covered, (bits(vec.real) | bits(vec.imag)) != 0)
+    back = SpectralData.from_dict(payload)
+    for got, ref in ((back.s, marked.s), (back.u, marked.u), (back.v, marked.v)):
+        np.testing.assert_array_equal(bits(got), bits(ref))
+    assert back.attribution == marked.attribution
 
 @settings(max_examples=40, deadline=None)
 @given(**DRAWS)

@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -282,6 +283,29 @@ def test_spectral_data_json_round_trip():
     for key in sym.blocks:
         np.testing.assert_allclose(rec.blocks[key], sym.blocks[key], atol=1e-9)
 
+
+
+def test_dense_layout_spectral_data_still_reads():
+    # the data file in the layout written before vectors were stored by their
+    # runs, one value per coordinate; forward has since changed by rounding,
+    # so the two files agree to rounding, and both recover the true symbol
+    tests = Path(__file__).parent
+
+    def read(path):
+        return SpectralData.from_dict(json.loads(path.read_text()))
+
+    dense = read(tests / "data" / "su2-matching-data-dense.json")
+    runs = read(tests / "golden" / "inputs" / "su2-matching-data.json")
+    np.testing.assert_allclose(dense.s, runs.s, rtol=0, atol=1e-12 * runs.s[0])
+    np.testing.assert_allclose(dense.u, runs.u, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dense.v, runs.v, rtol=0, atol=1e-12)
+    assert dense.attribution == runs.attribution and dense.fully_attributed
+    truth = Symbol.from_dict(json.loads((tests / "golden" / "inputs" / "su2-matching.json")
+                                        .read_text()))
+    recovered = tikhonov_recover(dense, PowerLaw(0.5), PowerLaw(-0.5))
+    assert recovered.blocks.keys() == truth.blocks.keys()
+    for key, block in truth.blocks.items():
+        np.testing.assert_allclose(recovered.blocks[key], block, rtol=0, atol=1e-9)
 
 def test_spectral_data_validation():
     cat = enumerate_dual(Torus(1), 0.0)
