@@ -7,49 +7,11 @@ criteria), evaluates index diagnostics, and recovers band-limited symbols
 from (possibly noisy) singular-value data.
 """
 
-from .duals import (
-    SU2,
-    DualCatalog,
-    IrrepLabel,
-    PowerLaw,
-    Product,
-    TableWeight,
-    Torus,
-    UNIT_WEIGHT,
-    Weight,
-    casimir,
-    dim,
-    enumerate_dual,
-    parse_group,
-    weight_eval,
-)
-from .fredholm import (
-    FormulaInapplicableError,
-    index_formula,
-    index_report,
-    numerical_index,
-    winding_number,
-)
+from .duals import SU2, PowerLaw, enumerate_dual, parse_group
+from .fredholm import index_report
 from .operators import BlockOperator, assemble
-from .recovery import (
-    AttributionError,
-    SpectralData,
-    StabilityRow,
-    forward,
-    perturb_spectral_data,
-    stability_scan,
-    tikhonov_recover,
-)
-from .spectral import (
-    SpectrumReport,
-    carleson_test,
-    compactness_report,
-    norm_criteria,
-    schatten_norm,
-    schatten_series_scan,
-    schur_constant,
-    spectrum,
-)
+from .recovery import forward, tikhonov_recover
+from .spectral import norm_criteria, schatten_norm, spectrum
 from .symbols import (
     Symbol,
     SymbolClassParams,

@@ -263,6 +263,7 @@ class DualCatalog:
         init=False, repr=False, compare=False
     )
     dense_dim: int = field(init=False, compare=False)
+    _by_index: dict[tuple, IrrepLabel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.cutoff):
@@ -275,6 +276,7 @@ class DualCatalog:
             offsets[label] = (start, label.dim)
             start += label.dim
         self.offsets = offsets
+        self._by_index = {label.index: label for label in self.labels}
         self.dense_dim = start
         _check_dense_dim(start)
 
@@ -286,6 +288,16 @@ class DualCatalog:
 
     def __contains__(self, label: IrrepLabel) -> bool:
         return label in self.offsets
+
+    def label_at(self, index, side: str) -> IrrepLabel:
+        """The catalog's own label of index vector ``index`` (1.0 and true
+        read as 1, as in IrrepLabel). A malformed index raises IrrepLabel's
+        error, a valid one outside the catalog "<side> label ... not in catalog"."""
+        found = self._by_index.get(tuple(index))
+        if found is None:
+            label = IrrepLabel(self.group, tuple(index))
+            raise ValueError(f"{side} label {label.index} not in catalog")
+        return found
 
     def slice_of(self, label: IrrepLabel) -> slice:
         start, length = self.offsets[label]

@@ -4,15 +4,16 @@ The forward map takes an assembled operator to its singular triples. They
 come from one SVD per support component, the factorization every spectral
 consumer reads, so each triple's vectors are exact zeros outside its
 component; the data file stores each vector by its runs of entries that are
-not bitwise zero (a file listing every entry still reads). Each triple's
-phase makes the largest entry of its left vector real and positive, so the
-operator, not the SVD routine, fixes the basis the stability experiment
-draws its noise on. Each triple is attributed to the block carrying (at
-least 99% of) the squared mass of its singular vectors; recovery solves
-each attributed block of the matrix reassembled from the triples in closed
-form: with regularization alpha = 0 it divides out the weights exactly, and
-with alpha > 0 it is the Tikhonov estimate for noisy data. Degenerate data
-that cannot be attributed is refused rather than guessed at.
+not bitwise zero (a file listing every entry still reads); attribution
+keys read back are the catalogs' own labels. Each triple's phase makes the
+largest entry of its left vector real and positive, so the operator, not
+the SVD routine, fixes the basis the stability experiment draws its noise
+on. Each triple is attributed to the block carrying (at least 99% of) the
+squared mass of its singular vectors, one pass of squares per side giving
+the label masses and the norms; recovery solves each attributed block of
+the matrix reassembled from the triples in closed form: with alpha = 0 it
+divides out the weights exactly, and with alpha > 0 it is the Tikhonov
+estimate for noisy data. Data that cannot be attributed is refused.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .duals import DualCatalog, IrrepLabel, Weight, weight_eval
+from .duals import DualCatalog, Weight, weight_eval
 from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
 from .symbols import (
     BlockKey,
@@ -83,10 +84,11 @@ class SpectralData:
         above = np.concatenate(([np.inf], self.s[:-1]))
         _first_fault(~(np.isfinite(self.s) & (self.s >= 0) & (self.s <= above)),
                      "singular values must be finite, nonnegative and descending")
-        _first_fault(~(np.abs(np.linalg.norm(self.u, axis=0) - 1.0) <= 1e-12)
-                     | ~(np.abs(np.linalg.norm(self.v, axis=0) - 1.0) <= 1e-12),
+        mass_u, norm_u = _label_masses(self.u, self.codomain)
+        mass_v, norm_v = _label_masses(self.v, self.domain)
+        _first_fault(~(np.abs(norm_u - 1.0) <= 1e-12) | ~(np.abs(norm_v - 1.0) <= 1e-12),
                      "singular vectors must be unit norm")
-        heaviest = [_heaviest_labels(self.u, self.codomain), _heaviest_labels(self.v, self.domain)]
+        heaviest = [_heaviest_labels(mass_u, self.codomain), _heaviest_labels(mass_v, self.domain)]
         if self.attribution is None:
             (pis, held_u), (rhos, held_v) = heaviest
             self.attribution = [
@@ -97,7 +99,8 @@ class SpectralData:
         # a key passes when it is the heaviest label and holds the 99%
         for i, key in enumerate(self.attribution):
             for side, label, (labels, held) in zip(("left", "right"), key or (), heaviest):
-                if label != labels[i] or held[i] < ATTRIBUTION_MASS - 1e-12:
+                if (label is not labels[i] and label != labels[i]
+                        or held[i] < ATTRIBUTION_MASS - 1e-12):
                     raise ValueError(f"triple {i}: {side} mass rule violated for {label.index}")
 
     @property
@@ -141,15 +144,16 @@ class SpectralData:
         runs are checked to be integer pairs, sorted, non-overlapping and
         inside the catalog, and each value list to fill them exactly."""
         codomain = DualCatalog.from_dict(data["codomain"])
-        domain = DualCatalog.from_dict(data["domain"])
+        same = data["domain"] == data["codomain"]
+        domain = codomain if same else DualCatalog.from_dict(data["domain"])
         entries = data["triples"]
         values = _numbers([entry["s"] for entry in entries], "s", 0)
         u = _read_side(entries, "u", codomain.dense_dim)
         v = _read_side(entries, "v", domain.dense_dim)
         attribution = [
-            None if key is None else (IrrepLabel(codomain.group, tuple(key[0])),
-                                      IrrepLabel(domain.group, tuple(key[1])))
-            for key in data["attribution"]
+            None if key is None else (codomain.label_at(key[0], f"triple {i}: codomain"),
+                                      domain.label_at(key[1], f"triple {i}: domain"))
+            for i, key in enumerate(data["attribution"])
         ]
         return cls(codomain, domain, values, u, v, attribution)
 
@@ -245,16 +249,20 @@ def _first_fault(bad: np.ndarray, fault: str) -> None:
         raise ValueError(f"triple {int(np.argmax(bad))}: {fault}")
 
 
-def _heaviest_labels(vecs: np.ndarray, catalog: DualCatalog) -> tuple[list, np.ndarray]:
-    """Per column of ``vecs`` (N x k), the first label holding the largest
-    share of its squared mass, in catalog order, and that share."""
-    k = vecs.shape[1]
-    if k == 0:
-        return [], np.zeros(0)
+def _label_masses(vecs: np.ndarray, catalog: DualCatalog) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of ``vecs`` (N x k), its squared mass on each label of
+    ``catalog`` (labels x k), from one pass of real^2 + imag^2, and its norm,
+    the square root of the column sum of those masses."""
     starts = [start for start, _ in catalog.offsets.values()]
-    masses = np.add.reduceat(np.abs(vecs) ** 2, starts, axis=0)  # labels x k
-    best = np.argmax(masses, axis=0)
-    return [catalog.labels[b] for b in best], masses[best, np.arange(k)]
+    masses = np.add.reduceat(vecs.real ** 2 + vecs.imag ** 2, starts, axis=0)
+    return masses, np.sqrt(masses.sum(axis=0))
+
+
+def _heaviest_labels(masses: np.ndarray, catalog: DualCatalog) -> tuple[list, list]:
+    """Per column of the label ``masses`` (labels x k), the first label
+    holding the largest share, in catalog order, and that share."""
+    best = np.argmax(masses, axis=0) if masses.size else np.zeros(0, dtype=int)
+    return [catalog.labels[b] for b in best.tolist()], masses[best, np.arange(best.size)].tolist()
 
 
 def forward(op: BlockOperator) -> SpectralData:

@@ -148,11 +148,12 @@ class Symbol:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Symbol":
         codomain = DualCatalog.from_dict(data["codomain"])
-        domain = DualCatalog.from_dict(data["domain"])
+        same = data["domain"] == data["codomain"]
+        domain = codomain if same else DualCatalog.from_dict(data["domain"])
         blocks = {}
         for entry in data["blocks"]:
-            pi = IrrepLabel(codomain.group, tuple(entry["pi_index"]))
-            rho = IrrepLabel(domain.group, tuple(entry["rho_index"]))
+            pi = codomain.label_at(entry["pi_index"], "codomain")
+            rho = domain.label_at(entry["rho_index"], "domain")
             if (pi, rho) in blocks:
                 raise ValueError(f"duplicate block ({pi.index}, {rho.index})")
             what = f"block ({pi.index}, {rho.index})"

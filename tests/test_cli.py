@@ -6,8 +6,8 @@ import pytest
 
 from muhankel.cli import main
 from muhankel.duals import SU2, Torus, UNIT_WEIGHT, enumerate_dual
-from muhankel.operators import assemble
-from muhankel.recovery import forward
+from muhankel.operators import BlockOperator, assemble
+from muhankel.recovery import SpectralData, forward
 from muhankel.symbols import (
     Symbol,
     diagonal_symbol,
@@ -166,6 +166,39 @@ def test_recover_attribution_failure_exit_5(tmp_path):
     data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     data_path = write_json(tmp_path / "data.json", data.to_dict())
     assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 5
+
+
+def test_recover_residual_builds_no_dense_matrix(tmp_path, capsys, monkeypatch):
+    # three diagonal blocks of the SU(2) cutoff-2500 catalog (N = 5050): two
+    # dense N x N matrices would be over the guard
+    cat = enumerate_dual(SU2(), 2500.0)
+    sym = diagonal_symbol(cat, decay=0.5)
+    few = {(l, l): sym.blocks[(l, l)] for l in (cat.labels[0], cat.labels[50], cat.labels[-1])}
+    data = forward(assemble(Symbol(cat, cat, few), UNIT_WEIGHT, UNIT_WEIGHT))
+    data_path = write_json(tmp_path / "data.json", data.to_dict())
+
+    def refuse(self):
+        raise AssertionError("dense N x N matrix built")
+
+    monkeypatch.setattr(BlockOperator, "to_dense", refuse)
+    monkeypatch.setattr(SpectralData, "reassemble", refuse)
+    assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "recovered 3 blocks" in out
+    assert float(out.split("max residual vs reassembled data:")[1].split()[0]) <= 1e-12
+
+
+def test_block_index_of_floats_and_booleans_reads_as_integers(tmp_path, capsys):
+    # (1,) == (1.0,) == (True,): such an index names the catalog's label 1
+    cat = enumerate_dual(SU2(), 2.0)
+    payload = diagonal_symbol(cat, decay=1.0).to_dict()
+    payload["blocks"][1].update(pi_index=[1.0], rho_index=[True])
+    sym_path = write_json(tmp_path / "sym.json", payload)
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path / "a")]) == 0
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat, decay=1.0).to_dict())
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path / "b")]) == 0
+    assert ((tmp_path / "a" / "spectrum.json").read_text()
+            == (tmp_path / "b" / "spectrum.json").read_text())
 
 
 def test_stability_zero_delta(tmp_path, capsys):
@@ -484,6 +517,10 @@ MALFORMED = "malformed input file"
      "label index (1.5,) must hold integers only"),
     ("symbol", put("blocks", 1, "rho_index", value="1"),
      "label index ('1',) must hold integers only"),
+    ("symbol", put("blocks", 1, "pi_index", value=[9]), "codomain label (9,) not in catalog"),
+    ("symbol", put("blocks", 0, "pi_index", value=[0, 0]),
+     "index (0, 0) has 2 slots, group needs 1"),
+    ("data", put("attribution", 0, 1, value=[9]), "triple 0: domain label (9,) not in catalog"),
     ("data", put("attribution", 0, value=[[0]]), MALFORMED),
     ("data", put("attribution", 0, value=5), MALFORMED),
     ("data", put("triples", 0, "s", value=[1.0]), MALFORMED),
@@ -495,7 +532,8 @@ MALFORMED = "malformed input file"
     ("mu", lambda _: {"entries": [{"index": [0], "value": [1.0]}]}, MALFORMED),
 ], ids=[
     "pi-index-number", "re-string", "re-null", "blocks-object", "labels-number",
-    "group-string", "catalog-index-fraction", "block-index-string", "attribution-short",
+    "group-string", "catalog-index-fraction", "block-index-string", "block-index-outside",
+    "block-index-slots", "attribution-index-outside", "attribution-short",
     "attribution-number", "s-list", "triples-number", "entries-number", "entry-number",
     "table-list", "index-number", "value-list",
 ])

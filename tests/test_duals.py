@@ -284,6 +284,30 @@ def test_catalog_json_round_trip():
     assert back.offsets == cat.offsets
 
 
+def test_label_at_returns_the_catalogs_own_label():
+    cat = enumerate_dual(Product((SU2(), Torus(1))), 4.0)
+    for label in cat.labels:
+        assert cat.label_at(list(label.index), "codomain") is label
+    one = enumerate_dual(SU2(), 2.0).labels[1]
+    cat = enumerate_dual(SU2(), 2.0)
+    # (1,) == (1.0,) == (True,), as IrrepLabel reads them
+    for index in ([1], [1.0], [True], (1,)):
+        found = cat.label_at(index, "domain")
+        assert found is cat.labels[1] and found == one and found.index == (1,)
+
+
+@pytest.mark.parametrize("index, message", [
+    ([9], "domain label (9,) not in catalog"),
+    ([1.5], "label index (1.5,) must hold integers only"),
+    (["1"], "label index ('1',) must hold integers only"),
+    ([0, 0], "index (0, 0) has 2 slots, group needs 1"),
+    ([-2], "SU(2) label k must be >= 0, got -2"),
+])
+def test_label_at_refuses_what_irrep_label_refuses(index, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_dual(SU2(), 2.0).label_at(index, "domain")
+
+
 def test_group_dict_round_trip():
     for g in [SU2(), SU2(half_integers=False), Torus(3), Product((SU2(), Torus(2)))]:
         assert group_from_dict(group_to_dict(g)) == g

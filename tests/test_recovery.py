@@ -359,6 +359,30 @@ def test_spectral_data_validation_names_first_faulty_triple():
         stacked(cat, cat, [(1.0, unit, unit)], [])
 
 
+def test_spectral_data_keys_from_an_equal_catalog_validate():
+    # labels built in code apart from the catalog are equal, not identical
+    cat = enumerate_dual(SU2(), 6.0)
+    twin = {label.index: label for label in enumerate_dual(SU2(), 6.0)}
+    data = forward(assemble(random_matching_symbol(cat, cat, 5), UNIT_WEIGHT, UNIT_WEIGHT))
+    keys = [(twin[pi.index], twin[rho.index]) for pi, rho in data.attribution]
+    assert all(a is not b and a == b for key, got in zip(keys, data.attribution)
+               for a, b in zip(key, got))
+    assert SpectralData(cat, cat, data.s, data.u, data.v, keys).attribution == keys
+
+
+def test_spectral_data_file_keys_are_the_catalogs_labels():
+    cat = enumerate_dual(SU2(), 6.0)
+    data = forward(assemble(random_matching_symbol(cat, cat, 5), UNIT_WEIGHT, UNIT_WEIGHT))
+    payload = json.loads(json.dumps(data.to_dict()))
+    payload["attribution"] = [[[float(k) for k in pi], rho] for pi, rho in payload["attribution"]]
+    back = SpectralData.from_dict(payload)
+    assert back.codomain is back.domain
+    assert back.attribution == data.attribution
+    for pi, rho in back.attribution:
+        assert back.codomain.label_at(pi.index, "codomain") is pi
+        assert back.domain.label_at(rho.index, "domain") is rho
+
+
 def test_spectral_data_stacks_triples_once():
     cat = enumerate_dual(SU2(), 6.0)
     sym = random_matching_symbol(cat, cat, 5)

@@ -22,7 +22,10 @@ from muhankel.operators import assemble
 from muhankel.recovery import (
     ATTRIBUTION_MASS,
     SpectralData,
+    _heaviest_labels,
+    _label_masses,
     forward,
+    perturb_spectral_data,
     tikhonov_recover,
 )
 from muhankel.symbols import Symbol, random_matching_symbol
@@ -110,6 +113,100 @@ def test_attribution_matches_per_label_reference(codomain, domain, masses, seed)
     assert got == reference_attribution(u, v, codomain, domain)
     data = SpectralData(codomain, domain, s, u, v, got)  # passes its own mass rule
     assert data.attribution == got
+
+
+def reference_masses(vecs, catalog):
+    """The two-pass check's numbers per column: np.linalg.norm, then |x|^2
+    summed per label by reduceat, the first heaviest label and its mass."""
+    norms = np.linalg.norm(vecs, axis=0)
+    if vecs.shape[1] == 0:
+        return norms, [], np.zeros(0)
+    starts = [catalog.offsets[label][0] for label in catalog.labels]
+    masses = np.add.reduceat(np.abs(vecs) ** 2, starts, axis=0)
+    best = np.argmax(masses, axis=0)
+    return norms, [catalog.labels[b] for b in best], masses[best, np.arange(best.size)]
+
+
+def reference_outcome(codomain, domain, s, u, v, attribution):
+    """The attribution, or the first fault's message, by the two-pass check
+    (the singular values are valid here)."""
+    (norm_u, pis, held_u), (norm_v, rhos, held_v) = (
+        reference_masses(u, codomain), reference_masses(v, domain))
+    bad = ~(np.abs(norm_u - 1.0) <= 1e-12) | ~(np.abs(norm_v - 1.0) <= 1e-12)
+    if bad.any():
+        return f"triple {int(np.argmax(bad))}: singular vectors must be unit norm"
+    if attribution is None:
+        return [(pi, rho) if min(hu, hv) >= ATTRIBUTION_MASS else None
+                for pi, rho, hu, hv in zip(pis, rhos, held_u, held_v)]
+    for i, key in enumerate(attribution):
+        for side, label, labels, held in zip(("left", "right"), key or (), (pis, rhos),
+                                             (held_u, held_v)):
+            if label != labels[i] or held[i] < ATTRIBUTION_MASS - 1e-12:
+                return f"triple {i}: {side} mass rule violated for {label.index}"
+    return attribution
+
+
+@st.composite
+def spectral_arrays(draw):
+    """(codomain, domain, s, u, v): forward of a random matching, the same
+    perturbed by perturb_spectral_data, or random_arrays' vectors."""
+    kind = draw(st.sampled_from(["forward", "perturbed", "arrays"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "arrays":
+        codomain, domain = draw(catalogs), draw(catalogs)
+        masses = draw(st.lists(
+            st.tuples(st.sampled_from([None, *MASSES]), st.sampled_from([None, *MASSES])),
+            max_size=8))
+        return (codomain, domain, *random_arrays(seed, codomain, domain, masses))
+    catalog = draw(st.sampled_from(MATCHING_CATALOGS))
+    data = forward(assemble(random_matching_symbol(catalog, catalog, seed),
+                            UNIT_WEIGHT, UNIT_WEIGHT))
+    if kind == "perturbed":
+        delta = draw(st.sampled_from([1e-4, 1e-2]))
+        data = perturb_spectral_data(data, delta, np.random.default_rng(seed))
+    return data.codomain, data.domain, data.s, data.u, data.v
+
+
+BOUNDARY = enumerate_dual(SU2(), 2.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(arrays=spectral_arrays(), which=st.integers(0, 2**16), keys_given=st.booleans())
+@example(arrays=(BOUNDARY, BOUNDARY, *random_arrays(
+    0, BOUNDARY, BOUNDARY, [(1.0, 1.0), (ATTRIBUTION_MASS - 1e-6, 1.0)])),
+    which=0, keys_given=True)  # triple 1 misses the rule by 1e-6
+def test_one_pass_check_matches_two_pass_reference(arrays, which, keys_given):
+    """The masses and norms from one pass of real^2 + imag^2 give the same
+    attribution as np.linalg.norm and |x|^2, heaviest-label masses and norms
+    to 1e-14, and the same outcome with each triple's heaviest labels given
+    as its key, and with a vector scaled by 2 or spread over all labels."""
+    codomain, domain, s, u, v = arrays
+    data = SpectralData(codomain, domain, s, u, v)
+    assert data.attribution == reference_outcome(codomain, domain, s, u, v, None)
+    for vecs, catalog in ((u, codomain), (v, domain)):
+        masses, norms = _label_masses(vecs, catalog)
+        labels, held = _heaviest_labels(masses, catalog)
+        want_norms, want_labels, want_held = reference_masses(vecs, catalog)
+        np.testing.assert_allclose(norms, want_norms, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(held, want_held, rtol=0, atol=1e-14)
+        # up to half the mass, two labels may tie to rounding
+        assert all(a == b for a, b, m in zip(labels, want_labels, want_held) if m > 0.51)
+    if not s.size:
+        return
+    j = which % s.size
+    # given keys: each triple's heaviest labels, whatever mass they hold
+    keys = list(zip(reference_masses(u, codomain)[1], reference_masses(v, domain)[1]))
+    keys = keys if keys_given else None
+    for column in (u[:, j], 2 * u[:, j], np.full(u.shape[0], u.shape[0] ** -0.5)):
+        faulty = u.copy()
+        faulty[:, j] = column
+        np.testing.assert_allclose(_label_masses(faulty, codomain)[1],
+                                   np.linalg.norm(faulty, axis=0), rtol=0, atol=1e-14)
+        try:
+            got = SpectralData(codomain, domain, s, faulty, v, keys).attribution
+        except ValueError as exc:
+            got = str(exc)
+        assert got == reference_outcome(codomain, domain, s, faulty, v, keys)
 
 
 @settings(max_examples=60, deadline=None)

@@ -233,3 +233,21 @@ def test_symbol_json_round_trip(su2_cat):
     assert set(back.blocks) == set(sym.blocks)
     for key in sym.blocks:
         np.testing.assert_array_equal(back.blocks[key], sym.blocks[key])
+
+
+def test_symbol_file_labels_are_the_catalogs_own(su2_cat):
+    import json
+
+    # equal catalog entries are parsed once and serve both sides
+    back = Symbol.from_dict(json.loads(json.dumps(diagonal_symbol(su2_cat).to_dict())))
+    assert back.codomain is back.domain
+    for pi, rho in back.blocks:
+        assert pi is rho and any(pi is label for label in back.codomain.labels)
+    small = enumerate_dual(SU2(), 2.0)
+    sym = random_symbol(su2_cat, small, 1.0, 3)
+    back = Symbol.from_dict(json.loads(json.dumps(sym.to_dict())))
+    assert back.codomain == su2_cat and back.domain == small
+    assert set(back.blocks) == set(sym.blocks)
+    for pi, rho in back.blocks:
+        assert back.codomain.label_at(pi.index, "codomain") is pi
+        assert back.domain.label_at(rho.index, "domain") is rho
