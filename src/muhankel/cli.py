@@ -272,7 +272,7 @@ def cmd_recover(args) -> int:
     recovered = tikhonov_recover(data, mu, nu, args.alpha, args.weighted_penalty)
     inputs = {"data": args.data}
     if args.true_symbol:
-        truth = _load_symbol(args.true_symbol)
+        truth = _read_input(args.true_symbol, lambda raw: Symbol.from_dict(raw, data))
         inputs["true_symbol"] = args.true_symbol
         diff = symbol_difference(recovered, truth)
         max_err = max(

@@ -264,6 +264,7 @@ class DualCatalog:
     )
     dense_dim: int = field(init=False, compare=False)
     _by_index: dict[tuple, IrrepLabel] = field(init=False, repr=False, compare=False)
+    _position: dict[IrrepLabel, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.cutoff):
@@ -277,6 +278,7 @@ class DualCatalog:
             start += label.dim
         self.offsets = offsets
         self._by_index = {label.index: label for label in self.labels}
+        self._position = {label: i for i, label in enumerate(self.labels)}
         self.dense_dim = start
         _check_dense_dim(start)
 
@@ -299,6 +301,15 @@ class DualCatalog:
             raise ValueError(f"{side} label {label.index} not in catalog")
         return found
 
+    def labels_at(self, indices) -> list[IrrepLabel]:
+        """:meth:`label_at` of each index vector, all looked up at once; a
+        KeyError on a miss, which :meth:`label_at` can then name."""
+        return list(map(self._by_index.__getitem__, map(tuple, indices)))
+
+    def positions(self, labels) -> list[int]:
+        """The catalog position of each label, -1 for one not in the catalog."""
+        return [self._position.get(label, -1) for label in labels]
+
     def slice_of(self, label: IrrepLabel) -> slice:
         start, length = self.offsets[label]
         return slice(start, start + length)
@@ -308,21 +319,15 @@ class DualCatalog:
         return DualCatalog(self.group, self.cutoff, [l for l in self.labels if keep(l)])
 
     def to_dict(self) -> dict:
-        return {
-            "group": group_to_dict(self.group),
-            "cutoff": float(self.cutoff),
-            "labels": [
-                {
-                    "index": list(label.index),
-                    "dim": label.dim,
-                    "casimir": label.casimir,
-                }
-                for label in self.labels
-            ],
-        }
+        return {"group": group_to_dict(self.group), "cutoff": float(self.cutoff),
+                "labels": [{"index": list(label.index), "dim": label.dim,
+                            "casimir": label.casimir} for label in self.labels]}
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "DualCatalog":
+    def from_dict(cls, data: Mapping, like: "DualCatalog | None" = None) -> "DualCatalog":
+        """Inverse of :meth:`to_dict`; ``like`` itself when ``data`` is its dict."""
+        if like is not None and data == like.to_dict():
+            return like
         group = group_from_dict(data["group"])
         labels = []
         for entry in data["labels"]:

@@ -44,19 +44,9 @@ class IndexReport:
     rank_tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "formula_index": self.formula_index,
-            "contributing_pairs": [
-                {"pi_index": list(pi.index), "rho_index": list(rho.index), "weight": w}
-                for pi, rho, w in self.contributing_pairs
-            ],
-            "formula_error": self.formula_error,
-            "numerical_rank": self.numerical_rank,
-            "numerical_kernel_dim": self.numerical_kernel_dim,
-            "numerical_cokernel_dim": self.numerical_cokernel_dim,
-            "numerical_index": self.numerical_index,
-            "rank_tolerance": self.rank_tolerance,
-        }
+        pairs = [{"pi_index": list(pi.index), "rho_index": list(rho.index), "weight": w}
+                 for pi, rho, w in self.contributing_pairs]
+        return {**vars(self), "contributing_pairs": pairs}
 
 
 def index_formula(op: BlockOperator) -> tuple[int, list[ContributingPair]]:

@@ -1,38 +1,33 @@
 """Symbol recovery from singular-value data.
 
-The forward map takes an assembled operator to its singular triples. They
-come from one SVD per support component, the factorization every spectral
-consumer reads, so each triple's vectors are exact zeros outside its
-component; the data file stores each vector by its runs of entries that are
-not bitwise zero (a file listing every entry still reads); attribution
-keys read back are the catalogs' own labels. Each triple's phase makes the
-largest entry of its left vector real and positive, so the operator, not
-the SVD routine, fixes the basis the stability experiment draws its noise
-on. Each triple is attributed to the block carrying (at least 99% of) the
-squared mass of its singular vectors, one pass of squares per side giving
-the label masses and the norms; recovery solves each attributed block of
-the matrix reassembled from the triples in closed form: with alpha = 0 it
-divides out the weights exactly, and with alpha > 0 it is the Tikhonov
-estimate for noisy data. Data that cannot be attributed is refused.
+The forward map takes an assembled operator to its singular triples, from
+one SVD per support component, so each triple's vectors are exact zeros
+outside its component. The data file stores each vector by its runs of
+entries that are not bitwise zero (a side listing every entry still
+reads). A file is read in whole-array passes, all runs checked as one
+integer array and all values scattered at once; a faulty file is read
+again entry by entry only to name its first fault. Each triple's phase
+makes the largest entry of its left vector real and positive, so the
+operator, not the SVD routine, fixes the basis the stability noise is
+drawn on. A triple is attributed to the block carrying (at least 99% of)
+the squared mass of its vectors, one pass of squares per side giving the
+label masses and norms; a given key must be the heaviest label by catalog
+position. Recovery solves each attributed block of the reassembled matrix
+in closed form (Tikhonov for alpha > 0) and refuses unattributable data.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .duals import DualCatalog, Weight, weight_eval
 from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
-from .symbols import (
-    BlockKey,
-    Symbol,
-    hs_norm,
-    parse_numbers,
-    symbol_difference,
-)
+from .symbols import (BlockKey, Symbol, complex_from_parts, hs_norm, parse_numbers,
+                      symbol_difference)
 
 # A triple belongs to a block when both vectors carry at least this fraction
 # of their squared mass inside the block's coordinate ranges.
@@ -88,20 +83,24 @@ class SpectralData:
         mass_v, norm_v = _label_masses(self.v, self.domain)
         _first_fault(~(np.abs(norm_u - 1.0) <= 1e-12) | ~(np.abs(norm_v - 1.0) <= 1e-12),
                      "singular vectors must be unit norm")
-        heaviest = [_heaviest_labels(mass_u, self.codomain), _heaviest_labels(mass_v, self.domain)]
+        (best_u, held_u), (best_v, held_v) = _heaviest(mass_u), _heaviest(mass_v)
         if self.attribution is None:
-            (pis, held_u), (rhos, held_v) = heaviest
-            self.attribution = [
-                (pi, rho) if min(hu, hv) >= ATTRIBUTION_MASS else None
-                for pi, rho, hu, hv in zip(pis, rhos, held_u, held_v)
-            ]
+            pis, rhos = self.codomain.labels, self.domain.labels
+            fits = ((held_u >= ATTRIBUTION_MASS) & (held_v >= ATTRIBUTION_MASS)).tolist()
+            self.attribution = [(pis[p], rhos[r]) if fit else None
+                                for p, r, fit in zip(best_u.tolist(), best_v.tolist(), fits)]
             return
-        # a key passes when it is the heaviest label and holds the 99%
-        for i, key in enumerate(self.attribution):
-            for side, label, (labels, held) in zip(("left", "right"), key or (), heaviest):
-                if (label is not labels[i] and label != labels[i]
-                        or held[i] < ATTRIBUTION_MASS - 1e-12):
-                    raise ValueError(f"triple {i}: {side} mass rule violated for {label.index}")
+        # a key passes when it is the heaviest label, by catalog position,
+        # and holds the 99%
+        keyed = [i for i, key in enumerate(self.attribution) if key]
+        keys = [self.attribution[i] for i in keyed]
+        bad = np.array([(np.array(catalog.positions([key[j] for key in keys])) != best[keyed])
+                        | (held[keyed] < ATTRIBUTION_MASS - 1e-12) for j, catalog, best, held
+                        in ((0, self.codomain, best_u, held_u), (1, self.domain, best_v, held_v))])
+        if bad.any():
+            first, side = divmod(int(np.argmax(bad.T)), 2)  # the first triple, left side first
+            raise ValueError(f"triple {keyed[first]}: {('left', 'right')[side]} mass rule "
+                             f"violated for {keys[first][side].index}")
 
     @property
     def triples(self) -> list[SingularTriple]:
@@ -131,10 +130,8 @@ class SpectralData:
                 {"s": s, **dict(zip(names, fields))} for s, *fields
                 in zip(self.s.tolist(), *_support_runs(self.u), *_support_runs(self.v))
             ],
-            "attribution": [
-                None if key is None else [list(key[0].index), list(key[1].index)]
-                for key in self.attribution
-            ],
+            "attribution": [None if key is None else [list(key[0].index), list(key[1].index)]
+                            for key in self.attribution],
         }
 
     @classmethod
@@ -194,6 +191,58 @@ def _numbers(values: list, name: str, ndim: int) -> np.ndarray:
         raise
 
 
+def _read_side(entries: list, side: str, n: int) -> np.ndarray:
+    """The ``side`` ("u" or "v") vectors of the triple ``entries`` as an
+    n x k array, zero outside each entry's runs: all runs are checked as one
+    integer array and all values scattered at once; :func:`_side_fault`
+    names a fault found there."""
+    field, k = side + "_runs", len(entries)
+    try:
+        runs = [entry.get(field, [[0, n]] if n else []) for entry in entries]  # n = 0: no run
+        pairs = list(chain.from_iterable(runs))
+        lists = [[entry[f"{side}_{part}"] for entry in entries] for part in ("re", "im")]
+        if not (all(map(isinstance, chain(runs, pairs, *lists), repeat(list)))
+                and set(map(len, pairs)) <= {2} and set(map(type, chain(*pairs))) <= {int}):
+            raise TypeError(f"{field} or values are not lists of the right types")
+        # clipped, a run out of range stays out of range and cannot overflow
+        starts, lengths = np.array(pairs, dtype=np.int64).reshape(-1, 2).clip(-1, n + 1).T
+        counts = np.fromiter(map(len, runs), dtype=np.int64, count=k)
+        last, cum = np.cumsum(counts), np.concatenate(([0], np.cumsum(lengths)))
+        ends = starts + lengths
+        before = np.concatenate(([0], ends[:-1]))
+        before[(last - counts)[counts > 0]] = 0  # where each triple's first run may start
+        totals = (cum[last] - cum[last - counts]).tolist()  # values per triple
+        if not ((lengths >= 1).all() and (starts >= before).all() and (ends <= n).all()
+                and [list(map(len, part)) for part in lists] == [totals, totals]):
+            raise ValueError(f"{field} are not sorted runs in range that the values fill")
+        re, im = (_numbers(part, f"{side}_{name}", 1) for part, name in zip(lists, ("re", "im")))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        _side_fault(entries, side, n)
+        raise
+    # each value's coordinate: its run's start plus its place in the run
+    at = np.arange(cum[-1]) + np.repeat(starts - cum[:-1], lengths)
+    out = np.zeros((n, k), dtype=np.complex128)
+    out.reshape(-1)[at * k + np.repeat(np.arange(k), totals)] = complex_from_parts(re, im)
+    return out
+
+
+def _side_fault(entries: list, side: str, n: int) -> None:
+    """The structure checks of :func:`_read_side` entry by entry: raise on
+    the first faulty run or value list, naming its triple and field."""
+    field = side + "_runs"
+    for i, entry in enumerate(entries):
+        given = field in entry
+        runs = _parse_runs(entry[field], n, f"triple {i}: {field}") if given else [[0, n]]
+        total = sum(length for _, length in runs)
+        for part in ("re", "im"):
+            value = entry[f"{side}_{part}"]
+            if not isinstance(value, list) or len(value) != total:
+                got = f"length {len(value)}" if isinstance(value, list) else repr(value)
+                fill = f", the total length of {field}" if given else ""
+                raise ValueError(f"triple {i}: {side}_{part} must be a list of {total} "
+                                 f"numbers{fill}, got {got}")
+
+
 def _parse_runs(runs, n: int, what: str) -> list:
     """``runs`` checked to be [start, length] pairs of integers, each of
     length at least 1, sorted, non-overlapping and inside ``n`` coordinates."""
@@ -214,35 +263,6 @@ def _parse_runs(runs, n: int, what: str) -> list:
     return runs
 
 
-def _read_side(entries: list, side: str, n: int) -> np.ndarray:
-    """The ``side`` ("u" or "v") vectors of the triple ``entries`` as an
-    n x k array, zero outside each entry's runs."""
-    field, runs, parts = side + "_runs", [], {"re": [], "im": []}
-    for i, entry in enumerate(entries):
-        given = field in entry
-        runs.append(_parse_runs(entry[field], n, f"triple {i}: {field}") if given else [[0, n]])
-        total = sum(length for _, length in runs[-1])
-        for part, lists in parts.items():
-            value = entry[f"{side}_{part}"]
-            if not isinstance(value, list) or len(value) != total:
-                got = f"length {len(value)}" if isinstance(value, list) else repr(value)
-                fill = f", the total length of {field}" if given else ""
-                raise ValueError(f"triple {i}: {side}_{part} must be a list of {total} "
-                                 f"numbers{fill}, got {got}")
-            lists.append(value)
-    values = {part: _numbers(lists, f"{side}_{part}", 1) for part, lists in parts.items()}
-    flat = [(i, start, length) for i, triple in enumerate(runs) for start, length in triple]
-    owner, starts, lengths = np.array(flat, dtype=np.int64).reshape(-1, 3).T
-    # coordinate of each value: its run's start plus its place in the run
-    before = np.cumsum(lengths) - lengths
-    at = np.arange(lengths.sum()) + np.repeat(starts - before, lengths)
-    column = np.repeat(owner, lengths)
-    out = np.zeros((n, len(entries)), dtype=np.complex128)
-    out.real[at, column] = values["re"]
-    out.imag[at, column] = values["im"]
-    return out
-
-
 def _first_fault(bad: np.ndarray, fault: str) -> None:
     """Raise ``fault`` naming the first triple flagged in ``bad``, if any."""
     if bad.any():
@@ -254,15 +274,17 @@ def _label_masses(vecs: np.ndarray, catalog: DualCatalog) -> tuple[np.ndarray, n
     ``catalog`` (labels x k), from one pass of real^2 + imag^2, and its norm,
     the square root of the column sum of those masses."""
     starts = [start for start, _ in catalog.offsets.values()]
-    masses = np.add.reduceat(vecs.real ** 2 + vecs.imag ** 2, starts, axis=0)
+    squares = vecs.real * vecs.real  # bit for bit real ** 2 + imag ** 2, in place
+    squares += vecs.imag * vecs.imag
+    masses = np.add.reduceat(squares, starts, axis=0)
     return masses, np.sqrt(masses.sum(axis=0))
 
 
-def _heaviest_labels(masses: np.ndarray, catalog: DualCatalog) -> tuple[list, list]:
-    """Per column of the label ``masses`` (labels x k), the first label
-    holding the largest share, in catalog order, and that share."""
+def _heaviest(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of the label ``masses`` (labels x k), the catalog position
+    of the first label holding the largest share, and that share."""
     best = np.argmax(masses, axis=0) if masses.size else np.zeros(0, dtype=int)
-    return [catalog.labels[b] for b in best.tolist()], masses[best, np.arange(best.size)].tolist()
+    return best, masses[best, np.arange(best.size)]
 
 
 def forward(op: BlockOperator) -> SpectralData:
@@ -375,9 +397,8 @@ def perturb_spectral_data(
     u_mat = _reorthonormalize(data.u + delta * noise(data.u.shape))
     v_mat = _reorthonormalize(data.v + delta * noise(data.v.shape))
     order = np.argsort(-s_noisy, kind="stable")
-    return SpectralData(
-        data.codomain, data.domain, s_noisy[order], u_mat[:, order], v_mat[:, order]
-    )
+    return SpectralData(data.codomain, data.domain, s_noisy[order], u_mat[:, order],
+                        v_mat[:, order])
 
 
 @dataclass
@@ -420,17 +441,10 @@ def stability_scan(
             recovered = tikhonov_recover(noisy, mu, nu, alpha, weighted_penalty)
             diff = symbol_difference(recovered, true_symbol)
             errors.append(hs_norm(assemble(diff, mu, nu)))
-        rows.append(
-            StabilityRow(float(delta), alpha, float(np.mean(errors)), float(np.std(errors)))
-        )
+        rows.append(StabilityRow(float(delta), alpha, float(np.mean(errors)),
+                                 float(np.std(errors))))
     fit_rows = [r for r in rows if r.delta > 0 and r.mean_error > 0]
-    slope = None
-    if len(fit_rows) >= 2:
-        slope = float(
-            np.polyfit(
-                np.log([r.delta for r in fit_rows]),
-                np.log([r.mean_error for r in fit_rows]),
-                1,
-            )[0]
-        )
-    return rows, slope
+    if len(fit_rows) < 2:
+        return rows, None
+    x, y = np.log([r.delta for r in fit_rows]), np.log([r.mean_error for r in fit_rows])
+    return rows, float(np.polyfit(x, y, 1)[0])

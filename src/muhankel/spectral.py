@@ -57,13 +57,8 @@ class CriterionVerdict:
     detail: str
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "bound_value": float(self.bound_value),
-            "measured_value": float(self.measured_value),
-            "satisfied": bool(self.satisfied),
-            "detail": self.detail,
-        }
+        return {**vars(self), "bound_value": float(self.bound_value),
+                "measured_value": float(self.measured_value), "satisfied": bool(self.satisfied)}
 
 
 def spectrum(op: BlockOperator) -> SpectrumReport:
@@ -193,11 +188,8 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
         sv_ratio = float("inf")
         spectral_fired = False
 
-    names = []
-    if decay_fired:
-        names.append("decay")
-    if spectral_fired:
-        names.append("spectral")
+    names = [name for name, fired in (("decay", decay_fired), ("spectral", spectral_fired))
+             if fired]
     return CriterionVerdict(
         name="compactness_indicators",
         bound_value=SPECTRAL_DECAY_RATIO,

@@ -9,20 +9,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .duals import (
-    DualCatalog,
-    IrrepLabel,
-    PowerLaw,
-    Torus,
-    casimir,
-    dim,
-    weight_eval,
-)
+from .duals import DualCatalog, IrrepLabel, PowerLaw, Torus, casimir, dim, weight_eval
 
 if TYPE_CHECKING:
     from .operators import BlockOperator
@@ -78,12 +70,6 @@ def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
     return out
 
 
-def _freeze(block: np.ndarray) -> np.ndarray:
-    out = np.array(block, dtype=np.complex128)
-    out.setflags(write=False)
-    return out
-
-
 @dataclass
 class Symbol:
     """Sparse collection of blocks a(pi, rho), pi from the codomain catalog
@@ -100,13 +86,12 @@ class Symbol:
                 raise ValueError(f"codomain label {pi.index} not in catalog")
             if rho not in self.domain:
                 raise ValueError(f"domain label {rho.index} not in catalog")
-            block = _freeze(block)
+            block = np.array(block, dtype=np.complex128)
+            block.setflags(write=False)
             want = (dim(pi), dim(rho))
             if block.shape != want:
-                raise ValueError(
-                    f"block ({pi.index}, {rho.index}) has shape {block.shape}, "
-                    f"expected {want}"
-                )
+                raise ValueError(f"block ({pi.index}, {rho.index}) has shape {block.shape}, "
+                                 f"expected {want}")
             if not np.isfinite(block).all():
                 raise ValueError(f"block ({pi.index}, {rho.index}) has non-finite entries")
             checked[(pi, rho)] = block
@@ -127,44 +112,61 @@ class Symbol:
         )
 
     def to_dict(self) -> dict:
-        entries = []
-        for (pi, rho), block in sorted(
-            self.blocks.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index)
-        ):
-            entries.append(
-                {
-                    "pi_index": list(pi.index),
-                    "rho_index": list(rho.index),
-                    "re": block.real.tolist(),
-                    "im": block.imag.tolist(),
-                }
-            )
-        return {
-            "codomain": self.codomain.to_dict(),
-            "domain": self.domain.to_dict(),
-            "blocks": entries,
-        }
+        blocks = sorted(self.blocks.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index))
+        return {"codomain": self.codomain.to_dict(), "domain": self.domain.to_dict(),
+                "blocks": [{"pi_index": list(pi.index), "rho_index": list(rho.index),
+                            "re": block.real.tolist(), "im": block.imag.tolist()}
+                           for (pi, rho), block in blocks]}
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "Symbol":
-        codomain = DualCatalog.from_dict(data["codomain"])
+    def from_dict(cls, data: Mapping, like=None) -> "Symbol":
+        """Inverse of :meth:`to_dict`, reusing the catalogs of ``like`` (a
+        symbol or spectral data) where the file's equal them. The labels of
+        all blocks are looked up at once, and their numbers converted by one
+        ``np.array`` call and split by block shape; a fault found there is
+        named by :func:`_read_blocks`, the same read block by block."""
+        codomain = DualCatalog.from_dict(data["codomain"], like and like.codomain)
         same = data["domain"] == data["codomain"]
-        domain = codomain if same else DualCatalog.from_dict(data["domain"])
-        blocks = {}
-        for entry in data["blocks"]:
-            pi = codomain.label_at(entry["pi_index"], "codomain")
-            rho = domain.label_at(entry["rho_index"], "domain")
-            if (pi, rho) in blocks:
-                raise ValueError(f"duplicate block ({pi.index}, {rho.index})")
-            what = f"block ({pi.index}, {rho.index})"
-            try:  # one conversion and one check for both parts
-                re, im = parse_numbers([entry["re"], entry["im"]], 3, what)
-            except TypeError:
-                parse_numbers(entry["re"], 2, f"{what} re")
-                parse_numbers(entry["im"], 2, f"{what} im")
-                raise TypeError(f"{what} has re and im of different shapes") from None
-            blocks[(pi, rho)] = complex_from_parts(re, im)
-        return cls(codomain, domain, blocks)
+        domain = codomain if same else DualCatalog.from_dict(data["domain"], like and like.domain)
+        entries = data["blocks"]
+        try:
+            keys = list(zip(codomain.labels_at([entry["pi_index"] for entry in entries]),
+                            domain.labels_at([entry["rho_index"] for entry in entries])))
+            parts = [entry[part] for part in ("re", "im") for entry in entries]
+            rows = list(chain.from_iterable(parts))
+            if not (len(set(keys)) == len(keys)
+                    and all(map(isinstance, chain(parts, rows), repeat(list)))
+                    and list(map(len, parts)) == [pi.dim for pi, _ in keys] * 2
+                    and list(map(len, rows)) == [rho.dim for pi, rho in keys
+                                                 for _ in range(pi.dim)] * 2):
+                raise ValueError("blocks are not one per key, each of its labels' shape")
+            flat = complex_from_parts(*np.split(
+                parse_numbers(list(chain.from_iterable(rows)), 1, "blocks"), 2))
+        except (KeyError, TypeError, ValueError):
+            cls(codomain, domain, _read_blocks(entries, codomain, domain))
+            raise
+        ends = np.cumsum([pi.dim * rho.dim for pi, rho in keys]).tolist()
+        return cls(codomain, domain, {key: flat[a:b].reshape(key[0].dim, key[1].dim)
+                                      for key, a, b in zip(keys, [0, *ends], ends)})
+
+
+def _read_blocks(entries: list, codomain: DualCatalog, domain: DualCatalog) -> dict:
+    """The blocks of a symbol file read one by one, naming the first fault."""
+    blocks = {}
+    for entry in entries:
+        pi = codomain.label_at(entry["pi_index"], "codomain")
+        rho = domain.label_at(entry["rho_index"], "domain")
+        if (pi, rho) in blocks:
+            raise ValueError(f"duplicate block ({pi.index}, {rho.index})")
+        what = f"block ({pi.index}, {rho.index})"
+        try:  # one conversion and one check for both parts
+            re, im = parse_numbers([entry["re"], entry["im"]], 3, what)
+        except TypeError:
+            parse_numbers(entry["re"], 2, f"{what} re")
+            parse_numbers(entry["im"], 2, f"{what} im")
+            raise TypeError(f"{what} has re and im of different shapes") from None
+        blocks[(pi, rho)] = complex_from_parts(re, im)
+    return blocks
 
 
 @dataclass(frozen=True)
@@ -194,10 +196,7 @@ def class_norm(op: BlockOperator, params: SymbolClassParams) -> float:
 
 def hs_norm(op: BlockOperator) -> float:
     """l2-sum of Hilbert-Schmidt norms of the weighted blocks."""
-    total = 0.0
-    for wb in op.weighted.values():
-        total += float(np.sum(np.abs(wb) ** 2))
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(float(np.sum(np.abs(wb) ** 2)) for wb in op.weighted.values())))
 
 
 def symbol_difference(a: Symbol, b: Symbol) -> Symbol:

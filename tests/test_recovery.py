@@ -339,6 +339,9 @@ def test_spectral_data_validation_names_first_faulty_triple():
         # a label outside the catalog holds none of the mass
         ([(1.0, unit, unit)], [(a, outside)],
          "triple 0: right mass rule violated for (9,)"),
+        # the first triple at fault is named, with its left side before its right
+        ([(1.0, unit, unit), (0.5, unit, unit), (0.25, unit, unit)], [(a, a), (a, b), (b, a)],
+         "triple 1: right mass rule violated for (1,)"),
         ([(1.0, unit, unit), (0.5, unit, 2 * unit)], [(a, a), (b, a)],
          "triple 1: singular vectors must be unit norm"),
         # the checks run one after another: unit norm before the mass rule
