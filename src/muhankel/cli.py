@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import asdict
@@ -31,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .duals import (
+    MAX_DENSE_DIM,
     SU2,
     DualCatalog,
     IrrepLabel,
@@ -107,12 +109,13 @@ def _emit(args, command: str, inputs: dict, config: dict, files: dict) -> None:
 def _read_input(path: str, parse):
     """``parse`` applied to the JSON file at ``path``. A wrong type or shape
     inside the file (a number where a list belongs, a short list) surfaces
-    from parsing as TypeError, IndexError or AttributeError; it becomes a
-    ValueError naming the file, so that it exits as a validation error."""
+    from parsing as TypeError, IndexError or AttributeError, and an integer
+    too large for a float as OverflowError; it becomes a ValueError naming
+    the file, so that it exits as a validation error."""
     data = json.loads(Path(path).read_text())
     try:
         return parse(data)
-    except (TypeError, IndexError, AttributeError) as exc:
+    except (TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise ValueError(f"malformed input file {path}: {exc}") from exc
 
 
@@ -126,11 +129,13 @@ def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
 
     def parse(data) -> TableWeight:
         values = {}
-        for entry in data["entries"]:
+        for i, entry in enumerate(data["entries"]):
             label = IrrepLabel(catalog.group, tuple(entry["index"]))
             if label in values:
                 raise ValueError(f"weight table {spec} repeats index {label.index}")
-            values[label] = float(entry["value"])
+            if type(value := entry["value"]) not in (int, float):  # not "2", true or null
+                raise TypeError(f"entry {i} value is {value!r}, not a number")
+            values[label] = float(value)
         return TableWeight(values)
 
     return _read_input(spec, parse)
@@ -149,10 +154,6 @@ def _parse_float_list(spec: str) -> list[float]:
     return values
 
 
-def _load_symbol(path: str) -> Symbol:
-    return _read_input(path, Symbol.from_dict)
-
-
 def cmd_catalog(args) -> int:
     group = parse_group(args.group)
     catalog = enumerate_dual(group, args.cutoff)
@@ -163,7 +164,7 @@ def cmd_catalog(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    sym, mu, nu = _with_weights(args, _load_symbol(args.symbol))
+    sym, mu, nu = _with_weights(args, _read_input(args.symbol, Symbol.from_dict))
     params = SymbolClassParams(args.m, args.n)
     op = assemble(sym, mu, nu)
     report = spectrum(op)
@@ -219,7 +220,9 @@ def cmd_schatten_scan(args) -> int:
 
 
 def cmd_index(args) -> int:
-    sym, mu, nu = _with_weights(args, _load_symbol(args.symbol))
+    if not 0 <= args.samples <= MAX_DENSE_DIM:
+        raise ValueError(f"--samples must be between 0 and {MAX_DENSE_DIM}, got {args.samples}")
+    sym, mu, nu = _with_weights(args, _read_input(args.symbol, Symbol.from_dict))
     try:
         report = index_report(assemble(sym, mu, nu), args.tolerance)
     except FormulaInapplicableError as exc:
@@ -310,7 +313,7 @@ def _max_residual(op, data: SpectralData) -> float:
 
 
 def cmd_stability(args) -> int:
-    sym, mu, nu = _with_weights(args, _load_symbol(args.symbol))
+    sym, mu, nu = _with_weights(args, _read_input(args.symbol, Symbol.from_dict))
     deltas = _parse_float_list(args.delta_grid)
     rows, slope = stability_scan(
         sym, mu, nu, deltas, trials=args.trials, seed=args.seed,
@@ -350,7 +353,9 @@ def _add_format(parser: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and shared; it holds no command function."""
     parser = argparse.ArgumentParser(prog="muhankel", description=__doc__.split("\n")[0])
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -359,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group", required=True, help="su2 | su2int | torus:d | axb with x")
     p.add_argument("--cutoff", type=float, required=True)
     _add_common(p)
-    p.set_defaults(func=cmd_catalog)
 
     p = sub.add_parser("spectrum", help="singular spectrum and norm criteria")
     p.add_argument("--symbol", required=True, help="symbol JSON path")
@@ -369,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=None, help="extra Schatten exponent")
     _add_common(p)
     _add_format(p)
-    p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("schatten-scan", help="diagonal Schatten series convergence scan")
     p.add_argument("--p", type=float, required=True)
@@ -378,7 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spins", choices=("integer", "half"), default="integer")
     _add_common(p)
     _add_format(p)
-    p.set_defaults(func=cmd_schatten_scan)
 
     p = sub.add_parser("index", help="determinant-sign and numerical index")
     p.add_argument("--symbol", required=True)
@@ -386,7 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=RANK_TOL, help="relative rank tolerance")
     p.add_argument("--samples", type=int, default=256, help="circle samples for winding")
     _add_common(p)
-    p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("recover", help="Tikhonov symbol recovery from spectral data")
     p.add_argument("--data", required=True, help="spectral data JSON path")
@@ -395,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted-penalty", action="store_true")
     p.add_argument("--true-symbol", default=None, help="reference symbol for error report")
     _add_common(p)
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("stability", help="noise-response experiment")
     p.add_argument("--symbol", required=True, help="true symbol JSON path")
@@ -405,16 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weighted-penalty", action="store_true")
     _add_common(p)
     _add_format(p)
-    p.set_defaults(func=cmd_stability)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
+    args = build_parser().parse_args(argv)
+    try:  # cmd_<command> is looked up now, so a wrapper or monkeypatch of it runs
+        return globals()[f"cmd_{args.command.replace('-', '_')}"](args)
     except AttributionError as exc:
         print(f"attribution failure: {exc}", file=sys.stderr)
         return EXIT_ATTRIBUTION

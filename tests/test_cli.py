@@ -1,11 +1,17 @@
+import argparse
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import muhankel.cli as cli
 from muhankel.cli import main
-from muhankel.duals import SU2, Torus, UNIT_WEIGHT, enumerate_dual
+from muhankel.duals import MAX_DENSE_DIM, SU2, Torus, UNIT_WEIGHT, enumerate_dual
 from muhankel.operators import BlockOperator, assemble
 from muhankel.recovery import SpectralData, forward
 from muhankel.symbols import (
@@ -114,6 +120,33 @@ def test_index_torus_winding(tmp_path, capsys):
     assert payload["formula_index"] == 0  # no negative determinants
     out = capsys.readouterr().out
     assert "-winding" in out and "numerical index" in out
+
+
+@pytest.mark.parametrize("samples", ["-3", str(MAX_DENSE_DIM + 1)])
+def test_index_samples_out_of_range_exit_2_before_any_work(tmp_path, capsys, monkeypatch, samples):
+    # a negative count ran the whole index and then failed inside numpy; a
+    # huge one allocated its samples. The symbol is read first of all, so a
+    # read that does not happen means no work and no allocation either.
+    def no_read(path, parse):
+        raise AssertionError(f"{path} was read before --samples was checked")
+
+    monkeypatch.setattr(cli, "_read_input", no_read)
+    argv = ["index", "--symbol", "sym.json", "--samples", samples, "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    message = f"--samples must be between 0 and {MAX_DENSE_DIM}, got {samples}"
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "index-manifest.json").exists()
+
+
+@pytest.mark.parametrize("samples", ["0", "1"])
+def test_index_few_samples_report_a_winding_error(tmp_path, samples):
+    cat = torus_halfline(3)
+    sym = hankel_symbol_from_fourier({1: 1.0}, cat, cat)
+    sym_path = write_json(tmp_path / "sym.json", sym.to_dict())
+    argv = ["index", "--symbol", sym_path, "--samples", samples, "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    payload = json.loads((tmp_path / "index.json").read_text())
+    assert "winding_error" in payload and "winding_number" not in payload
 
 
 def test_index_all_positive_symbol(tmp_path):
@@ -420,6 +453,12 @@ def test_format_is_not_an_option_without_csv_output(tmp_path, capsys, argv):
      "weight table value for (1,) must be finite and > 0, got inf"),
     ([{"index": [0], "value": 1.0}, {"index": [0], "value": 2.0}],
      "repeats index (0,)"),
+    # float() read "2" and " 3 " as 2.0 and 3.0 and true as 1.0, with exit 0,
+    # and a 400-digit integer raised OverflowError, a traceback
+    *(([{"index": [0], "value": 1.0}, {"index": [1], "value": value}],
+       f"mu.json: entry 1 value is {value!r}, not a number")
+      for value in ["2", " 3 ", True, None, [2.0], []]),
+    ([{"index": [0], "value": 10**400}], "mu.json: int too large to convert to float"),
 ])
 def test_bad_weight_table_exit_2(tmp_path, capsys, entries, message):
     cat = enumerate_dual(SU2(), 2.0)
@@ -633,3 +672,85 @@ def test_spectral_data_runs_exit_2(tmp_path, capsys, edit, message):
     assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not (tmp_path / "recovered_symbol.json").exists()
+
+
+# The parser is built on the first ``main`` call of a process and shared by
+# every later call; commands are looked up by name at call time.
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.fixture
+def unbuilt_parser():
+    cli.build_parser.cache_clear()
+    yield
+    cli.build_parser.cache_clear()
+
+
+def test_golden_argvs_run_twice_alike_on_one_parser(tmp_path, monkeypatch, capsys, unbuilt_parser):
+    builds = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        builds.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cases = sorted(path.parent for path in GOLDEN.glob("*/argv.json"))
+    assert len(cases) == 8
+    runs, built = [], []
+    for rerun in (0, 1):
+        for case in cases:
+            workdir = tmp_path / str(rerun) / case.name
+            shutil.copytree(GOLDEN / "inputs", workdir / "inputs")
+            monkeypatch.chdir(workdir)
+            assert main(json.loads((case / "argv.json").read_text())) == 0
+            built.append(len(builds))
+            files = {str(p.relative_to(workdir)): p.read_bytes()
+                     for p in sorted((workdir / "out").rglob("*"))}
+            runs.append((capsys.readouterr().out, files))
+    assert runs[:8] == runs[8:]
+    assert built[0] > 0 and set(built) == {built[0]}  # every build was in the first call
+    assert cli.build_parser.cache_info().currsize == 1
+
+
+def test_usage_error_and_version_leave_the_next_call_unchanged(tmp_path, monkeypatch, capsys,
+                                                               unbuilt_parser):
+    monkeypatch.chdir(tmp_path)
+    cat = enumerate_dual(SU2(), 2.0)
+    write_json(tmp_path / "sym.json", random_matching_symbol(cat, cat, seed=0).to_dict())
+    argv = ["spectrum", "--symbol", "sym.json", "--out-dir", "out"]
+
+    def run(extra=()):
+        shutil.rmtree(tmp_path / "out", ignore_errors=True)
+        assert main([*argv, *extra]) == 0
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").iterdir())}
+        return capsys.readouterr().out, files
+
+    first = run()
+    assert run(["--p", "3", "--format", "json", "--mu", "0.5"]) != first
+    with pytest.raises(SystemExit) as usage:
+        main(["spectrum"])
+    assert usage.value.code == 2
+    with pytest.raises(SystemExit) as version:
+        main(["--version"])
+    assert version.value.code == 0
+    assert capsys.readouterr().out.strip() == cli.__version__
+    assert run() == first
+
+
+def test_command_patched_after_the_first_call_runs(tmp_path, monkeypatch, unbuilt_parser):
+    assert main(["catalog", "--group", "su2", "--cutoff", "2", "--out-dir", str(tmp_path)]) == 0
+    seen = []
+    monkeypatch.setattr(cli, "cmd_index", lambda args: seen.append(args.symbol) or 7)
+    assert main(["index", "--symbol", "sym.json"]) == 7
+    assert seen == ["sym.json"]
+
+
+def test_import_builds_no_parser():
+    src = Path(cli.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    probe = "import muhankel.cli as cli; print(cli.build_parser.cache_info().currsize)"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert done.stdout == "0\n"
