@@ -42,16 +42,13 @@ from .duals import (
     enumerate_dual,
     parse_group,
 )
-from .fredholm import (
-    RANK_TOL,
-    FormulaInapplicableError,
-    index_report,
-    winding_number,
-)
+from .fredholm import RANK_TOL, FormulaInapplicableError, hankel_winding, index_report
 from .operators import assemble
 from .recovery import (
     AttributionError,
     SpectralData,
+    max_entry_error,
+    max_residual,
     stability_scan,
     tikhonov_recover,
 )
@@ -62,7 +59,7 @@ from .spectral import (
     schatten_series_scan,
     spectrum,
 )
-from .symbols import Symbol, SymbolClassParams, hankel_coefficients, symbol_difference
+from .symbols import Symbol, SymbolClassParams
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -229,20 +226,11 @@ def cmd_index(args) -> int:
         print(f"index: {exc}", file=sys.stderr)
         return EXIT_INDEX_INAPPLICABLE
     payload = report.to_dict()
-
-    coeffs = hankel_coefficients(sym)
-    if coeffs is not None:
-        theta = 2.0 * np.pi * np.arange(args.samples) / args.samples
-        samples = np.zeros(args.samples, dtype=complex)
-        for k, c in coeffs.items():
-            samples += c * np.exp(1j * k * theta)
-        try:
-            wind = winding_number(samples)
-            payload["winding_number"] = wind
-            payload["minus_winding"] = -wind
-        except ValueError as exc:
-            payload["winding_error"] = str(exc)
-
+    try:
+        if (wind := hankel_winding(sym, args.samples)) is not None:
+            payload |= {"winding_number": wind, "minus_winding": -wind}
+    except ValueError as exc:
+        payload["winding_error"] = str(exc)
     _emit(args, "index", {"symbol": args.symbol},
           {"mu": args.mu, "nu": args.nu, "tolerance": args.tolerance},
           {"report": ("index.json", payload)})
@@ -260,10 +248,8 @@ def cmd_index(args) -> int:
         f"cokernel {report.numerical_cokernel_dim}, rank {report.numerical_rank})"
     )
     if "winding_number" in payload:
-        print(
-            f"winding number {payload['winding_number']}; "
-            f"-winding = {payload['minus_winding']} vs numerical index {num_index}"
-        )
+        print(f"winding number {payload['winding_number']}; "
+              f"-winding = {payload['minus_winding']} vs numerical index {num_index}")
     elif "winding_error" in payload:
         print(f"winding number unavailable: {payload['winding_error']}")
     return EXIT_OK
@@ -277,13 +263,9 @@ def cmd_recover(args) -> int:
     if args.true_symbol:
         truth = _read_input(args.true_symbol, lambda raw: Symbol.from_dict(raw, data))
         inputs["true_symbol"] = args.true_symbol
-        diff = symbol_difference(recovered, truth)
-        max_err = max(
-            (float(np.max(np.abs(b))) for b in diff.blocks.values()), default=0.0
-        )
-        check = f"max entry error vs true symbol: {max_err:.6g}"
+        check = f"max entry error vs true symbol: {max_entry_error(recovered, truth):.6g}"
     else:
-        residual = _max_residual(assemble(recovered, mu, nu), data)
+        residual = max_residual(assemble(recovered, mu, nu), data)
         check = f"max residual vs reassembled data: {residual:.6g}"
     _emit(args, "recover", inputs,
           {"mu": args.mu, "nu": args.nu,
@@ -293,23 +275,6 @@ def cmd_recover(args) -> int:
     print(check)
     print(f"recovered {len(recovered.blocks)} blocks")
     return EXIT_OK
-
-
-def _max_residual(op, data: SpectralData) -> float:
-    """The largest entry of |T - sum_n s_n u_n v_n^H|, over one codomain label's
-    rows and the triples whose u is not zero there at a time: never N x N."""
-    row_blocks = {}
-    for (pi, rho), block in op.weighted.items():
-        row_blocks.setdefault(pi, []).append((data.domain.slice_of(rho), block))
-    worst = [0.0]
-    for pi in data.codomain:
-        rows = data.u[data.codomain.slice_of(pi)]
-        live = np.flatnonzero(rows.any(axis=0))
-        strip = (rows[:, live] * data.s[live]) @ data.v[:, live].conj().T
-        for cols, block in row_blocks.get(pi, ()):
-            strip[:, cols] -= block
-        worst.append(np.max(np.abs(strip), initial=0.0))
-    return np.max(worst)
 
 
 def cmd_stability(args) -> int:

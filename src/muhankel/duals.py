@@ -85,12 +85,21 @@ def group_to_dict(group: GroupKind) -> dict:
     return {"kind": "product", "factors": [group_to_dict(f) for f in group.factors]}
 
 
+def _typed(value, types: tuple, field: str):
+    """``value`` if its type is one of ``types`` exactly (so a JSON true is
+    no integer here), else a ValueError naming the catalog field."""
+    if type(value) not in types:
+        raise ValueError(f"catalog field {field} is {value!r}, not of type "
+                         + " or ".join(t.__name__ for t in types))
+    return value
+
+
 def group_from_dict(data: Mapping) -> GroupKind:
     kind = data.get("kind")
     if kind == "su2":
-        return SU2(half_integers=bool(data.get("half_integers", True)))
+        return SU2(half_integers=_typed(data.get("half_integers", True), (bool,), "half_integers"))
     if kind == "torus":
-        return Torus(d=int(data.get("d", 1)))
+        return Torus(d=_typed(data.get("d", 1), (int,), "d"))
     if kind == "product":
         return Product(tuple(group_from_dict(f) for f in data["factors"]))
     raise ValueError(f"unknown group kind: {kind!r}")
@@ -326,18 +335,19 @@ class DualCatalog:
     @classmethod
     def from_dict(cls, data: Mapping, like: "DualCatalog | None" = None) -> "DualCatalog":
         """Inverse of :meth:`to_dict`; ``like`` itself when ``data`` is its dict."""
+        group = group_from_dict(data["group"])
+        cutoff = float(_typed(data["cutoff"], (int, float), "cutoff"))
         if like is not None and data == like.to_dict():
             return like
-        group = group_from_dict(data["group"])
         labels = []
         for entry in data["labels"]:
             label = IrrepLabel(group, tuple(entry["index"]))
-            if "dim" in entry and int(entry["dim"]) != label.dim:
+            if "dim" in entry and _typed(entry["dim"], (int,), "dim") != label.dim:
                 raise ValueError(
                     f"label {label.index}: stored dim {entry['dim']} != {label.dim}"
                 )
             labels.append(label)
-        return cls(group, float(data["cutoff"]), labels)
+        return cls(group, cutoff, labels)
 
 
 def _check_dense_dim(dense_dim: int) -> None:

@@ -1,5 +1,6 @@
 """Index diagnostics: determinant-sign formula, numerical kernel/cokernel
-dimensions on dense truncations, and circle winding numbers.
+dimensions on dense truncations, and circle winding numbers, among them
+that of a torus Hankel symbol's Fourier series.
 
 The two index computations are deliberately independent. The formula route
 needs square blocks with (numerically) real determinants and counts d_pi*d_rho
@@ -15,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import IrrepLabel, dim
+from .duals import IrrepLabel, Torus, dim
 from .operators import BlockOperator, retained_count
+from .symbols import Symbol
 
 # Relative imaginary part above which a block determinant is not "real".
 DET_IMAG_TOL = 1e-9
@@ -103,23 +105,14 @@ def index_report(op: BlockOperator, rank_tolerance: float = RANK_TOL) -> IndexRe
     except FormulaInapplicableError as exc:
         error = str(exc)
     try:
-        rank, kernel, cokernel, idx = numerical_index(op, rank_tolerance)
+        numerical = numerical_index(op, rank_tolerance)  # the report's next four fields
     except np.linalg.LinAlgError as exc:
         if error is None:
             raise
         raise FormulaInapplicableError(
             f"formula inapplicable ({error}); numerical SVD failed ({exc})"
         ) from exc
-    return IndexReport(
-        formula_index=formula,
-        contributing_pairs=pairs,
-        formula_error=error,
-        numerical_rank=rank,
-        numerical_kernel_dim=kernel,
-        numerical_cokernel_dim=cokernel,
-        numerical_index=idx,
-        rank_tolerance=rank_tolerance,
-    )
+    return IndexReport(formula, pairs, error, *numerical, rank_tolerance)
 
 
 def winding_number(samples) -> int:
@@ -146,3 +139,23 @@ def winding_number(samples) -> int:
     if abs(total - nearest) > 0.25:
         raise ValueError(f"phase increments sum to {total:.4f} turns, not an integer")
     return nearest
+
+
+def hankel_winding(sym: Symbol, samples: int) -> int | None:
+    """Winding number of sum_k c_k e^(ik theta) at ``samples`` equispaced
+    theta, for a symbol with the Hankel law a(n, m) = c(n + m) on
+    one-dimensional tori (the inverse of ``hankel_symbol_from_fourier``);
+    None for any other symbol, or one without blocks. A loop that
+    :func:`winding_number` refuses raises its ValueError."""
+    if not sym.blocks or sym.codomain.group != Torus(1) or sym.domain.group != Torus(1):
+        return None
+    coeffs: dict[int, complex] = {}
+    for (pi, rho), block in sym.blocks.items():
+        k, value = pi.index[0] + rho.index[0], complex(block[0, 0])
+        if abs(coeffs.setdefault(k, value) - value) > 1e-12 * max(1.0, abs(value)):
+            return None
+    theta = 2.0 * np.pi * np.arange(samples) / samples
+    loop = np.zeros(samples, dtype=complex)
+    for k, c in coeffs.items():
+        loop += c * np.exp(1j * k * theta)
+    return winding_number(loop)

@@ -26,8 +26,8 @@ import numpy as np
 
 from .duals import DualCatalog, Weight, weight_eval
 from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
-from .symbols import (BlockKey, Symbol, complex_from_parts, hs_norm, parse_numbers,
-                      symbol_difference)
+from .symbols import (BlockKey, Symbol, _complex_normal, complex_from_parts, hs_norm,
+                      parse_numbers, symbol_difference)
 
 # A triple belongs to a block when both vectors carry at least this fraction
 # of their squared mass inside the block's coordinate ranges.
@@ -371,6 +371,29 @@ def tikhonov_recover(
     return Symbol(data.codomain, data.domain, blocks)
 
 
+def max_entry_error(recovered: Symbol, truth: Symbol) -> float:
+    """The largest entry modulus of recovered - truth, 0 when neither has a block."""
+    diff = symbol_difference(recovered, truth)
+    return max((float(np.max(np.abs(b))) for b in diff.blocks.values()), default=0.0)
+
+
+def max_residual(op: BlockOperator, data: SpectralData) -> float:
+    """The largest entry of |T - sum_n s_n u_n v_n^H|, over one codomain label's
+    rows and the triples whose u is not zero there at a time: never N x N."""
+    row_blocks = {}
+    for (pi, rho), block in op.weighted.items():
+        row_blocks.setdefault(pi, []).append((data.domain.slice_of(rho), block))
+    worst = [0.0]
+    for pi in data.codomain:
+        rows = data.u[data.codomain.slice_of(pi)]
+        live = np.flatnonzero(rows.any(axis=0))
+        strip = (rows[:, live] * data.s[live]) @ data.v[:, live].conj().T
+        for cols, block in row_blocks.get(pi, ()):
+            strip[:, cols] -= block
+        worst.append(np.max(np.abs(strip), initial=0.0))
+    return np.max(worst)
+
+
 def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
     """QR-orthonormalize columns, phase-fixed to stay close to the input."""
     q, r = np.linalg.qr(mat)
@@ -389,13 +412,8 @@ def perturb_spectral_data(
     if k == 0:
         return data
     s_noisy = np.maximum(data.s + delta * rng.standard_normal(k), 0.0)
-
-    def noise(shape):  # real part drawn first, then the imaginary part
-        real = rng.standard_normal(shape)
-        return (real + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-    u_mat = _reorthonormalize(data.u + delta * noise(data.u.shape))
-    v_mat = _reorthonormalize(data.v + delta * noise(data.v.shape))
+    u_mat = _reorthonormalize(data.u + delta * _complex_normal(rng, data.u.shape))
+    v_mat = _reorthonormalize(data.v + delta * _complex_normal(rng, data.v.shape))
     order = np.argsort(-s_noisy, kind="stable")
     return SpectralData(data.codomain, data.domain, s_noisy[order], u_mat[:, order],
                         v_mat[:, order])

@@ -73,7 +73,10 @@ def schatten_norm(report: SpectrumReport, p: float) -> float:
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"Schatten exponent p must be finite and > 0, got {p}")
     total = float(np.sum(report.singular_values ** p))
-    return total ** (1.0 / p)
+    try:
+        return total ** (1.0 / p)
+    except OverflowError:
+        raise ValueError(f"Schatten exponent p={p} overflows the norm (sum {total:.6g})") from None
 
 
 def schur_constant(params: SymbolClassParams, codomain: DualCatalog, domain: DualCatalog) -> float:
@@ -160,7 +163,7 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
     lams = sorted({casimir(r) for r in op.domain.labels})
     col_norm: dict[float, float] = {lam: 0.0 for lam in lams}
     for (pi, rho), values in op.block_singular_values.items():
-        val = (1.0 + casimir(rho)) ** (params.n / 2.0) * float(values[0])
+        val = params.decay(rho, "n") * float(values[0])
         col_norm[casimir(rho)] = max(col_norm[casimir(rho)], val)
     seq = [col_norm[lam] for lam in lams]
     outer = seq[len(seq) // 2 :]

@@ -182,14 +182,22 @@ class SymbolClassParams:
                 f"decay orders must be finite and >= 0, got m={self.m}, n={self.n}"
             )
 
+    def decay(self, label: IrrepLabel, order: str) -> float:
+        """(1 + lambda)^(k / 2) at ``label``, k the decay order named ``order``
+        ("m" or "n"); a ValueError naming the order and the label if it overflows."""
+        k = getattr(self, order)
+        try:
+            return (1.0 + casimir(label)) ** (k / 2.0)
+        except OverflowError:
+            raise ValueError(f"decay order {order}={k} overflows at label {label.index}") from None
+
 
 def class_norm(op: BlockOperator, params: SymbolClassParams) -> float:
     """Largest weighted block operator norm, amplified by the decay factors
     (1+lambda_pi)^(m/2) (1+lambda_rho)^(n/2). Zero for an empty symbol."""
     best = 0.0
     for (pi, rho), values in op.block_singular_values.items():
-        factor = (1.0 + casimir(pi)) ** (params.m / 2.0)
-        factor *= (1.0 + casimir(rho)) ** (params.n / 2.0)
+        factor = params.decay(pi, "m") * params.decay(rho, "n")
         best = max(best, factor * float(values[0]))
     return best
 
@@ -224,24 +232,6 @@ def hankel_symbol_from_fourier(
     return Symbol(codomain, domain, blocks)
 
 
-def hankel_coefficients(sym: Symbol) -> dict[int, complex] | None:
-    """Fourier coefficients k -> a(n, m) for torus symbols with Hankel
-    structure a(n, m) = c(n + m); None when the structure does not hold.
-    Inverse of :func:`hankel_symbol_from_fourier`."""
-    if sym.codomain.group != Torus(1) or sym.domain.group != Torus(1):
-        return None
-    coeffs: dict[int, complex] = {}
-    for (pi, rho), block in sym.blocks.items():
-        k = pi.index[0] + rho.index[0]
-        value = complex(block[0, 0])
-        if k in coeffs:
-            if abs(coeffs[k] - value) > 1e-12 * max(1.0, abs(value)):
-                return None
-        else:
-            coeffs[k] = value
-    return coeffs or None
-
-
 def diagonal_symbol(catalog: DualCatalog, decay: float = 0.0) -> Symbol:
     """a(pi, pi) = (1 + r_pi)^(-decay) * identity on a single catalog,
     r_pi the radial size; decay 0 gives identity blocks."""
@@ -265,10 +255,7 @@ def random_symbol(
     for pi in codomain.labels:
         for rho in domain.labels:
             if rng.uniform() < density:
-                shape = (dim(pi), dim(rho))
-                blocks[(pi, rho)] = (
-                    rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-                ) / np.sqrt(2.0)
+                blocks[(pi, rho)] = _complex_normal(rng, (dim(pi), dim(rho)))
     return Symbol(codomain, domain, blocks)
 
 
@@ -286,8 +273,10 @@ def random_matching_symbol(
     rhos = [domain.labels[i] for i in rng.permutation(len(domain.labels))[:count]]
     blocks = {}
     for pi, rho in zip(pis, rhos):
-        shape = (dim(pi), dim(rho))
-        blocks[(pi, rho)] = (
-            rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        ) / np.sqrt(2.0)
+        blocks[(pi, rho)] = _complex_normal(rng, (dim(pi), dim(rho)))
     return Symbol(codomain, domain, blocks)
+
+
+def _complex_normal(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard complex normal entries, the real parts drawn before the imaginary."""
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)

@@ -506,6 +506,13 @@ def test_format_writes_and_lists_only_the_chosen_files(tmp_path, monkeypatch, ar
      "decay orders must be finite and >= 0, got m=0.0, n=nan"),
     (["spectrum", "--symbol", "sym.json", "--p", "nan"],
      "Schatten exponent p must be finite and > 0, got nan"),
+    # finite, but past a float: each ended in an OverflowError traceback
+    (["spectrum", "--symbol", "sym.json", "--m", "2000"],
+     "decay order m=2000.0 overflows at label (2,)"),
+    (["spectrum", "--symbol", "sym.json", "--n", "2000"],
+     "decay order n=2000.0 overflows at label (2,)"),
+    (["spectrum", "--symbol", "sym.json", "--p", "1e-300"],
+     "Schatten exponent p=1e-300 overflows the norm (sum 6)"),
 ])
 def test_nan_option_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # each was accepted before, with a wrong rank or a NaN verdict and exit 0

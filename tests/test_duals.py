@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from muhankel.cli import main
 from muhankel.duals import (
     SU2,
     DualCatalog,
@@ -311,6 +312,41 @@ def test_label_at_refuses_what_irrep_label_refuses(index, message):
 def test_group_dict_round_trip():
     for g in [SU2(), SU2(half_integers=False), Torus(3), Product((SU2(), Torus(2)))]:
         assert group_from_dict(group_to_dict(g)) == g
+    assert group_from_dict({"kind": "su2"}) == SU2()  # absent fields keep their defaults
+    assert group_from_dict({"kind": "torus"}) == Torus(1)
+
+
+def catalog_dict(group, cutoff):
+    return json.loads(json.dumps(enumerate_dual(group, cutoff).to_dict()))
+
+
+@pytest.mark.parametrize("group, field, value, message", [
+    (SU2(), ("group", "half_integers"), "false",
+     "catalog field half_integers is 'false', not of type bool"),
+    (SU2(), ("group", "half_integers"), 0, "catalog field half_integers is 0, not of type bool"),
+    (Torus(1), ("group", "d"), 1.7, "catalog field d is 1.7, not of type int"),
+    (Torus(1), ("group", "d"), True, "catalog field d is True, not of type int"),
+    (SU2(), ("cutoff",), "2", "catalog field cutoff is '2', not of type int or float"),
+    (SU2(), ("cutoff",), True, "catalog field cutoff is True, not of type int or float"),
+    (SU2(), ("labels", 1, "dim"), 2.9, "catalog field dim is 2.9, not of type int"),
+    (SU2(), ("labels", 0, "dim"), True, "catalog field dim is True, not of type int"),
+])
+def test_catalog_fields_of_the_wrong_type_are_refused(tmp_path, capsys, group, field, value,
+                                                      message):
+    # each was coerced before: "false" read as true, 1.7 as 1, "2" as 2.0, 2.9 as 2
+    payload = catalog_dict(group, 2.0)
+    target = payload
+    for key in field[:-1]:
+        target = target[key]
+    target[field[-1]] = value
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DualCatalog.from_dict(payload)
+    # read from a symbol file, the fault exits as a validation error
+    symbol = {"codomain": payload, "domain": catalog_dict(group, 2.0), "blocks": []}
+    (tmp_path / "sym.json").write_text(json.dumps(symbol))
+    argv = ["spectrum", "--symbol", str(tmp_path / "sym.json"), "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_parse_group():

@@ -14,13 +14,19 @@ from muhankel.duals import (
 )
 from muhankel.fredholm import (
     FormulaInapplicableError,
+    hankel_winding,
     index_formula,
     index_report,
     numerical_index,
     winding_number,
 )
 from muhankel.operators import assemble
-from muhankel.symbols import Symbol, diagonal_symbol, random_matching_symbol
+from muhankel.symbols import (
+    Symbol,
+    diagonal_symbol,
+    hankel_symbol_from_fourier,
+    random_matching_symbol,
+)
 
 
 def torus_halfline(n_max):
@@ -191,3 +197,23 @@ def test_winding_rejects_undersampling():
     theta = 2 * np.pi * np.arange(4) / 4
     with pytest.raises(ValueError, match="sample count"):
         winding_number(np.exp(2j * theta))
+
+
+def test_hankel_winding_of_the_fourier_series():
+    cat = torus_halfline(4)
+    # c(t) = t^2 + 0.3 t + 0.1 winds twice; its symbol holds c(2) in three blocks
+    sym = hankel_symbol_from_fourier({0: 0.1, 1: 0.3, 2: 1.0}, cat, cat)
+    assert hankel_winding(sym, 256) == 2
+    assert hankel_winding(sym.scaled(-1.0), 256) == 2
+    with pytest.raises(ValueError, match="at least two samples"):
+        hankel_winding(sym, 1)
+
+
+def test_hankel_winding_is_none_off_the_hankel_law():
+    cat = torus_halfline(3)
+    assert hankel_winding(Symbol(cat, cat, {}), 256) is None  # no blocks
+    assert hankel_winding(diagonal_symbol(enumerate_dual(SU2(), 2.0)), 256) is None
+    # a(1, 0) != a(0, 1): not a function of n + m
+    a, b = cat.labels[0], cat.labels[1]
+    sym = Symbol(cat, cat, {(b, a): np.ones((1, 1)), (a, b): 2 * np.ones((1, 1))})
+    assert hankel_winding(sym, 256) is None

@@ -22,6 +22,8 @@ from muhankel.recovery import (
     AttributionError,
     SpectralData,
     forward,
+    max_entry_error,
+    max_residual,
     perturb_spectral_data,
     stability_scan,
     tikhonov_recover,
@@ -416,3 +418,21 @@ def test_spectral_data_attributes_triples_when_attribution_left_out():
         stacked(cat, cat, [(1.0, unit, 2 * unit)])
     empty = DualCatalog(SU2(), 0.0, [])
     assert stacked(empty, empty, []).attribution == []
+
+
+def test_recover_checks_measure_what_they_name():
+    cat = enumerate_dual(SU2(), 2.0)
+    sym = random_matching_symbol(cat, cat, seed=3)
+    mu, nu = PowerLaw(0.5), PowerLaw(-0.5)
+    op = assemble(sym, mu, nu)
+    data = forward(op)
+    assert max_residual(op, data) <= 1e-12 * data.s[0]
+    off = SpectralData(cat, cat, data.s * 1.1, data.u, data.v)  # each value 10% high
+    want = np.max(np.abs(op.to_dense() - off.reassemble()))
+    assert want > 0.01 and max_residual(op, off) == pytest.approx(want, rel=1e-12)
+    assert max_entry_error(sym, sym) == 0.0
+    pi, rho = next(iter(sym.blocks))
+    moved = dict(sym.blocks)
+    moved[(pi, rho)] = moved[(pi, rho)] + 0.25
+    assert max_entry_error(Symbol(cat, cat, moved), sym) == pytest.approx(0.25)
+    assert max_entry_error(Symbol(cat, cat, {}), Symbol(cat, cat, {})) == 0.0
