@@ -337,24 +337,21 @@ class DualCatalog:
         """Inverse of :meth:`to_dict`; ``like`` itself when ``data`` is its dict."""
         group = group_from_dict(data["group"])
         cutoff = float(_typed(data["cutoff"], (int, float), "cutoff"))
-        if like is not None and data == like.to_dict():
+        if like is not None and data == like.to_dict() and all(  # where 2.0 == 2 and true == 1
+                type(entry["dim"]) is int for entry in data["labels"]):
             return like
         labels = []
         for entry in data["labels"]:
             label = IrrepLabel(group, tuple(entry["index"]))
             if "dim" in entry and _typed(entry["dim"], (int,), "dim") != label.dim:
-                raise ValueError(
-                    f"label {label.index}: stored dim {entry['dim']} != {label.dim}"
-                )
+                raise ValueError(f"label {label.index}: stored dim {entry['dim']} != {label.dim}")
             labels.append(label)
         return cls(group, cutoff, labels)
 
 
 def _check_dense_dim(dense_dim: int) -> None:
     if dense_dim > MAX_DENSE_DIM:
-        raise ValueError(
-            f"catalog dense dimension {dense_dim} exceeds guard {MAX_DENSE_DIM}"
-        )
+        raise ValueError(f"catalog dense dimension {dense_dim} exceeds guard {MAX_DENSE_DIM}")
 
 
 def _k_max(budget: float) -> int:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .duals import DualCatalog, Weight, weight_eval
 from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
-from .symbols import (BlockKey, Symbol, _complex_normal, complex_from_parts, hs_norm,
-                      parse_numbers, symbol_difference)
+from .symbols import (BlockKey, Symbol, _complex_normal, complex_from_parts, parse_numbers,
+                      symbol_difference)
 
 # A triple belongs to a block when both vectors carry at least this fraction
 # of their squared mass inside the block's coordinate ranges.
@@ -112,10 +112,6 @@ class SpectralData:
     @property
     def fully_attributed(self) -> bool:
         return all(key is not None for key in self.attribution)
-
-    def reassemble(self) -> np.ndarray:
-        """Dense matrix sum_n s_n u_n v_n^H, as the one product (U s) V^H."""
-        return (self.u * self.s) @ self.v.conj().T
 
     def to_dict(self) -> dict:
         """The JSON form: each triple's ``u_runs`` and ``v_runs`` are the
@@ -394,6 +390,15 @@ def max_residual(op: BlockOperator, data: SpectralData) -> float:
     return np.max(worst)
 
 
+def _weighted_error(a: Symbol, b: Symbol, mu: Weight, nu: Weight) -> float:
+    """hs_norm(assemble(symbol_difference(a, b), mu, nu)), building neither; a's keys first."""
+    diffs = [weight_eval(mu, pi) * weight_eval(nu, rho) * (a.block(pi, rho) - b.block(pi, rho))
+             for pi, rho in dict.fromkeys(chain(a.blocks, b.blocks))]
+    if not np.isfinite(total := sum(np.vdot(diff, diff).real for diff in diffs)):
+        raise ValueError(f"weighted recovery error is {total}, not finite")
+    return float(np.sqrt(total))
+
+
 def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
     """QR-orthonormalize columns, phase-fixed to stay close to the input."""
     q, r = np.linalg.qr(mat)
@@ -457,12 +462,11 @@ def stability_scan(
         for _ in range(trials):
             noisy = perturb_spectral_data(base, delta, rng)
             recovered = tikhonov_recover(noisy, mu, nu, alpha, weighted_penalty)
-            diff = symbol_difference(recovered, true_symbol)
-            errors.append(hs_norm(assemble(diff, mu, nu)))
+            errors.append(_weighted_error(recovered, true_symbol, mu, nu))
         rows.append(StabilityRow(float(delta), alpha, float(np.mean(errors)),
                                  float(np.std(errors))))
     fit_rows = [r for r in rows if r.delta > 0 and r.mean_error > 0]
-    if len(fit_rows) < 2:
+    if len({r.delta for r in fit_rows}) < 2:
         return rows, None
     x, y = np.log([r.delta for r in fit_rows]), np.log([r.mean_error for r in fit_rows])
     return rows, float(np.polyfit(x, y, 1)[0])

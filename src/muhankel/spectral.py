@@ -96,7 +96,8 @@ def norm_criteria(
     """
     big_m = class_norm(op, params)
     c = schur_constant(params, op.codomain, op.domain)
-    upper = c * big_m
+    if not math.isfinite(upper := c * big_m):
+        raise ValueError(f"C*M = {c:.6g} * {big_m:.6g} overflows at m={params.m}, n={params.n}")
     lower = class_norm(op, SymbolClassParams(0.0, 0.0))
     measured = float(op.singular_values[0]) if op.singular_values.size else 0.0
     schur = CriterionVerdict(

@@ -178,9 +178,7 @@ class SymbolClassParams:
 
     def __post_init__(self) -> None:
         if not all(math.isfinite(x) and x >= 0 for x in (self.m, self.n)):
-            raise ValueError(
-                f"decay orders must be finite and >= 0, got m={self.m}, n={self.n}"
-            )
+            raise ValueError(f"decay orders must be finite and >= 0, got m={self.m}, n={self.n}")
 
     def decay(self, label: IrrepLabel, order: str) -> float:
         """(1 + lambda)^(k / 2) at ``label``, k the decay order named ``order``
@@ -194,11 +192,14 @@ class SymbolClassParams:
 
 def class_norm(op: BlockOperator, params: SymbolClassParams) -> float:
     """Largest weighted block operator norm, amplified by the decay factors
-    (1+lambda_pi)^(m/2) (1+lambda_rho)^(n/2). Zero for an empty symbol."""
+    (1+lambda_pi)^(m/2) (1+lambda_rho)^(n/2); zero for an empty symbol."""
     best = 0.0
     for (pi, rho), values in op.block_singular_values.items():
-        factor = params.decay(pi, "m") * params.decay(rho, "n")
-        best = max(best, factor * float(values[0]))
+        amplified = params.decay(pi, "m") * params.decay(rho, "n") * float(values[0])
+        if not math.isfinite(amplified):
+            raise ValueError(f"decay orders m={params.m}, n={params.n} overflow the class "
+                             f"norm at block ({pi.index}, {rho.index})")
+        best = max(best, amplified)
     return best
 
 

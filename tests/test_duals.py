@@ -24,6 +24,9 @@ from muhankel.duals import (
     weight_eval,
 )
 from muhankel.duals import _atoms, _count
+from muhankel.operators import assemble
+from muhankel.recovery import forward
+from muhankel.symbols import random_matching_symbol
 
 
 def su2_labels_oracle(cutoff, half_integers=True):
@@ -330,6 +333,7 @@ def catalog_dict(group, cutoff):
     (SU2(), ("cutoff",), True, "catalog field cutoff is True, not of type int or float"),
     (SU2(), ("labels", 1, "dim"), 2.9, "catalog field dim is 2.9, not of type int"),
     (SU2(), ("labels", 0, "dim"), True, "catalog field dim is True, not of type int"),
+    (SU2(), ("labels", 1, "dim"), 2.0, "catalog field dim is 2.0, not of type int"),
 ])
 def test_catalog_fields_of_the_wrong_type_are_refused(tmp_path, capsys, group, field, value,
                                                       message):
@@ -341,12 +345,34 @@ def test_catalog_fields_of_the_wrong_type_are_refused(tmp_path, capsys, group, f
     target[field[-1]] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         DualCatalog.from_dict(payload)
+    # a dict equal to a catalog's own (2.0 == 2, true == 1) is checked all the same
+    with pytest.raises(ValueError, match=re.escape(message)):
+        DualCatalog.from_dict(payload, enumerate_dual(group, 2.0))
     # read from a symbol file, the fault exits as a validation error
     symbol = {"codomain": payload, "domain": catalog_dict(group, 2.0), "blocks": []}
     (tmp_path / "sym.json").write_text(json.dumps(symbol))
     argv = ["spectrum", "--symbol", str(tmp_path / "sym.json"), "--out-dir", str(tmp_path)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [2.0, True])
+def test_true_symbol_catalog_of_the_wrong_type_exits_2(tmp_path, capsys, value):
+    # the true symbol's catalogs are read against the data's: its dict equal to
+    # theirs, a dim of 2.0 or true was let through before
+    cat = enumerate_dual(SU2(), 2.0)
+    sym = random_matching_symbol(cat, cat, seed=3)
+    data = forward(assemble(sym, PowerLaw(0.0), PowerLaw(0.0)))
+    (tmp_path / "data.json").write_text(json.dumps(data.to_dict()))
+    payload = json.loads(json.dumps(sym.to_dict()))
+    at = 1 if value == 2.0 else 0  # the label of dimension 2, or of dimension 1
+    payload["codomain"]["labels"][at]["dim"] = value
+    (tmp_path / "sym.json").write_text(json.dumps(payload))
+    argv = ["recover", "--data", str(tmp_path / "data.json"), "--true-symbol",
+            str(tmp_path / "sym.json"), "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 2
+    assert f"catalog field dim is {value}, not of type int" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "recover-manifest.json").exists()
 
 
 def test_parse_group():

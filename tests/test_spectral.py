@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -163,6 +164,20 @@ def test_schur_bound_dominates_single_block():
     assert schur_constant(params, cat, cat) >= 1.0
     verdict, _ = norm_criteria(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT), params)
     assert verdict.bound_value >= 2.5
+
+
+def test_norm_bound_overflow_is_refused():
+    cat = enumerate_dual(SU2(), 2.0)
+    params = SymbolClassParams(0.0, 0.0)
+    # M = 1e308 is finite, C * M is not
+    op = assemble(diagonal_symbol(cat).scaled(1e308), UNIT_WEIGHT, UNIT_WEIGHT)
+    with pytest.raises(ValueError, match=r"C\*M = 4\.24264 \* 1e\+308 overflows at m=0.0, n=0.0"):
+        norm_criteria(op, params)
+    # a zero block whose decay factor overflows is refused as well
+    zero = Symbol(cat, cat, {(cat.labels[-1], cat.labels[-1]): np.zeros((3, 3))})
+    message = "decay orders m=1000.0, n=1000.0 overflow the class norm at block ((2,), (2,))"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        class_norm(assemble(zero, UNIT_WEIGHT, UNIT_WEIGHT), SymbolClassParams(1000.0, 1000.0))
 
 
 def test_norm_equivalence_block_diagonal_tight():
