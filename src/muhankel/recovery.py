@@ -4,9 +4,9 @@ The forward map takes an assembled operator to its singular triples, from
 one SVD per support component, so each triple's vectors are exact zeros
 outside its component. The data file stores each vector by its runs of
 entries that are not bitwise zero (a side listing every entry still
-reads). A file is read in whole-array passes, all runs checked as one
-integer array and all values scattered at once; a faulty file is read
-again entry by entry only to name its first fault. Each triple's phase
+reads). A file is read in one pass, which checks each triple's runs and
+value lists in file order and names the first fault; the values of all
+triples are then converted and scattered at once. Each triple's phase
 makes the largest entry of its left vector real and positive, so the
 operator, not the SVD routine, fixes the basis the stability noise is
 drawn on. A triple is attributed to the block carrying (at least 99% of)
@@ -19,15 +19,15 @@ in closed form (Tikhonov for alpha > 0) and refuses unattributable data.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .duals import DualCatalog, Weight, weight_eval
 from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
-from .symbols import (BlockKey, Symbol, _complex_normal, complex_from_parts, parse_numbers,
-                      symbol_difference)
+from .symbols import (BlockKey, Symbol, _complex_normal, _hs_sum, complex_from_parts,
+                      parse_numbers, symbol_difference)
 
 # A triple belongs to a block when both vectors carry at least this fraction
 # of their squared mass inside the block's coordinate ranges.
@@ -189,74 +189,53 @@ def _numbers(values: list, name: str, ndim: int) -> np.ndarray:
 
 def _read_side(entries: list, side: str, n: int) -> np.ndarray:
     """The ``side`` ("u" or "v") vectors of the triple ``entries`` as an
-    n x k array, zero outside each entry's runs: all runs are checked as one
-    integer array and all values scattered at once; :func:`_side_fault`
-    names a fault found there."""
-    field, k = side + "_runs", len(entries)
-    try:
-        runs = [entry.get(field, [[0, n]] if n else []) for entry in entries]  # n = 0: no run
-        pairs = list(chain.from_iterable(runs))
-        lists = [[entry[f"{side}_{part}"] for entry in entries] for part in ("re", "im")]
-        if not (all(map(isinstance, chain(runs, pairs, *lists), repeat(list)))
-                and set(map(len, pairs)) <= {2} and set(map(type, chain(*pairs))) <= {int}):
-            raise TypeError(f"{field} or values are not lists of the right types")
-        # clipped, a run out of range stays out of range and cannot overflow
-        starts, lengths = np.array(pairs, dtype=np.int64).reshape(-1, 2).clip(-1, n + 1).T
-        counts = np.fromiter(map(len, runs), dtype=np.int64, count=k)
-        last, cum = np.cumsum(counts), np.concatenate(([0], np.cumsum(lengths)))
-        ends = starts + lengths
-        before = np.concatenate(([0], ends[:-1]))
-        before[(last - counts)[counts > 0]] = 0  # where each triple's first run may start
-        totals = (cum[last] - cum[last - counts]).tolist()  # values per triple
-        if not ((lengths >= 1).all() and (starts >= before).all() and (ends <= n).all()
-                and [list(map(len, part)) for part in lists] == [totals, totals]):
-            raise ValueError(f"{field} are not sorted runs in range that the values fill")
-        re, im = (_numbers(part, f"{side}_{name}", 1) for part, name in zip(lists, ("re", "im")))
-    except (KeyError, TypeError, ValueError, OverflowError):
-        _side_fault(entries, side, n)
-        raise
+    n x k array, zero outside each entry's runs. One pass in file order
+    checks each triple's runs ([start, length] integer pairs of length at
+    least 1, sorted, non-overlapping, inside ``n``) and then its value
+    lists, raising on the first fault by triple and field; the values are
+    then converted and scattered at once."""
+    field, names, k = side + "_runs", (side + "_re", side + "_im"), len(entries)
+    pairs, totals, res, ims = [], [], [], []
+    for i, entry in enumerate(entries):
+        given, total, end = field in entry, 0, 0
+        runs = entry[field] if given else [[0, n]] if n else []  # n = 0: no run
+        if not isinstance(runs, list):
+            raise ValueError(f"triple {i}: {field} is {runs!r}, not a list of [start, length] "
+                             "pairs")
+        for j, run in enumerate(runs):
+            if not (isinstance(run, list) and len(run) == 2
+                    and type(run[0]) is type(run[1]) is int):
+                raise ValueError(f"triple {i}: {field}[{j}] is {run!r}, not a [start, length] pair "
+                                 "of integers")
+            start, length = run
+            if length < 1:
+                raise ValueError(f"triple {i}: {field}[{j}] has length {length}, not at least 1")
+            if start < end:
+                raise ValueError(f"triple {i}: {field}[{j}] starts at {start}, before {end}")
+            if (end := start + length) > n:
+                raise ValueError(f"triple {i}: {field}[{j}] ends at {end}, past the {n} "
+                                 "coordinates")
+            total += length
+        pairs += runs
+        totals.append(total)
+        if not (isinstance(re := entry[names[0]], list) and len(re) == total
+                and isinstance(im := entry[names[1]], list) and len(im) == total):
+            name, value = ((names[1], im) if isinstance(re, list) and len(re) == total
+                           else (names[0], re))  # the first of the two at fault
+            got = f"length {len(value)}" if isinstance(value, list) else repr(value)
+            fill = f", the total length of {field}" if given else ""
+            raise ValueError(f"triple {i}: {name} must be a list of {total} "
+                             f"numbers{fill}, got {got}")
+        res.append(re)
+        ims.append(im)
+    re, im = _numbers(res, names[0], 1), _numbers(ims, names[1], 1)
+    starts, lengths = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    cum = np.concatenate(([0], np.cumsum(lengths)))
     # each value's coordinate: its run's start plus its place in the run
     at = np.arange(cum[-1]) + np.repeat(starts - cum[:-1], lengths)
     out = np.zeros((n, k), dtype=np.complex128)
     out.reshape(-1)[at * k + np.repeat(np.arange(k), totals)] = complex_from_parts(re, im)
     return out
-
-
-def _side_fault(entries: list, side: str, n: int) -> None:
-    """The structure checks of :func:`_read_side` entry by entry: raise on
-    the first faulty run or value list, naming its triple and field."""
-    field = side + "_runs"
-    for i, entry in enumerate(entries):
-        given = field in entry
-        runs = _parse_runs(entry[field], n, f"triple {i}: {field}") if given else [[0, n]]
-        total = sum(length for _, length in runs)
-        for part in ("re", "im"):
-            value = entry[f"{side}_{part}"]
-            if not isinstance(value, list) or len(value) != total:
-                got = f"length {len(value)}" if isinstance(value, list) else repr(value)
-                fill = f", the total length of {field}" if given else ""
-                raise ValueError(f"triple {i}: {side}_{part} must be a list of {total} "
-                                 f"numbers{fill}, got {got}")
-
-
-def _parse_runs(runs, n: int, what: str) -> list:
-    """``runs`` checked to be [start, length] pairs of integers, each of
-    length at least 1, sorted, non-overlapping and inside ``n`` coordinates."""
-    if not isinstance(runs, list):
-        raise ValueError(f"{what} is {runs!r}, not a list of [start, length] pairs")
-    end = 0
-    for j, run in enumerate(runs):
-        if not (isinstance(run, list) and len(run) == 2 and all(type(x) is int for x in run)):
-            raise ValueError(f"{what}[{j}] is {run!r}, not a [start, length] pair of integers")
-        start, length = run
-        if length < 1:
-            raise ValueError(f"{what}[{j}] has length {length}, not at least 1")
-        if start < end:
-            raise ValueError(f"{what}[{j}] starts at {start}, before {end}")
-        end = start + length
-        if end > n:
-            raise ValueError(f"{what}[{j}] ends at {end}, past the {n} coordinates")
-    return runs
 
 
 def _first_fault(bad: np.ndarray, fault: str) -> None:
@@ -392,11 +371,9 @@ def max_residual(op: BlockOperator, data: SpectralData) -> float:
 
 def _weighted_error(a: Symbol, b: Symbol, mu: Weight, nu: Weight) -> float:
     """hs_norm(assemble(symbol_difference(a, b), mu, nu)), building neither; a's keys first."""
-    diffs = [weight_eval(mu, pi) * weight_eval(nu, rho) * (a.block(pi, rho) - b.block(pi, rho))
-             for pi, rho in dict.fromkeys(chain(a.blocks, b.blocks))]
-    if not np.isfinite(total := sum(np.vdot(diff, diff).real for diff in diffs)):
-        raise ValueError(f"weighted recovery error is {total}, not finite")
-    return float(np.sqrt(total))
+    diffs = (weight_eval(mu, pi) * weight_eval(nu, rho) * (a.block(pi, rho) - b.block(pi, rho))
+             for pi, rho in dict.fromkeys(chain(a.blocks, b.blocks)))
+    return _hs_sum(diffs, "weighted recovery error")
 
 
 def _reorthonormalize(mat: np.ndarray) -> np.ndarray:

@@ -100,16 +100,11 @@ class Symbol:
     def block(self, pi: IrrepLabel, rho: IrrepLabel) -> np.ndarray:
         """Stored block, or a zero matrix of the right shape."""
         found = self.blocks.get((pi, rho))
-        if found is not None:
-            return found
-        return np.zeros((dim(pi), dim(rho)), dtype=np.complex128)
+        return found if found is not None else np.zeros((dim(pi), dim(rho)), dtype=np.complex128)
 
     def scaled(self, c: complex) -> "Symbol":
-        return Symbol(
-            self.codomain,
-            self.domain,
-            {key: c * block for key, block in self.blocks.items()},
-        )
+        return Symbol(self.codomain, self.domain,
+                      {key: c * block for key, block in self.blocks.items()})
 
     def to_dict(self) -> dict:
         blocks = sorted(self.blocks.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index))
@@ -205,16 +200,23 @@ def class_norm(op: BlockOperator, params: SymbolClassParams) -> float:
 
 def hs_norm(op: BlockOperator) -> float:
     """l2-sum of Hilbert-Schmidt norms of the weighted blocks."""
-    return float(np.sqrt(sum(float(np.sum(np.abs(wb) ** 2)) for wb in op.weighted.values())))
+    return _hs_sum(op.weighted.values(), "HS norm")
+
+
+def _hs_sum(blocks, what: str) -> float:
+    """l2-sum of the HS norms of ``blocks``, one np.vdot each (an overflow gives
+    inf or nan, with no warning); a ValueError names ``what`` if not finite."""
+    if not np.isfinite(total := sum(np.vdot(block, block).real for block in blocks)):
+        raise ValueError(f"{what} is {total}, not finite")
+    return float(np.sqrt(total))
 
 
 def symbol_difference(a: Symbol, b: Symbol) -> Symbol:
     """Blockwise a - b over the union of supports; catalogs must agree."""
     if a.codomain.labels != b.codomain.labels or a.domain.labels != b.domain.labels:
         raise ValueError("symbol difference needs matching catalogs")
-    keys = set(a.blocks) | set(b.blocks)
-    blocks = {key: a.block(*key) - b.block(*key) for key in keys}
-    return Symbol(a.codomain, a.domain, blocks)
+    return Symbol(a.codomain, a.domain, {key: a.block(*key) - b.block(*key)
+                                         for key in set(a.blocks) | set(b.blocks)})
 
 
 def hankel_symbol_from_fourier(

@@ -1,10 +1,12 @@
 """The file readers against the per-entry readers they replaced.
 
-``SpectralData.from_dict`` and ``Symbol.from_dict`` check and convert a whole
-file in array passes. The references below read a file one entry at a time,
-as both readers did before. On valid files the two must give bit-for-bit
-equal arrays; on files with faults they must raise the same error with the
-same message, so that a file with several faults names the same one first.
+``SpectralData.from_dict`` checks a file's runs and value lists in one pass
+and converts its numbers at once; ``Symbol.from_dict`` checks and converts a
+whole file in array passes. The references below read a file one entry at a
+time, as both readers did before, and share no check with them. On valid
+files the two must give bit-for-bit equal arrays; on files with faults they
+must raise the same error with the same message, so that a file with several
+faults names the same one first.
 Needs ``hypothesis`` (in the ``test`` extra)."""
 
 import copy
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 
 from muhankel.duals import SU2, UNIT_WEIGHT, DualCatalog, enumerate_dual
 from muhankel.operators import assemble
-from muhankel.recovery import SpectralData, _label_masses, _numbers, _parse_runs, forward
+from muhankel.recovery import SpectralData, _label_masses, _numbers, forward
 from muhankel.symbols import (
     Symbol,
     complex_from_parts,
@@ -50,11 +52,31 @@ def reference_spectral_data(data) -> SpectralData:
     return SpectralData(codomain, domain, values, u, v, attribution)
 
 
+def reference_runs(runs, n: int, what: str) -> list:
+    """``runs`` checked to be [start, length] pairs of integers, each of
+    length at least 1, sorted, non-overlapping and inside ``n`` coordinates."""
+    if not isinstance(runs, list):
+        raise ValueError(f"{what} is {runs!r}, not a list of [start, length] pairs")
+    end = 0
+    for j, run in enumerate(runs):
+        if not (isinstance(run, list) and len(run) == 2 and all(type(x) is int for x in run)):
+            raise ValueError(f"{what}[{j}] is {run!r}, not a [start, length] pair of integers")
+        start, length = run
+        if length < 1:
+            raise ValueError(f"{what}[{j}] has length {length}, not at least 1")
+        if start < end:
+            raise ValueError(f"{what}[{j}] starts at {start}, before {end}")
+        end = start + length
+        if end > n:
+            raise ValueError(f"{what}[{j}] ends at {end}, past the {n} coordinates")
+    return runs
+
+
 def reference_side(entries: list, side: str, n: int) -> np.ndarray:
     field, runs, parts = side + "_runs", [], {"re": [], "im": []}
     for i, entry in enumerate(entries):
         given = field in entry
-        runs.append(_parse_runs(entry[field], n, f"triple {i}: {field}") if given else [[0, n]])
+        runs.append(reference_runs(entry[field], n, f"triple {i}: {field}") if given else [[0, n]])
         total = sum(length for _, length in runs[-1])
         for part, lists in parts.items():
             value = entry[f"{side}_{part}"]
@@ -218,6 +240,14 @@ def diagonal_file():
 
 @settings(max_examples=100, deadline=None)
 @example(files=diagonal_file(), edits=[("empty-run", 1, "u")], key_edit=None, key_at=0)
+# the one pass names triple 0's short values before triple 1's faulty runs,
+@example(files=diagonal_file(), edits=[("short", 0, "u"), ("string-run", 1, "u")],
+         key_edit=None, key_at=0)
+# reads every triple's u side before any v side,
+@example(files=diagonal_file(), edits=[("past-n", 2, "u"), ("zero-length", 0, "v")],
+         key_edit=None, key_at=0)
+# and refuses a run too large for int64 by a ValueError, not an OverflowError
+@example(files=diagonal_file(), edits=[("huge", 0, "u")], key_edit=None, key_at=0)
 @given(files=spectral_files(),
        edits=st.lists(st.tuples(st.sampled_from(sorted(TRIPLE_EDITS)), st.integers(0, 10**6),
                                 st.sampled_from(["u", "v"])), min_size=1, max_size=3),

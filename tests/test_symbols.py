@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -214,6 +216,17 @@ def test_hs_norm_matches_direct_sum(su2_cat):
         )
     )
     np.testing.assert_allclose(hs_norm(assemble(sym, mu, nu)), expected, rtol=1e-12)
+
+
+def test_hs_norm_refuses_a_sum_of_squares_that_overflows():
+    # every entry is finite, about 1e200, and its square is not: the norm is
+    # refused rather than returned as inf after numpy's overflow warnings
+    cat = enumerate_dual(SU2(), 2.0)
+    op = assemble(random_symbol(cat, cat, 1.0, 3).scaled(1e200), PowerLaw(0), PowerLaw(0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="HS norm is .*, not finite"):
+            hs_norm(op)
 
 
 def test_symbol_difference_and_scaled(su2_cat):
