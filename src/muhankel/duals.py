@@ -310,11 +310,6 @@ class DualCatalog:
             raise ValueError(f"{side} label {label.index} not in catalog")
         return found
 
-    def labels_at(self, indices) -> list[IrrepLabel]:
-        """:meth:`label_at` of each index vector, all looked up at once; a
-        KeyError on a miss, which :meth:`label_at` can then name."""
-        return list(map(self._by_index.__getitem__, map(tuple, indices)))
-
     def positions(self, labels) -> list[int]:
         """The catalog position of each label, -1 for one not in the catalog."""
         return [self._position.get(label, -1) for label in labels]
@@ -337,14 +332,24 @@ class DualCatalog:
         """Inverse of :meth:`to_dict`; ``like`` itself when ``data`` is its dict."""
         group = group_from_dict(data["group"])
         cutoff = float(_typed(data["cutoff"], (int, float), "cutoff"))
+        if cutoff < 0:
+            raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
         if like is not None and data == like.to_dict() and all(  # where 2.0 == 2 and true == 1
-                type(entry["dim"]) is int for entry in data["labels"]):
+                type(entry["dim"]) is int and type(entry["casimir"]) is not bool
+                for entry in data["labels"]):
             return like
         labels = []
         for entry in data["labels"]:
             label = IrrepLabel(group, tuple(entry["index"]))
             if "dim" in entry and _typed(entry["dim"], (int,), "dim") != label.dim:
                 raise ValueError(f"label {label.index}: stored dim {entry['dim']} != {label.dim}")
+            if ("casimir" in entry
+                    and _typed(entry["casimir"], (int, float), "casimir") != label.casimir):
+                raise ValueError(f"label {label.index}: stored casimir {entry['casimir']} "
+                                 f"!= {label.casimir}")
+            if label.casimir > cutoff:
+                raise ValueError(f"label {label.index} has Casimir {label.casimir}, "
+                                 f"above the cutoff {cutoff}")
             labels.append(label)
         return cls(group, cutoff, labels)
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
@@ -116,52 +116,27 @@ class Symbol:
     @classmethod
     def from_dict(cls, data: Mapping, like=None) -> "Symbol":
         """Inverse of :meth:`to_dict`, reusing the catalogs of ``like`` (a
-        symbol or spectral data) where the file's equal them. The labels of
-        all blocks are looked up at once, and their numbers converted by one
-        ``np.array`` call and split by block shape; a fault found there is
-        named by :func:`_read_blocks`, the same read block by block."""
+        symbol or spectral data) where the file's equal them. The blocks are
+        read one at a time, in file order: both labels looked up, a duplicate
+        refused, the numbers converted; the first fault found is named."""
         codomain = DualCatalog.from_dict(data["codomain"], like and like.codomain)
         same = data["domain"] == data["codomain"]
         domain = codomain if same else DualCatalog.from_dict(data["domain"], like and like.domain)
-        entries = data["blocks"]
-        try:
-            keys = list(zip(codomain.labels_at([entry["pi_index"] for entry in entries]),
-                            domain.labels_at([entry["rho_index"] for entry in entries])))
-            parts = [entry[part] for part in ("re", "im") for entry in entries]
-            rows = list(chain.from_iterable(parts))
-            if not (len(set(keys)) == len(keys)
-                    and all(map(isinstance, chain(parts, rows), repeat(list)))
-                    and list(map(len, parts)) == [pi.dim for pi, _ in keys] * 2
-                    and list(map(len, rows)) == [rho.dim for pi, rho in keys
-                                                 for _ in range(pi.dim)] * 2):
-                raise ValueError("blocks are not one per key, each of its labels' shape")
-            flat = complex_from_parts(*np.split(
-                parse_numbers(list(chain.from_iterable(rows)), 1, "blocks"), 2))
-        except (KeyError, TypeError, ValueError):
-            cls(codomain, domain, _read_blocks(entries, codomain, domain))
-            raise
-        ends = np.cumsum([pi.dim * rho.dim for pi, rho in keys]).tolist()
-        return cls(codomain, domain, {key: flat[a:b].reshape(key[0].dim, key[1].dim)
-                                      for key, a, b in zip(keys, [0, *ends], ends)})
-
-
-def _read_blocks(entries: list, codomain: DualCatalog, domain: DualCatalog) -> dict:
-    """The blocks of a symbol file read one by one, naming the first fault."""
-    blocks = {}
-    for entry in entries:
-        pi = codomain.label_at(entry["pi_index"], "codomain")
-        rho = domain.label_at(entry["rho_index"], "domain")
-        if (pi, rho) in blocks:
-            raise ValueError(f"duplicate block ({pi.index}, {rho.index})")
-        what = f"block ({pi.index}, {rho.index})"
-        try:  # one conversion and one check for both parts
-            re, im = parse_numbers([entry["re"], entry["im"]], 3, what)
-        except TypeError:
-            parse_numbers(entry["re"], 2, f"{what} re")
-            parse_numbers(entry["im"], 2, f"{what} im")
-            raise TypeError(f"{what} has re and im of different shapes") from None
-        blocks[(pi, rho)] = complex_from_parts(re, im)
-    return blocks
+        blocks = {}
+        for entry in data["blocks"]:
+            pi = codomain.label_at(entry["pi_index"], "codomain")
+            rho = domain.label_at(entry["rho_index"], "domain")
+            if (pi, rho) in blocks:
+                raise ValueError(f"duplicate block ({pi.index}, {rho.index})")
+            try:  # one conversion for both parts; a fault is named part by part
+                re, im = parse_numbers([entry["re"], entry["im"]], 3, "block")
+            except TypeError:
+                what = f"block ({pi.index}, {rho.index})"
+                parse_numbers(entry["re"], 2, f"{what} re")
+                parse_numbers(entry["im"], 2, f"{what} im")
+                raise TypeError(f"{what} has re and im of different shapes") from None
+            blocks[(pi, rho)] = complex_from_parts(re, im)
+        return cls(codomain, domain, blocks)
 
 
 @dataclass(frozen=True)

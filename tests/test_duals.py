@@ -1,6 +1,7 @@
 import itertools
 import json
 import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +28,8 @@ from muhankel.duals import _atoms, _count
 from muhankel.operators import assemble
 from muhankel.recovery import forward
 from muhankel.symbols import random_matching_symbol
+
+GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
 def su2_labels_oracle(cutoff, half_integers=True):
@@ -286,6 +289,10 @@ def test_catalog_json_round_trip():
     back = DualCatalog.from_dict(json.loads(blob))
     assert back == cat
     assert back.offsets == cat.offsets
+    # a Casimir stored as an integer, 1 for 1.0, is the label's own
+    payload = json.loads(blob)
+    payload["labels"][2]["casimir"] = 1
+    assert DualCatalog.from_dict(payload) == cat
 
 
 def test_label_at_returns_the_catalogs_own_label():
@@ -334,10 +341,20 @@ def catalog_dict(group, cutoff):
     (SU2(), ("labels", 1, "dim"), 2.9, "catalog field dim is 2.9, not of type int"),
     (SU2(), ("labels", 0, "dim"), True, "catalog field dim is True, not of type int"),
     (SU2(), ("labels", 1, "dim"), 2.0, "catalog field dim is 2.0, not of type int"),
+    (SU2(), ("labels", 1, "casimir"), "0.75",
+     "catalog field casimir is '0.75', not of type int or float"),
+    (SU2(), ("labels", 0, "casimir"), False,
+     "catalog field casimir is False, not of type int or float"),
+    # a catalog that contradicts itself; a cutoff below a label's Casimir had
+    # emptied the half-cutoff label set of the compactness indicator
+    (SU2(), ("cutoff",), 0.5, "label (1,) has Casimir 0.75, above the cutoff 0.5"),
+    (SU2(), ("cutoff",), -3, "cutoff must be finite and >= 0, got -3.0"),
+    (SU2(), ("labels", 1, "casimir"), 1.0, "label (1,): stored casimir 1.0 != 0.75"),
 ])
 def test_catalog_fields_of_the_wrong_type_are_refused(tmp_path, capsys, group, field, value,
                                                       message):
-    # each was coerced before: "false" read as true, 1.7 as 1, "2" as 2.0, 2.9 as 2
+    # each was coerced before: "false" read as true, 1.7 as 1, "2" as 2.0, 2.9
+    # as 2; the contradictions were read as they stood
     payload = catalog_dict(group, 2.0)
     target = payload
     for key in field[:-1]:
@@ -354,6 +371,23 @@ def test_catalog_fields_of_the_wrong_type_are_refused(tmp_path, capsys, group, f
     argv = ["spectrum", "--symbol", str(tmp_path / "sym.json"), "--out-dir", str(tmp_path)]
     assert main(argv) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cutoff, message", [
+    (0.5, "label (1,) has Casimir 0.75, above the cutoff 0.5"),
+    (-3, "cutoff must be finite and >= 0, got -3.0"),
+])
+def test_symbol_with_catalogs_below_their_labels_exits_2(tmp_path, capsys, cutoff, message):
+    # this spectrum run exited 0 before, its compactness indicator reading
+    # min-sv ratio=inf over an empty half-cutoff label set
+    payload = json.loads((GOLDEN_INPUTS / "su2-random.json").read_text())
+    for side in ("codomain", "domain"):
+        payload[side]["cutoff"] = cutoff
+    (tmp_path / "sym.json").write_text(json.dumps(payload))
+    argv = ["spectrum", "--symbol", str(tmp_path / "sym.json"), "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "spectrum-manifest.json").exists()
 
 
 @pytest.mark.parametrize("value", [2.0, True])

@@ -1,9 +1,10 @@
 """The file readers against the per-entry readers they replaced.
 
 ``SpectralData.from_dict`` checks a file's runs and value lists in one pass
-and converts its numbers at once; ``Symbol.from_dict`` checks and converts a
-whole file in array passes. The references below read a file one entry at a
-time, as both readers did before, and share no check with them. On valid
+and converts its numbers at once; ``Symbol.from_dict`` reads a file in one
+pass, block by block, converting each block's numbers as it goes. The
+references below read a file one entry at a time, written apart from the
+readers so that a change to a reader is checked against them. On valid
 files the two must give bit-for-bit equal arrays; on files with faults they
 must raise the same error with the same message, so that a file with several
 faults names the same one first.
@@ -350,7 +351,18 @@ BLOCK_EDITS = {
 }
 
 
+def diagonal_symbol_file():
+    """A diagonal SU(2) symbol of three blocks, of dimensions 1, 2 and 3."""
+    sym = diagonal_symbol(enumerate_dual(SU2(), 2.0), decay=1.0)
+    return sym, json.loads(json.dumps(sym.to_dict()))
+
+
 @settings(max_examples=100, deadline=None)
+# block by block, block 0's bad number is named before block 2's bad label,
+@example(files=diagonal_symbol_file(), edits=[("string-value", 0), ("label-outside", 2)],
+         duplicate=None)
+# and block 1's short row before a duplicate of block 0 at the end
+@example(files=diagonal_symbol_file(), edits=[("row-short", 1)], duplicate=0)
 @given(files=symbol_files(),
        edits=st.lists(st.tuples(st.sampled_from(sorted(BLOCK_EDITS)), st.integers(0, 10**6)),
                       min_size=1, max_size=3),
