@@ -35,7 +35,6 @@ from .duals import (
     MAX_DENSE_DIM,
     SU2,
     DualCatalog,
-    IrrepLabel,
     PowerLaw,
     TableWeight,
     Weight,
@@ -127,7 +126,7 @@ def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
     def parse(data) -> TableWeight:
         values = {}
         for i, entry in enumerate(data["entries"]):
-            label = IrrepLabel(catalog.group, tuple(entry["index"]))
+            label = catalog.label_at(entry["index"], f"weight table {spec} entry {i}:")
             if label in values:
                 raise ValueError(f"weight table {spec} repeats index {label.index}")
             if type(value := entry["value"]) not in (int, float):  # not "2", true or null

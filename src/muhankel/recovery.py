@@ -327,6 +327,30 @@ def tikhonov_recover(
     alpha * ||w a||_HS^2 it is a = T / (w (1 + alpha)). Either is T / w at
     alpha = 0. Blocks without a triple stay zero.
     """
+    blocks = _solve_blocks(data, _KeyPlan(data.codomain, data.domain, mu, nu), alpha,
+                           weighted_penalty)
+    return Symbol(data.codomain, data.domain, blocks)
+
+
+class _KeyPlan(dict):
+    """Per block key (pi, rho): its weight mu(pi) nu(rho) and its codomain
+    and domain slices, each key's worked out on its first lookup."""
+
+    def __init__(self, codomain: DualCatalog, domain: DualCatalog, mu: Weight, nu: Weight):
+        super().__init__()
+        self.codomain, self.domain, self.mu, self.nu = codomain, domain, mu, nu
+
+    def __missing__(self, key: BlockKey) -> tuple[float, slice, slice]:
+        pi, rho = key
+        self[key] = found = (weight_eval(self.mu, pi) * weight_eval(self.nu, rho),
+                             self.codomain.slice_of(pi), self.domain.slice_of(rho))
+        return found
+
+
+def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
+                  weighted_penalty: bool) -> dict[BlockKey, np.ndarray]:
+    """The closed-form solve of :func:`tikhonov_recover`, each block a fresh
+    read-only array, weights and slices taken from ``plan``."""
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"regularization parameter must be finite and >= 0, got {alpha}")
     missing = data.attribution.count(None)
@@ -337,13 +361,14 @@ def tikhonov_recover(
             "or reduce the noise"
         )
     blocks = {}
-    for pi, rho in dict.fromkeys(data.attribution):
-        u = data.u[data.codomain.slice_of(pi)]
-        t_block = (u * data.s) @ data.v[data.domain.slice_of(rho)].conj().T
-        w = weight_eval(mu, pi) * weight_eval(nu, rho)
-        blocks[(pi, rho)] = (t_block / (w * (1.0 + alpha)) if weighted_penalty
-                             else w * t_block / (w * w + alpha))
-    return Symbol(data.codomain, data.domain, blocks)
+    for key in dict.fromkeys(data.attribution):
+        w, rows, cols = plan[key]
+        t_block = (data.u[rows] * data.s) @ data.v[cols].conj().T
+        block = (t_block / (w * (1.0 + alpha)) if weighted_penalty
+                 else w * t_block / (w * w + alpha))
+        block.setflags(write=False)
+        blocks[key] = block
+    return blocks
 
 
 def max_entry_error(recovered: Symbol, truth: Symbol) -> float:
@@ -369,10 +394,12 @@ def max_residual(op: BlockOperator, data: SpectralData) -> float:
     return np.max(worst)
 
 
-def _weighted_error(a: Symbol, b: Symbol, mu: Weight, nu: Weight) -> float:
-    """hs_norm(assemble(symbol_difference(a, b), mu, nu)), building neither; a's keys first."""
-    diffs = (weight_eval(mu, pi) * weight_eval(nu, rho) * (a.block(pi, rho) - b.block(pi, rho))
-             for pi, rho in dict.fromkeys(chain(a.blocks, b.blocks)))
+def _weighted_error(a: Mapping[BlockKey, np.ndarray], b: Mapping[BlockKey, np.ndarray],
+                    plan: _KeyPlan) -> float:
+    """hs_norm(assemble(symbol_difference(A, B), mu, nu)) for the symbols A and
+    B with blocks ``a`` and ``b`` (an absent block is zero), the weights from
+    ``plan``, building neither; a's keys first."""
+    diffs = (plan[key][0] * (a.get(key, 0) - b.get(key, 0)) for key in dict.fromkeys(chain(a, b)))
     return _hs_sum(diffs, "weighted recovery error")
 
 
@@ -431,6 +458,7 @@ def stability_scan(
         if not (np.isfinite(delta) and delta >= 0):
             raise ValueError(f"noise level delta must be finite and >= 0, got {delta}")
     base = forward(assemble(true_symbol, mu, nu))
+    plan = _KeyPlan(base.codomain, base.domain, mu, nu)
     rng = np.random.default_rng(seed)
     rows = []
     for delta in deltas:
@@ -438,8 +466,8 @@ def stability_scan(
         errors = []
         for _ in range(trials):
             noisy = perturb_spectral_data(base, delta, rng)
-            recovered = tikhonov_recover(noisy, mu, nu, alpha, weighted_penalty)
-            errors.append(_weighted_error(recovered, true_symbol, mu, nu))
+            solved = _solve_blocks(noisy, plan, alpha, weighted_penalty)
+            errors.append(_weighted_error(solved, true_symbol.blocks, plan))
         rows.append(StabilityRow(float(delta), alpha, float(np.mean(errors)),
                                  float(np.std(errors))))
     fit_rows = [r for r in rows if r.delta > 0 and r.mean_error > 0]

@@ -73,7 +73,9 @@ def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 @dataclass
 class Symbol:
     """Sparse collection of blocks a(pi, rho), pi from the codomain catalog
-    and rho from the domain catalog. Immutable after construction."""
+    and rho from the domain catalog. Immutable after construction: a block
+    is copied and frozen unless it is already a read-only, C-contiguous
+    complex128 array that owns its memory."""
 
     codomain: DualCatalog
     domain: DualCatalog
@@ -86,8 +88,11 @@ class Symbol:
                 raise ValueError(f"codomain label {pi.index} not in catalog")
             if rho not in self.domain:
                 raise ValueError(f"domain label {rho.index} not in catalog")
-            block = np.array(block, dtype=np.complex128)
-            block.setflags(write=False)
+            if not (type(block) is np.ndarray and block.dtype == np.complex128
+                    and block.flags.c_contiguous and block.flags.owndata
+                    and not block.flags.writeable):  # kept: frozen by its maker
+                block = np.array(block, dtype=np.complex128)
+                block.setflags(write=False)
             want = (dim(pi), dim(rho))
             if block.shape != want:
                 raise ValueError(f"block ({pi.index}, {rho.index}) has shape {block.shape}, "
@@ -135,7 +140,8 @@ class Symbol:
                 parse_numbers(entry["re"], 2, f"{what} re")
                 parse_numbers(entry["im"], 2, f"{what} im")
                 raise TypeError(f"{what} has re and im of different shapes") from None
-            blocks[(pi, rho)] = complex_from_parts(re, im)
+            blocks[(pi, rho)] = block = complex_from_parts(re, im)
+            block.setflags(write=False)
         return cls(codomain, domain, blocks)
 
 

@@ -352,6 +352,18 @@ def test_stability_bad_delta_exit_2(tmp_path, capsys, grid, bad):
     assert f"delta must be finite and >= 0, got {bad}" in capsys.readouterr().err
 
 
+def test_stability_trial_attribution_failure_exit_5(tmp_path, capsys):
+    # at delta 0.05 every noisy triple of the golden matching spreads past one block
+    symbol = Path(__file__).parent / "golden" / "inputs" / "su2-matching.json"
+    code = main(["stability", "--symbol", str(symbol), "--mu", "0.5", "--nu", "-0.5",
+                 "--delta-grid", "0.05", "--trials", "2", "--seed", "5",
+                 "--out-dir", str(tmp_path)])
+    assert code == 5
+    assert ("attribution failure: tikhonov recovery: 10 of 10 triples are not attributable"
+            in capsys.readouterr().err)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_non_finite_symbol_entry_exit_2(tmp_path, capsys):
     cat = enumerate_dual(SU2(), 2.0)
     payload = diagonal_symbol(cat).to_dict()
@@ -458,6 +470,10 @@ def test_format_is_not_an_option_without_csv_output(tmp_path, capsys, argv):
        f"mu.json: entry 1 value is {value!r}, not a number")
       for value in ["2", " 3 ", True, None, [2.0], []]),
     ([{"index": [0], "value": 10**400}], "mu.json: int too large to convert to float"),
+    # every label of the catalog and one outside it: the extra entry was ignored, with exit 0
+    ([*({"index": list(label.index), "value": 1.0} for label in enumerate_dual(SU2(), 2.0)),
+      {"index": [99], "value": 2.0}],
+     f"mu.json entry {len(enumerate_dual(SU2(), 2.0))}: label (99,) not in catalog"),
 ])
 def test_bad_weight_table_exit_2(tmp_path, capsys, entries, message):
     cat = enumerate_dual(SU2(), 2.0)

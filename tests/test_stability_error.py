@@ -5,6 +5,7 @@ Needs ``hypothesis`` (in the ``test`` extra)."""
 
 import json
 import warnings
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +15,19 @@ from hypothesis import strategies as st
 
 import muhankel.recovery as recovery
 from muhankel.cli import main
-from muhankel.duals import SU2, PowerLaw, Product, TableWeight, Torus, enumerate_dual
+from muhankel.duals import (SU2, PowerLaw, Product, TableWeight, Torus, enumerate_dual,
+                            parse_group, weight_eval)
 from muhankel.operators import assemble
 from muhankel.recovery import (
+    _KeyPlan,
     _weighted_error,
     forward,
     perturb_spectral_data,
     stability_scan,
     tikhonov_recover,
 )
-from muhankel.symbols import Symbol, _complex_normal, hs_norm, random_symbol, symbol_difference
+from muhankel.symbols import (Symbol, _complex_normal, hs_norm, random_matching_symbol,
+                              random_symbol, symbol_difference)
 
 GOLDEN_SYMBOL = Path(__file__).parent / "golden" / "inputs" / "su2-matching.json"
 GROUPS = [SU2(), Torus(1), Product((SU2(), Torus(1)))]
@@ -61,9 +65,10 @@ def test_weighted_error_equals_norm_of_assembled_difference(
     else:
         a, b = (a, Symbol(codomain, domain, {})) if seed % 2 else (Symbol(codomain, domain, {}), a)
     mu, nu = weight(mu_kind, codomain, rng), weight(nu_kind, domain, rng)
-    np.testing.assert_allclose(_weighted_error(a, b, mu, nu), old_error(a, b, mu, nu),
-                               rtol=1e-12, atol=0)
-    assert _weighted_error(a, a, mu, nu) == 0.0
+    plan = _KeyPlan(codomain, domain, mu, nu)
+    np.testing.assert_allclose(_weighted_error(a.blocks, b.blocks, plan),
+                               old_error(a, b, mu, nu), rtol=1e-12, atol=0)
+    assert _weighted_error(a.blocks, a.blocks, plan) == 0.0
 
 
 @pytest.mark.parametrize("weighted_penalty", [False, True])
@@ -85,6 +90,54 @@ def test_stability_rows_match_the_old_chain(weighted_penalty):
                                    [np.mean(errors), np.std(errors)], rtol=1e-12, atol=1e-15)
 
 
+def reference_error(recovered, truth, mu, nu):
+    """The weighted error summed as a trial did through the recovered Symbol:
+    the union of keys, the recovered symbol's first, one np.vdot per block."""
+    total = 0
+    for pi, rho in dict.fromkeys(chain(recovered.blocks, truth.blocks)):
+        diff = (weight_eval(mu, pi) * weight_eval(nu, rho)
+                * (recovered.block(pi, rho) - truth.block(pi, rho)))
+        total += np.vdot(diff, diff).real
+    return float(np.sqrt(total))
+
+
+def product_matching():
+    catalog = enumerate_dual(parse_group("su2xtorus:1"), 10.0)
+    return random_matching_symbol(catalog, catalog, 0, pairs=len(catalog))
+
+
+@pytest.mark.parametrize("weighted_penalty", [False, True])
+@pytest.mark.parametrize("kind", ["power", "table"])
+@pytest.mark.parametrize("instance, deltas", [
+    ("golden", [0.0, 1e-4, 1e-3, 1e-2]),
+    ("su2xtorus:1", [0.0, 1e-5, 1e-4, 1e-3]),
+])
+def test_stability_rows_equal_a_reference_loop(instance, deltas, kind, weighted_penalty):
+    truth = (Symbol.from_dict(json.loads(GOLDEN_SYMBOL.read_text())) if instance == "golden"
+             else product_matching())
+    rng = np.random.default_rng(2)
+    if kind == "power":
+        mu, nu = PowerLaw(0.5), PowerLaw(-0.5)
+    else:
+        mu, nu = weight("table", truth.codomain, rng), weight("table", truth.domain, rng)
+    rows, slope = stability_scan(truth, mu, nu, deltas, trials=2, seed=5,
+                                 weighted_penalty=weighted_penalty)
+    # the reference: the same draws, each trial recovering a Symbol
+    base = forward(assemble(truth, mu, nu))
+    rng = np.random.default_rng(5)
+    means = []
+    for row, delta in zip(rows, deltas):
+        alpha = float(delta * delta)
+        errors = [reference_error(tikhonov_recover(perturb_spectral_data(base, delta, rng), mu,
+                                                   nu, alpha, weighted_penalty), truth, mu, nu)
+                  for _ in range(2)]
+        assert (row.delta, row.alpha) == (delta, alpha)
+        assert (row.mean_error, row.std_error) == (float(np.mean(errors)), float(np.std(errors)))
+        means.append(float(np.mean(errors)))
+    fit = np.polyfit(np.log(deltas[1:]), np.log(means[1:]), 1)[0]
+    assert slope == float(fit)
+
+
 def test_non_finite_error_raises(monkeypatch):
     cat = enumerate_dual(SU2(), 2.0)
     key = (cat.labels[0], cat.labels[0])
@@ -93,10 +146,10 @@ def test_non_finite_error_raises(monkeypatch):
     # numpy's overflow warnings are not the refusal under test
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="weighted recovery error is .*, not finite"):
-            _weighted_error(big, small, unit, unit)
+            _weighted_error(big.blocks, small.blocks, _KeyPlan(cat, cat, unit, unit))
         # every entry finite, the sum of squares not: the stability scan refuses it too
         truth = random_symbol(cat, cat, 1.0, 3)
-        monkeypatch.setattr(recovery, "tikhonov_recover", lambda *args: truth.scaled(1e200))
+        monkeypatch.setattr(recovery, "_solve_blocks", lambda *args: truth.scaled(1e200).blocks)
         with pytest.raises(ValueError, match="weighted recovery error is .*, not finite"):
             stability_scan(truth, unit, unit, [1e-3], trials=1, seed=0)
 

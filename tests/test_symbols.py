@@ -264,3 +264,25 @@ def test_symbol_file_labels_are_the_catalogs_own(su2_cat):
     for pi, rho in back.blocks:
         assert back.codomain.label_at(pi.index, "codomain") is pi
         assert back.domain.label_at(rho.index, "domain") is rho
+
+
+def test_symbol_copies_a_writable_block(su2_cat):
+    label = su2_cat.labels[2]
+    given = np.ones((label.dim, label.dim), dtype=np.complex128)
+    sym = Symbol(su2_cat, su2_cat, {(label, label): given})
+    given[0, 0] = 5.0
+    assert sym.blocks[(label, label)][0, 0] == 1.0
+    assert not sym.blocks[(label, label)].flags.writeable
+
+
+def test_symbol_keeps_the_frozen_blocks_of_a_file(su2_cat):
+    import json
+
+    s = Symbol.from_dict(json.loads(json.dumps(random_symbol(su2_cat, su2_cat, 0.5, 4).to_dict())))
+    again = Symbol(s.codomain, s.domain, s.blocks)
+    assert s.blocks and all(again.blocks[k] is s.blocks[k] for k in s.blocks)
+    # a read-only view does not own its memory: it is copied
+    view = s.blocks[next(iter(s.blocks))][:, :]
+    view.setflags(write=False)
+    key = next(iter(s.blocks))
+    assert Symbol(s.codomain, s.domain, {key: view}).blocks[key] is not view
