@@ -260,7 +260,7 @@ def cmd_recover(args) -> int:
     recovered = tikhonov_recover(data, mu, nu, args.alpha, args.weighted_penalty)
     inputs = {"data": args.data}
     if args.true_symbol:
-        truth = _read_input(args.true_symbol, lambda raw: Symbol.from_dict(raw, data))
+        truth = _read_input(args.true_symbol, Symbol.from_dict)
         inputs["true_symbol"] = args.true_symbol
         check = f"max entry error vs true symbol: {max_entry_error(recovered, truth):.6g}"
     else:

@@ -328,16 +328,12 @@ class DualCatalog:
                             "casimir": label.casimir} for label in self.labels]}
 
     @classmethod
-    def from_dict(cls, data: Mapping, like: "DualCatalog | None" = None) -> "DualCatalog":
-        """Inverse of :meth:`to_dict`; ``like`` itself when ``data`` is its dict."""
+    def from_dict(cls, data: Mapping) -> "DualCatalog":
+        """Inverse of :meth:`to_dict`."""
         group = group_from_dict(data["group"])
         cutoff = float(_typed(data["cutoff"], (int, float), "cutoff"))
         if cutoff < 0:
             raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
-        if like is not None and data == like.to_dict() and all(  # where 2.0 == 2 and true == 1
-                type(entry["dim"]) is int and type(entry["casimir"]) is not bool
-                for entry in data["labels"]):
-            return like
         labels = []
         for entry in data["labels"]:
             label = IrrepLabel(group, tuple(entry["index"]))

@@ -349,8 +349,8 @@ class _KeyPlan(dict):
 
 def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
                   weighted_penalty: bool) -> dict[BlockKey, np.ndarray]:
-    """The closed-form solve of :func:`tikhonov_recover`, each block a fresh
-    read-only array, weights and slices taken from ``plan``."""
+    """The closed-form solve of :func:`tikhonov_recover`, weights and slices
+    taken from ``plan``."""
     if not (np.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"regularization parameter must be finite and >= 0, got {alpha}")
     missing = data.attribution.count(None)
@@ -364,10 +364,8 @@ def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
     for key in dict.fromkeys(data.attribution):
         w, rows, cols = plan[key]
         t_block = (data.u[rows] * data.s) @ data.v[cols].conj().T
-        block = (t_block / (w * (1.0 + alpha)) if weighted_penalty
-                 else w * t_block / (w * w + alpha))
-        block.setflags(write=False)
-        blocks[key] = block
+        blocks[key] = (t_block / (w * (1.0 + alpha)) if weighted_penalty
+                       else w * t_block / (w * w + alpha))
     return blocks
 
 

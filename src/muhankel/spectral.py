@@ -69,14 +69,19 @@ def spectrum(op: BlockOperator) -> SpectrumReport:
 
 
 def schatten_norm(report: SpectrumReport, p: float) -> float:
-    """(sum s_n^p)^(1/p) over the global singular values."""
+    """(sum s_n^p)^(1/p) over the global singular values, taken as
+    s_0 (sum (s_n / s_0)^p)^(1/p) with s_0 the largest, so that no power
+    underflows to 0 or overflows to inf; 0.0 for the zero operator."""
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"Schatten exponent p must be finite and > 0, got {p}")
-    total = float(np.sum(report.singular_values ** p))
-    try:
-        return total ** (1.0 / p)
-    except OverflowError:
-        raise ValueError(f"Schatten exponent p={p} overflows the norm (sum {total:.6g})") from None
+    if (s0 := float(report.singular_values.max(initial=0.0))) == 0.0:
+        return 0.0
+    total = np.sum((report.singular_values / s0) ** p)  # in [1, n]
+    with np.errstate(over="ignore"):  # an inf is refused below
+        norm = float(s0 * total ** (1.0 / p))
+    if not math.isfinite(norm):
+        raise ValueError(f"Schatten exponent p={p} overflows the norm (sum {total:.6g})")
+    return norm
 
 
 def schur_constant(params: SymbolClassParams, codomain: DualCatalog, domain: DualCatalog) -> float:
@@ -243,12 +248,14 @@ def schatten_series_scan(
     rows: list[dict] = []
     for l_max in l_ladder:
         ls = np.arange(0.0, l_max + step / 2, step)
-        decay = (1 + ls) ** (-p * alpha)
-        row = {
-            "l_max": float(l_max),
-            "partial_sum": float(np.sum((2 * ls + 1) ** 2 * decay)),
-            "operator_schatten": float(np.sum((2 * ls + 1) * decay)) ** (1.0 / p),
-        }
+        with np.errstate(over="ignore"):  # an inf is refused below
+            decay = (1 + ls) ** (-p * alpha)
+            partial = float(np.sum((2 * ls + 1) ** 2 * decay))
+            schatten = float(np.sum((2 * ls + 1) * decay) ** (1.0 / p))
+        if not (math.isfinite(partial) and math.isfinite(schatten)):
+            raise ValueError(f"cutoff ladder rung {l_max:g} overflows the series at "
+                             f"p={p}, alpha={alpha}")
+        row = {"l_max": float(l_max), "partial_sum": partial, "operator_schatten": schatten}
         if rows:
             row["increment"] = increment = row["partial_sum"] - rows[-1]["partial_sum"]
             prev = rows[-1].get("increment")

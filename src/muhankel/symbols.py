@@ -73,9 +73,8 @@ def complex_from_parts(re: np.ndarray, im: np.ndarray) -> np.ndarray:
 @dataclass
 class Symbol:
     """Sparse collection of blocks a(pi, rho), pi from the codomain catalog
-    and rho from the domain catalog. Immutable after construction: a block
-    is copied and frozen unless it is already a read-only, C-contiguous
-    complex128 array that owns its memory."""
+    and rho from the domain catalog. Immutable after construction: every
+    block is copied and frozen."""
 
     codomain: DualCatalog
     domain: DualCatalog
@@ -88,11 +87,8 @@ class Symbol:
                 raise ValueError(f"codomain label {pi.index} not in catalog")
             if rho not in self.domain:
                 raise ValueError(f"domain label {rho.index} not in catalog")
-            if not (type(block) is np.ndarray and block.dtype == np.complex128
-                    and block.flags.c_contiguous and block.flags.owndata
-                    and not block.flags.writeable):  # kept: frozen by its maker
-                block = np.array(block, dtype=np.complex128)
-                block.setflags(write=False)
+            block = np.array(block, dtype=np.complex128)
+            block.setflags(write=False)
             want = (dim(pi), dim(rho))
             if block.shape != want:
                 raise ValueError(f"block ({pi.index}, {rho.index}) has shape {block.shape}, "
@@ -119,14 +115,13 @@ class Symbol:
                            for (pi, rho), block in blocks]}
 
     @classmethod
-    def from_dict(cls, data: Mapping, like=None) -> "Symbol":
-        """Inverse of :meth:`to_dict`, reusing the catalogs of ``like`` (a
-        symbol or spectral data) where the file's equal them. The blocks are
-        read one at a time, in file order: both labels looked up, a duplicate
-        refused, the numbers converted; the first fault found is named."""
-        codomain = DualCatalog.from_dict(data["codomain"], like and like.codomain)
+    def from_dict(cls, data: Mapping) -> "Symbol":
+        """Inverse of :meth:`to_dict`. The blocks are read one at a time, in
+        file order: both labels looked up, a duplicate refused, the numbers
+        converted; the first fault found is named."""
+        codomain = DualCatalog.from_dict(data["codomain"])
         same = data["domain"] == data["codomain"]
-        domain = codomain if same else DualCatalog.from_dict(data["domain"], like and like.domain)
+        domain = codomain if same else DualCatalog.from_dict(data["domain"])
         blocks = {}
         for entry in data["blocks"]:
             pi = codomain.label_at(entry["pi_index"], "codomain")
@@ -140,8 +135,7 @@ class Symbol:
                 parse_numbers(entry["re"], 2, f"{what} re")
                 parse_numbers(entry["im"], 2, f"{what} im")
                 raise TypeError(f"{what} has re and im of different shapes") from None
-            blocks[(pi, rho)] = block = complex_from_parts(re, im)
-            block.setflags(write=False)
+            blocks[(pi, rho)] = complex_from_parts(re, im)
         return cls(codomain, domain, blocks)
 
 

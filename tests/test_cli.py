@@ -531,6 +531,12 @@ def test_format_writes_and_lists_only_the_chosen_files(tmp_path, monkeypatch, ar
     # each decay factor finite, their product not: M=inf with both criteria ok
     (["spectrum", "--symbol", "sym.json", "--m", "1000", "--n", "1000"],
      "decay orders m=1000.0, n=1000.0 overflow the class norm at block ((2,), (2,))"),
+    # a series that overflows a float: one ended in an OverflowError traceback
+    # (exit 1), the other wrote Infinity and NaN into schatten_scan.json
+    (["schatten-scan", "--p", "1e-3", "--alpha", "1"],
+     "cutoff ladder rung 64 overflows the series at p=0.001, alpha=1.0"),
+    (["schatten-scan", "--p", "2", "--alpha", "-200"],
+     "cutoff ladder rung 64 overflows the series at p=2.0, alpha=-200.0"),
 ])
 def test_nan_option_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # each was accepted before, with a wrong rank or a NaN verdict and exit 0

@@ -362,9 +362,6 @@ def test_catalog_fields_of_the_wrong_type_are_refused(tmp_path, capsys, group, f
     target[field[-1]] = value
     with pytest.raises(ValueError, match=re.escape(message)):
         DualCatalog.from_dict(payload)
-    # a dict equal to a catalog's own (2.0 == 2, true == 1) is checked all the same
-    with pytest.raises(ValueError, match=re.escape(message)):
-        DualCatalog.from_dict(payload, enumerate_dual(group, 2.0))
     # read from a symbol file, the fault exits as a validation error
     symbol = {"codomain": payload, "domain": catalog_dict(group, 2.0), "blocks": []}
     (tmp_path / "sym.json").write_text(json.dumps(symbol))

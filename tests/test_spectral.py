@@ -1,8 +1,11 @@
 import json
+import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from muhankel.cli import main
 from muhankel.duals import (
@@ -16,6 +19,7 @@ from muhankel.duals import (
 )
 from muhankel.operators import assemble
 from muhankel.spectral import (
+    SpectrumReport,
     carleson_test,
     compactness_report,
     norm_criteria,
@@ -124,6 +128,28 @@ def test_schatten_monotone_in_p():
     ps = [0.5, 1.0, 1.5, 2.0, 4.0, 10.0]
     norms = [schatten_norm(rep, p) for p in ps]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ratios=st.lists(st.floats(0.0, 1.0), max_size=19),
+    exponent=st.floats(-100.0, 100.0),
+    log_p=st.floats(-2.0, 6.0),
+)
+# the powers s_n^p underflowed to a norm of 0.0, or overflowed to inf
+@example(ratios=[0.5], exponent=math.log10(0.205), log_p=math.log10(3000.0))
+@example(ratios=[0.5], exponent=math.log10(5.3), log_p=4.0)
+def test_schatten_norm_lies_between_the_largest_value_and_its_bound(ratios, exponent, log_p):
+    s0, p = 10.0 ** exponent, 10.0 ** log_p
+    values = sorted_desc([1.0, *ratios]) * s0
+    n = values.size
+    got = schatten_norm(SpectrumReport(values, {}, float(values[0])), p)
+    assert values[0] <= got <= values[0] * n ** (1.0 / p) * (1 + 1e-12)
+
+
+def test_schatten_norm_of_the_zero_operator_is_zero():
+    assert schatten_norm(SpectrumReport(np.zeros(3), {}, 0.0), 1e6) == 0.0
+    assert schatten_norm(SpectrumReport(np.zeros(0), {}, 0.0), 2.0) == 0.0
 
 
 def test_singular_values_scale_with_symbol():

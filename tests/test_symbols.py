@@ -275,14 +275,24 @@ def test_symbol_copies_a_writable_block(su2_cat):
     assert not sym.blocks[(label, label)].flags.writeable
 
 
-def test_symbol_keeps_the_frozen_blocks_of_a_file(su2_cat):
+def test_symbol_copies_the_frozen_blocks_of_a_file(su2_cat):
     import json
 
     s = Symbol.from_dict(json.loads(json.dumps(random_symbol(su2_cat, su2_cat, 0.5, 4).to_dict())))
     again = Symbol(s.codomain, s.domain, s.blocks)
-    assert s.blocks and all(again.blocks[k] is s.blocks[k] for k in s.blocks)
-    # a read-only view does not own its memory: it is copied
-    view = s.blocks[next(iter(s.blocks))][:, :]
-    view.setflags(write=False)
-    key = next(iter(s.blocks))
-    assert Symbol(s.codomain, s.domain, {key: view}).blocks[key] is not view
+    assert s.blocks
+    for key, block in again.blocks.items():
+        assert block is not s.blocks[key] and not block.flags.writeable
+        np.testing.assert_array_equal(block, s.blocks[key])
+
+
+def test_symbol_cannot_be_written_through_a_view_taken_before_the_freeze(su2_cat):
+    # a frozen block was once kept uncopied, so a writable view taken before
+    # the freeze still wrote into the symbol
+    label = su2_cat.labels[0]
+    given = np.ones((1, 1), dtype=complex)
+    view = given[:]
+    given.setflags(write=False)
+    sym = Symbol(su2_cat, su2_cat, {(label, label): given})
+    view[0, 0] = 5.0
+    assert sym.blocks[(label, label)][0, 0] == 1.0
