@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
 # Hard cap on the dense dimension (sum of irrep dimensions) of one catalog.
 MAX_DENSE_DIM = 1_000_000
@@ -317,10 +317,6 @@ class DualCatalog:
     def slice_of(self, label: IrrepLabel) -> slice:
         start, length = self.offsets[label]
         return slice(start, start + length)
-
-    def restrict(self, keep: Callable[[IrrepLabel], bool]) -> "DualCatalog":
-        """Sub-catalog with the kept labels; order and cutoff are preserved."""
-        return DualCatalog(self.group, self.cutoff, [l for l in self.labels if keep(l)])
 
     def to_dict(self) -> dict:
         return {"group": group_to_dict(self.group), "cutoff": float(self.cutoff),

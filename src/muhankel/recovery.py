@@ -3,13 +3,13 @@
 The forward map takes an assembled operator to its singular triples, from
 one SVD per support component, so each triple's vectors are exact zeros
 outside its component. The data file stores each vector by its runs of
-entries that are not bitwise zero (a side listing every entry still
-reads). A file is read in one pass, which checks each triple's runs and
-value lists in file order and names the first fault; the values of all
-triples are then converted and scattered at once. Each triple's phase
-makes the largest entry of its left vector real and positive, so the
-operator, not the SVD routine, fixes the basis the stability noise is
-drawn on. A triple is attributed to the block carrying (at least 99% of)
+entries that are not bitwise zero, their values as float64 hex (lists of
+numbers, and a side listing every entry, still read). A file is read in
+one pass, which checks each triple's runs and value fields in file order
+and names the first fault; each field is then decoded and scattered at
+once. Each triple's phase makes the largest entry of its left vector real
+and positive, so the operator, not the SVD routine, fixes the basis the
+stability noise is drawn on. A triple is attributed to the block carrying (at least 99% of)
 the squared mass of its vectors, one pass of squares per side giving the
 label masses and norms; a given key must be the heaviest label by catalog
 position. Recovery solves each attributed block of the reassembled matrix
@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from string import hexdigits
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .duals import DualCatalog, Weight, weight_eval
 from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
-from .symbols import (BlockKey, Symbol, _complex_normal, _hs_sum, complex_from_parts,
-                      parse_numbers, symbol_difference)
+from .symbols import BlockKey, Symbol, _complex_normal, _hs_sum, complex_from_parts, parse_numbers
 
 # A triple belongs to a block when both vectors carry at least this fraction
 # of their squared mass inside the block's coordinate ranges.
@@ -116,8 +116,8 @@ class SpectralData:
     def to_dict(self) -> dict:
         """The JSON form: each triple's ``u_runs`` and ``v_runs`` are the
         [start, length] runs of its entries that are not bitwise zero (both
-        parts +0.0), and ``u_re``/``u_im``/``v_re``/``v_im`` hold only those
-        entries, every bit kept."""
+        parts +0.0), and ``u_re`` to ``v_im`` the lowercase hex of those
+        entries' parts as little-endian float64, every bit kept."""
         names = ("u_runs", "u_re", "u_im", "v_runs", "v_re", "v_im")
         return {
             "codomain": self.codomain.to_dict(),
@@ -135,7 +135,7 @@ class SpectralData:
         """Inverse of :meth:`to_dict`. An entry without ``u_runs`` (or
         ``v_runs``) holds that side in full, one value per coordinate; the
         runs are checked to be integer pairs, sorted, non-overlapping and
-        inside the catalog, and each value list to fill them exactly."""
+        inside the catalog, and each value list or hex string to fill them."""
         codomain = DualCatalog.from_dict(data["codomain"])
         same = data["domain"] == data["codomain"]
         domain = codomain if same else DualCatalog.from_dict(data["domain"])
@@ -153,8 +153,8 @@ class SpectralData:
 
 def _support_runs(vecs: np.ndarray) -> tuple[list, list, list]:
     """Per column of ``vecs`` (N x k): the [start, length] runs of its
-    entries whose bits are not all zero, and those entries' real and
-    imaginary parts, each as one list per column."""
+    entries whose bits are not all zero, and the hex of those entries' real
+    and imaginary parts as little-endian float64, each one item per column."""
     n, k = vecs.shape
     rows = np.ascontiguousarray(vecs.T)  # k x N, one triple per row
     halves = rows.view(np.uint64).reshape(k, n, 2)
@@ -164,26 +164,39 @@ def _support_runs(vecs: np.ndarray) -> tuple[list, list, list]:
     edges = np.flatnonzero(np.diff(flat, prepend=False))
     starts, ends = edges[0::2], edges[1::2]
     runs = np.stack([starts % (n + 1), ends - starts], axis=1).tolist()
-    kept = rows[keep]
-    per_value = keep.sum(axis=1)
+    kept, digits = rows[keep], 16 * keep.sum(axis=1)  # 16 hex digits per float64
     return (_split(runs, np.bincount(starts // (n + 1), minlength=k)),
-            _split(kept.real.tolist(), per_value), _split(kept.imag.tolist(), per_value))
+            *(_split(part.astype("<f8").tobytes().hex(), digits)
+              for part in (kept.real, kept.imag)))
 
 
-def _split(flat: list, counts: np.ndarray) -> list[list]:
-    """``flat`` cut into consecutive lists of the given lengths."""
+def _split(flat: Sequence, counts: np.ndarray) -> list:
+    """``flat`` cut into consecutive pieces of the given lengths."""
     ends = np.cumsum(counts).tolist()
     return [flat[a:b] for a, b in zip([0, *ends], ends)]
 
 
 def _numbers(values: list, name: str, ndim: int) -> np.ndarray:
-    """Field ``name`` of each entry, numbers ``ndim`` lists deep, joined end
-    to end into one array; a faulty value is refused naming its triple."""
+    """Field ``name`` of each entry, numbers ``ndim`` lists deep or (at ``ndim``
+    1) little-endian float64 hex, joined end to end into one array, the hex
+    in one decode; a faulty value is refused naming its triple."""
     try:
-        return parse_numbers(list(chain.from_iterable(values)) if ndim else values, 1, name)
-    except TypeError:
+        if not (ndim and any(isinstance(value, str) for value in values)):
+            return parse_numbers(list(chain.from_iterable(values)) if ndim else values, 1, name)
+        text = "".join(value if isinstance(value, str)
+                       else parse_numbers(value, 1, name).astype("<f8").tobytes().hex()
+                       for value in values)
+        raw = bytes.fromhex(text)
+        if 2 * len(raw) != len(text):  # fromhex skips whitespace
+            raise ValueError(f"{name} holds whitespace")
+        return np.frombuffer(raw, "<f8")
+    except (TypeError, ValueError):
         for i, value in enumerate(values):
-            parse_numbers(value, ndim, f"triple {i}: {name}")
+            if not (ndim and isinstance(value, str)):
+                parse_numbers(value, ndim, f"triple {i}: {name}")
+            elif not set(value) <= set(hexdigits):
+                raise ValueError(f"triple {i}: {name} is not the hex digits of "
+                                 f"{len(value) // 16} float64 values")
         raise
 
 
@@ -191,11 +204,12 @@ def _read_side(entries: list, side: str, n: int) -> np.ndarray:
     """The ``side`` ("u" or "v") vectors of the triple ``entries`` as an
     n x k array, zero outside each entry's runs. One pass in file order
     checks each triple's runs ([start, length] integer pairs of length at
-    least 1, sorted, non-overlapping, inside ``n``) and then its value
-    lists, raising on the first fault by triple and field; the values are
-    then converted and scattered at once."""
+    least 1, sorted, non-overlapping, inside ``n``) and then the lengths of
+    its value fields (lists, or hex strings of 16 digits a value), raising
+    on the first fault by triple and field; each field's values are then
+    converted at once (:func:`_numbers`) and scattered."""
     field, names, k = side + "_runs", (side + "_re", side + "_im"), len(entries)
-    pairs, totals, res, ims = [], [], [], []
+    pairs, totals, parts = [], [], ([], [])
     for i, entry in enumerate(entries):
         given, total, end = field in entry, 0, 0
         runs = entry[field] if given else [[0, n]] if n else []  # n = 0: no run
@@ -218,17 +232,18 @@ def _read_side(entries: list, side: str, n: int) -> np.ndarray:
             total += length
         pairs += runs
         totals.append(total)
-        if not (isinstance(re := entry[names[0]], list) and len(re) == total
-                and isinstance(im := entry[names[1]], list) and len(im) == total):
-            name, value = ((names[1], im) if isinstance(re, list) and len(re) == total
-                           else (names[0], re))  # the first of the two at fault
-            got = f"length {len(value)}" if isinstance(value, list) else repr(value)
-            fill = f", the total length of {field}" if given else ""
-            raise ValueError(f"triple {i}: {name} must be a list of {total} "
-                             f"numbers{fill}, got {got}")
-        res.append(re)
-        ims.append(im)
-    re, im = _numbers(res, names[0], 1), _numbers(ims, names[1], 1)
+        for name, part in zip(names, parts):
+            value = entry[name]
+            if (len(value) != 16 * total if isinstance(value, str)
+                    else not (isinstance(value, list) and len(value) == total)):
+                got = (f"a string of {len(value)} characters, not {16 * total} hex digits"
+                       if isinstance(value, str) else f"length {len(value)}"
+                       if isinstance(value, list) else repr(value))
+                fill = f", the total length of {field}" if given else ""
+                raise ValueError(f"triple {i}: {name} must be a list of {total} "
+                                 f"numbers{fill}, got {got}")
+            part.append(value)
+    re, im = (_numbers(part, name, 1) for part, name in zip(parts, names))
     starts, lengths = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
     cum = np.concatenate(([0], np.cumsum(lengths)))
     # each value's coordinate: its run's start plus its place in the run
@@ -370,9 +385,15 @@ def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
 
 
 def max_entry_error(recovered: Symbol, truth: Symbol) -> float:
-    """The largest entry modulus of recovered - truth, 0 when neither has a block."""
-    diff = symbol_difference(recovered, truth)
-    return max((float(np.max(np.abs(b))) for b in diff.blocks.values()), default=0.0)
+    """The largest entry modulus of recovered - truth (an absent block is zero,
+    no block gives 0), blocks matched by label index; catalogs must agree."""
+    if (recovered.codomain.labels, recovered.domain.labels) != (truth.codomain.labels,
+                                                                 truth.domain.labels):
+        raise ValueError("symbol difference needs matching catalogs")
+    a, b = ({(pi.index, rho.index): block for (pi, rho), block in sym.blocks.items()}
+            for sym in (recovered, truth))
+    diffs = (a.get(key, 0) - b.get(key, 0) for key in a.keys() | b.keys())
+    return max((float(np.max(np.abs(diff))) for diff in diffs), default=0.0)
 
 
 def max_residual(op: BlockOperator, data: SpectralData) -> float:

@@ -28,13 +28,13 @@ def parse_numbers(value, ndim: int, what: str) -> np.ndarray:
     boolean, null, a list too deep, too shallow or ragged) raises a
     TypeError naming ``what`` and the first such entry. numpy alone would
     read "0.5" as 0.5 and, among numbers, true as 1.0, so where it read a 0
-    or a 1 (x * x == x) the entries' types are checked too."""
+    or a 1 (by ==, as x * x may overflow) the entries' types are checked too."""
     try:
         arr = np.array(value)
     except ValueError:  # ragged lists
         arr = np.array(None)
     if (arr.dtype.kind in "iuf" and (arr.ndim == ndim or arr.size == 0)
-            and not ((arr * arr == arr).any() and _holds_bool(value, arr.ndim))):
+            and not (((arr == 0) | (arr == 1)).any() and _holds_bool(value, arr.ndim))):
         return arr.astype(float, copy=False)
     raise TypeError(_fault(value, ndim, what) or f"{what} is not a rectangular array of numbers")
 
@@ -102,10 +102,6 @@ class Symbol:
         """Stored block, or a zero matrix of the right shape."""
         found = self.blocks.get((pi, rho))
         return found if found is not None else np.zeros((dim(pi), dim(rho)), dtype=np.complex128)
-
-    def scaled(self, c: complex) -> "Symbol":
-        return Symbol(self.codomain, self.domain,
-                      {key: c * block for key, block in self.blocks.items()})
 
     def to_dict(self) -> dict:
         blocks = sorted(self.blocks.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index))

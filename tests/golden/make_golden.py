@@ -36,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from muhankel.cli import main
-from muhankel.duals import SU2, PowerLaw, Torus, enumerate_dual
+from muhankel.duals import SU2, DualCatalog, PowerLaw, Torus, enumerate_dual
 from muhankel.operators import assemble
 from muhankel.recovery import forward
 from muhankel.symbols import (
@@ -47,6 +47,9 @@ from muhankel.symbols import (
 )
 
 HERE = Path(__file__).resolve().parent
+sys.path.insert(0, str(HERE.parent))
+from helpers import list_layout  # noqa: E402  (tests/, put on the path above)
+
 WEIGHTS = ["--mu", "0.5", "--nu", "-0.5"]
 
 CASES = {
@@ -75,7 +78,8 @@ def write_inputs(inputs: Path) -> None:
     su2 = enumerate_dual(SU2(), 6.0)
     _write_json(inputs / "su2-random.json", random_symbol(su2, su2, 0.5, 1).to_dict())
 
-    halfline = enumerate_dual(Torus(1), 9.0).restrict(lambda l: l.index[0] >= 0)
+    torus = enumerate_dual(Torus(1), 9.0)
+    halfline = DualCatalog(torus.group, torus.cutoff, [l for l in torus if l.index[0] >= 0])
     hankel = hankel_symbol_from_fourier({0: 0.25, 1: 1.0, 2: 0.1}, halfline, halfline)
     _write_json(inputs / "torus-hankel.json", hankel.to_dict())
 
@@ -88,7 +92,8 @@ def write_inputs(inputs: Path) -> None:
     data = forward(assemble(matching, PowerLaw(0.5), PowerLaw(-0.5)))
     if not data.fully_attributed:
         raise SystemExit("matching instance is not attributable; pick another seed")
-    _write_json(inputs / "su2-matching-data.json", data.to_dict())
+    # the fixture keeps the list layout, which the reader still accepts
+    _write_json(inputs / "su2-matching-data.json", list_layout(data.to_dict()))
 
 
 def run_case(argv: list[str], workdir: Path) -> tuple[int, str]:

@@ -31,6 +31,8 @@ from muhankel.symbols import (
     random_symbol,
 )
 
+from helpers import restrict, scaled
+
 
 def report(num, ok, text):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {text}")
@@ -152,7 +154,7 @@ def test_criterion_5_adjoint_identity():
 
 
 def test_criterion_6_torus_classical_reduction():
-    cat = enumerate_dual(Torus(1), 81.0).restrict(lambda l: l.index[0] >= 0)
+    cat = restrict(enumerate_dual(Torus(1), 81.0), lambda l: l.index[0] >= 0)
     coeffs = {0: 1.0 + 0.5j, 1: -2.0, 3: 0.25j, 8: 3.0, 17: -1.0}
     op = assemble(hankel_symbol_from_fourier(coeffs, cat, cat), UNIT_WEIGHT, UNIT_WEIGHT)
     ns = [l.index[0] for l in cat.labels]
@@ -214,8 +216,8 @@ def test_criterion_9_property_substitutes():
         op = assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT)
         base = numerical_index(op)
         for c in (3.0, -1j):
-            scaled = assemble(sym.scaled(c), UNIT_WEIGHT, UNIT_WEIGHT)
-            invariant = invariant and numerical_index(scaled) == base
+            op_c = assemble(scaled(sym, c), UNIT_WEIGHT, UNIT_WEIGHT)
+            invariant = invariant and numerical_index(op_c) == base
     for seed in range(50):
         rng = np.random.default_rng(seed)
         blocks = {}
@@ -227,8 +229,8 @@ def test_criterion_9_property_substitutes():
             blocks[(pi, rho)] = mat
             sub = assemble(
                 Symbol(
-                    su2.restrict(lambda l, want=pi: l == want),
-                    torus.restrict(lambda l, want=rho: l == want),
+                    restrict(su2, lambda l, want=pi: l == want),
+                    restrict(torus, lambda l, want=rho: l == want),
                     {(pi, rho): mat},
                 ),
                 UNIT_WEIGHT,

@@ -21,10 +21,12 @@ from muhankel.symbols import (
     random_matching_symbol,
 )
 
+from helpers import list_layout, restrict
+
 
 def torus_halfline(n_max):
     cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return cat.restrict(lambda l: l.index[0] >= 0)
+    return restrict(cat, lambda l: l.index[0] >= 0)
 
 
 def write_json(path, payload):
@@ -656,7 +658,7 @@ def test_non_number_symbol_entry_exit_2(tmp_path, capsys, edit, message):
 def test_non_number_spectral_data_exit_2(tmp_path, capsys, edit, message):
     cat = enumerate_dual(SU2(), 2.0)
     data = forward(assemble(diagonal_symbol(cat, decay=1.0), UNIT_WEIGHT, UNIT_WEIGHT))
-    data_path = write_json(tmp_path / "data.json", edit(data.to_dict()))
+    data_path = write_json(tmp_path / "data.json", edit(list_layout(data.to_dict())))
     assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 2
     assert f"{message}, not a number" in capsys.readouterr().err
     assert not (tmp_path / "recovered_symbol.json").exists()
@@ -699,6 +701,39 @@ def test_spectral_data_runs_exit_2(tmp_path, capsys, edit, message):
     data = forward(assemble(diagonal_symbol(cat, decay=1.0), UNIT_WEIGHT, UNIT_WEIGHT))
     payload = data.to_dict()
     assert payload["triples"][1]["u_runs"] == [[1, 1]]
+    data_path = write_json(tmp_path / "data.json", edit(payload))
+    assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "recovered_symbol.json").exists()
+
+
+# ``to_dict`` writes each value field as float64 hex; the edits below act on
+# the diagonal file of test_spectral_data_runs_exit_2, whose triples 1 and 2
+# hold two values of v and triple 3 one value of u.
+NOT_HEX = "is not the hex digits of"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (put("triples", 1, "v_re", value="000000000000f03f000000000000000g"),
+     f"triple 1: v_re {NOT_HEX} 2 float64 values"),
+    # bytes.fromhex skips the spaces and decodes 15 bytes
+    (put("triples", 2, "v_im", value="0000000000000080  00000000000080"),
+     f"triple 2: v_im {NOT_HEX} 2 float64 values"),
+    (put("triples", 3, "u_re", value="000000000000f03f00"),
+     "triple 3: u_re must be a list of 1 numbers, the total length of u_runs, got a string "
+     "of 18 characters, not 16 hex digits"),
+    # a bad list number in triple 0 and a bad string in triple 2: triple 0 first,
+    (lambda p: put("triples", 2, "u_re", value="x" * 16)(
+        put("triples", 0, "u_re", value=["0.5"])(p)), "triple 0: u_re[0] is '0.5', not a number"),
+    # and the other way round
+    (lambda p: put("triples", 2, "u_re", value=[True])(
+        put("triples", 0, "u_re", value="x" * 16)(p)), f"triple 0: u_re {NOT_HEX} 1 float64"),
+], ids=["non-hex", "space", "wrong-length", "list-then-string", "string-then-list"])
+def test_hex_spectral_data_exit_2(tmp_path, capsys, edit, message):
+    cat = enumerate_dual(SU2(), 2.0)
+    data = forward(assemble(diagonal_symbol(cat, decay=1.0), UNIT_WEIGHT, UNIT_WEIGHT))
+    payload = data.to_dict()
+    assert [len(t["v_re"]) for t in payload["triples"][1:3]] == [32, 32]
     data_path = write_json(tmp_path / "data.json", edit(payload))
     assert main(["recover", "--data", data_path, "--out-dir", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err

@@ -29,6 +29,8 @@ from muhankel.operators import assemble
 from muhankel.recovery import forward
 from muhankel.symbols import random_matching_symbol
 
+from helpers import restrict
+
 GOLDEN_INPUTS = Path(__file__).parent / "golden" / "inputs"
 
 
@@ -276,10 +278,10 @@ def test_sorted_by_casimir_then_index():
 
 def test_restrict_keeps_order():
     cat = enumerate_dual(Torus(1), 9.0)
-    half = cat.restrict(lambda l: l.index[0] >= 0)
+    half = restrict(cat, lambda l: l.index[0] >= 0)
     assert [l.index[0] for l in half.labels] == [0, 1, 2, 3]
     assert half.dense_dim == 4
-    empty = cat.restrict(lambda l: False)
+    empty = restrict(cat, lambda l: False)
     assert empty.dense_dim == 0
 
 

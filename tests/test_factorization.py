@@ -29,6 +29,8 @@ from muhankel.symbols import (
     random_symbol,
 )
 
+from helpers import restrict, scaled
+
 GROUPS = {"su2": SU2(), "torus:1": Torus(1), "su2xtorus:1": Product((SU2(), Torus(1)))}
 RANK_TOLERANCE = 1e-8
 VECTOR_TOL = 1e-13
@@ -183,8 +185,8 @@ def test_half_cutoff_values_match_restricted_dense_svd(
     sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
     mu, nu = PowerLaw(exponents[0]), PowerLaw(exponents[1])
     op = assemble(sym, mu, nu)
-    codomain = sym.codomain.restrict(lambda l: casimir(l) <= cut_out / 2)
-    domain = sym.domain.restrict(lambda l: casimir(l) <= cut_in / 2)
+    codomain = restrict(sym.codomain, lambda l: casimir(l) <= cut_out / 2)
+    domain = restrict(sym.domain, lambda l: casimir(l) <= cut_in / 2)
     blocks = {
         key: block for key, block in sym.blocks.items()
         if key[0] in codomain and key[1] in domain
@@ -399,8 +401,8 @@ def test_numerical_index_invariant_under_scaling(
     if values.size and values[0] > 0.0:
         cut = RANK_TOLERANCE * values[0]
         assume(np.all(np.abs(values - cut) > 0.01 * cut))
-    scaled = assemble(sym.scaled(10.0**log_scale * np.exp(1j * phase)), mu, nu)
-    assert numerical_index(scaled, RANK_TOLERANCE) == numerical_index(op, RANK_TOLERANCE)
+    op_c = assemble(scaled(sym, 10.0**log_scale * np.exp(1j * phase)), mu, nu)
+    assert numerical_index(op_c, RANK_TOLERANCE) == numerical_index(op, RANK_TOLERANCE)
 
 
 @settings(max_examples=40, deadline=None)
@@ -418,8 +420,8 @@ def test_numerical_index_additive_over_a_direct_sum(
     summands = []
     for n, first in enumerate((True, False)):
         summands.append(drawn_on(
-            codomain.restrict(lambda l: (l in first_out) == first),
-            domain.restrict(lambda l: (l in first_in) == first),
+            restrict(codomain, lambda l: (l in first_out) == first),
+            restrict(domain, lambda l: (l in first_in) == first),
             support, density, zero_share, seed + n,
         ))
     total = assemble(Symbol(codomain, domain, {**summands[0].blocks, **summands[1].blocks}),

@@ -28,10 +28,12 @@ from muhankel.symbols import (
     random_matching_symbol,
 )
 
+from helpers import restrict, scaled
+
 
 def torus_halfline(n_max):
     cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return cat.restrict(lambda l: l.index[0] >= 0)
+    return restrict(cat, lambda l: l.index[0] >= 0)
 
 
 def test_formula_positive_definite_diagonal():
@@ -124,8 +126,8 @@ def test_numerical_index_scalar_invariant():
         op = assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT)
         base = numerical_index(op)
         for c in (3.0, -0.25, 2j):
-            scaled = assemble(sym.scaled(c), UNIT_WEIGHT, UNIT_WEIGHT)
-            assert numerical_index(scaled) == base
+            op_c = assemble(scaled(sym, c), UNIT_WEIGHT, UNIT_WEIGHT)
+            assert numerical_index(op_c) == base
 
 
 def test_numerical_index_additive_over_matched_blocks():
@@ -145,8 +147,8 @@ def test_numerical_index_additive_over_matched_blocks():
         blocks[(pi, rho)] = mat
         sub = assemble(
             Symbol(
-                codomain.restrict(lambda l: l == pi),
-                domain.restrict(lambda l: l == rho),
+                restrict(codomain, lambda l: l == pi),
+                restrict(domain, lambda l: l == rho),
                 {(pi, rho): mat},
             ),
             UNIT_WEIGHT,
@@ -204,7 +206,7 @@ def test_hankel_winding_of_the_fourier_series():
     # c(t) = t^2 + 0.3 t + 0.1 winds twice; its symbol holds c(2) in three blocks
     sym = hankel_symbol_from_fourier({0: 0.1, 1: 0.3, 2: 1.0}, cat, cat)
     assert hankel_winding(sym, 256) == 2
-    assert hankel_winding(sym.scaled(-1.0), 256) == 2
+    assert hankel_winding(scaled(sym, -1.0), 256) == 2
     with pytest.raises(ValueError, match="at least two samples"):
         hankel_winding(sym, 1)
 

@@ -19,10 +19,12 @@ from muhankel.symbols import (
     random_symbol,
 )
 
+from helpers import restrict
+
 
 def torus_halfline(n_max):
     cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return cat.restrict(lambda l: l.index[0] >= 0)
+    return restrict(cat, lambda l: l.index[0] >= 0)
 
 
 def test_assemble_diagonal_su2():

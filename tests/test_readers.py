@@ -1,7 +1,7 @@
 """The file readers against the per-entry readers they replaced.
 
-``SpectralData.from_dict`` checks a file's runs and value lists in one pass
-and converts its numbers at once; ``Symbol.from_dict`` reads a file in one
+``SpectralData.from_dict`` checks a file's runs and value fields in one
+pass and converts each field's numbers at once; ``Symbol.from_dict`` reads a file in one
 pass, block by block, converting each block's numbers as it goes. The
 references below read a file one entry at a time, written apart from the
 readers so that a change to a reader is checked against them. On valid
@@ -30,6 +30,7 @@ from muhankel.symbols import (
     random_symbol,
 )
 
+from helpers import list_layout, scaled
 from test_recovery_properties import catalogs, spectral_arrays
 
 DATA = Path(__file__).parent / "data"
@@ -159,11 +160,12 @@ def full_layout(entry: dict, side: str, n: int) -> dict:
 
 @st.composite
 def spectral_files(draw):
-    """The JSON form of spectral_arrays' data, some sides of some triples
-    written in full (the layout before runs) and the rest by runs."""
+    """The JSON form of spectral_arrays' data with its values as lists (the
+    reference reads no hex), some sides of some triples written in full
+    (the layout before runs) and the rest by runs."""
     codomain, domain, s, u, v = draw(spectral_arrays())
     data = SpectralData(codomain, domain, s, u, v)
-    payload = json.loads(json.dumps(data.to_dict()))
+    payload = list_layout(json.loads(json.dumps(data.to_dict())))
     full = draw(st.lists(st.tuples(st.booleans(), st.booleans()),
                          min_size=len(s), max_size=len(s)))
     for i, (full_u, full_v) in enumerate(full):
@@ -236,7 +238,7 @@ def diagonal_file():
     """forward of a diagonal SU(2) symbol, each triple on one coordinate."""
     data = forward(assemble(diagonal_symbol(enumerate_dual(SU2(), 2.0), decay=1.0),
                             UNIT_WEIGHT, UNIT_WEIGHT))
-    return data, json.loads(json.dumps(data.to_dict()))
+    return data, list_layout(json.loads(json.dumps(data.to_dict())))
 
 
 @settings(max_examples=100, deadline=None)
@@ -296,6 +298,52 @@ def test_spectral_data_file_mixing_runs_and_full_sides():
         SpectralData.from_dict, payload)
 
 
+def test_to_dict_writes_little_endian_float64_hex():
+    data, payload = diagonal_file()
+    written = data.to_dict()["triples"]
+    assert written[0]["u_re"] == "000000000000f03f"  # 1.0
+    assert written[0]["v_im"] == "0000000000000080"  # -0.0
+    assert all(isinstance(t[name], str) for t in written for name in ("u_re", "v_im"))
+    assert list_layout(data.to_dict()) == payload
+
+
+# Entries that a decimal writer could round or a reader could lose: signed
+# zeros, subnormals, the smallest normal number and values near 1e-300. A
+# unit vector has no entry near 1e300, so only the singular values do.
+TINY = [0.0, -0.0, 5e-324, -5e-324, 2.5e-310, 2.2250738585072014e-308, 1e-300, -3e-300]
+SINGULAR = [1.7e308, 1e300, 1.5, 1e-300, 2.5e-310, 5e-324, 0.0]
+
+
+@st.composite
+def extreme_spectral_data(draw):
+    """Spectral data whose vectors hold TINY entries in both parts and
+    whose singular values are drawn from SINGULAR."""
+    codomain, domain = draw(catalogs), draw(catalogs)
+    k = draw(st.integers(0, 4))
+    s = sorted(draw(st.lists(st.sampled_from(SINGULAR), min_size=k, max_size=k)), reverse=True)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def side(n):
+        vecs = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+        for part in (vecs.real, vecs.imag):
+            tiny = rng.uniform(size=(n, k)) < 0.4
+            part[tiny] = rng.choice(TINY, size=int(tiny.sum()))
+        vecs[rng.integers(n, size=k), np.arange(k)] = 1.0  # no column of tiny entries only
+        return vecs / np.linalg.norm(vecs, axis=0)
+
+    return SpectralData(codomain, domain, np.array(s), side(codomain.dense_dim),
+                        side(domain.dense_dim))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=extreme_spectral_data())
+def test_hex_layout_round_trips_every_bit(data):
+    back = SpectralData.from_dict(json.loads(json.dumps(data.to_dict())))
+    assert (bits(back.s), bits(back.u), bits(back.v)) == (bits(data.s), bits(data.u),
+                                                          bits(data.v))
+    assert back.attribution == data.attribution
+
+
 @st.composite
 def symbol_files(draw):
     """The JSON form of a random-support, matching or negated diagonal
@@ -308,7 +356,7 @@ def symbol_files(draw):
     elif kind == "matching":
         sym = random_matching_symbol(codomain, domain, seed)
     else:
-        sym = diagonal_symbol(codomain, decay=0.5).scaled(-1.0)
+        sym = scaled(diagonal_symbol(codomain, decay=0.5), -1.0)
     return sym, json.loads(json.dumps(sym.to_dict()))
 
 
@@ -395,3 +443,10 @@ def test_label_masses_are_reduceat_of_squares_bit_for_bit(catalog, k, seed):
     want = np.add.reduceat(vecs.real ** 2 + vecs.imag ** 2, starts, axis=0)
     assert bits(masses) == bits(want)
     assert bits(norms) == bits(np.sqrt(want.sum(axis=0)))
+
+
+def test_numbers_above_1e154_read_without_overflow():
+    # the check for entries read as 0 or 1 squared them, which overflowed
+    # (an error under this suite's warning filter)
+    values = [1e200, -1.7e308, 1.0]
+    assert bits(parse_numbers(values, 1, "x")) == bits(np.array(values))

@@ -37,6 +37,8 @@ from muhankel.symbols import (
     random_symbol,
 )
 
+from helpers import restrict, scaled
+
 
 def sorted_desc(values):
     return np.sort(np.asarray(values))[::-1]
@@ -156,8 +158,8 @@ def test_singular_values_scale_with_symbol():
     cat = enumerate_dual(SU2(), 6.0)
     sym = random_symbol(cat, cat, 0.5, 6)
     base = spectrum(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT)).singular_values
-    scaled = spectrum(assemble(sym.scaled(-2j), UNIT_WEIGHT, UNIT_WEIGHT)).singular_values
-    np.testing.assert_allclose(scaled, 2.0 * base, rtol=1e-12, atol=1e-12)
+    values = spectrum(assemble(scaled(sym, -2j), UNIT_WEIGHT, UNIT_WEIGHT)).singular_values
+    np.testing.assert_allclose(values, 2.0 * base, rtol=1e-12, atol=1e-12)
 
 
 def test_schur_bound_holds_on_random_instances():
@@ -196,7 +198,7 @@ def test_norm_bound_overflow_is_refused():
     cat = enumerate_dual(SU2(), 2.0)
     params = SymbolClassParams(0.0, 0.0)
     # M = 1e308 is finite, C * M is not
-    op = assemble(diagonal_symbol(cat).scaled(1e308), UNIT_WEIGHT, UNIT_WEIGHT)
+    op = assemble(scaled(diagonal_symbol(cat), 1e308), UNIT_WEIGHT, UNIT_WEIGHT)
     with pytest.raises(ValueError, match=r"C\*M = 4\.24264 \* 1e\+308 overflows at m=0.0, n=0.0"):
         norm_criteria(op, params)
     # a zero block whose decay factor overflows is refused as well
@@ -251,7 +253,7 @@ def test_carleson_growing_su2():
 
 
 def test_carleson_empty_catalog():
-    cat = enumerate_dual(Torus(1), 4.0).restrict(lambda l: False)
+    cat = restrict(enumerate_dual(Torus(1), 4.0), lambda l: False)
     verdict = carleson_test(UNIT_WEIGHT, cat, 1.0)
     assert verdict.satisfied
     assert verdict.measured_value == 0.0
@@ -403,7 +405,7 @@ def test_spectrum_command_factors_each_operator_once(tmp_path, monkeypatch):
     # label, and its half-cutoff support leaves labels out; the matching's
     # half-cutoff support is single blocks whose SVDs the spectrum already took
     n = cat.dense_dim
-    n_half = cat.restrict(lambda l: casimir(l) <= cat.cutoff / 2).dense_dim
+    n_half = restrict(cat, lambda l: casimir(l) <= cat.cutoff / 2).dense_dim
     assert [shape for shape, _ in component_shapes(connected.blocks)] == [(n, n)]
     assert [shape for shape, _ in half(connected)] != [(n_half, n_half)]
     assert half(matching) and all(count == 1 for _, count in half(matching))

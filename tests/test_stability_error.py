@@ -29,6 +29,8 @@ from muhankel.recovery import (
 from muhankel.symbols import (Symbol, _complex_normal, hs_norm, random_matching_symbol,
                               random_symbol, symbol_difference)
 
+from helpers import scaled
+
 GOLDEN_SYMBOL = Path(__file__).parent / "golden" / "inputs" / "su2-matching.json"
 GROUPS = [SU2(), Torus(1), Product((SU2(), Torus(1)))]
 catalogs = st.builds(enumerate_dual, st.sampled_from(GROUPS), st.sampled_from([1.0, 2.0, 4.0]))
@@ -149,7 +151,7 @@ def test_non_finite_error_raises(monkeypatch):
             _weighted_error(big.blocks, small.blocks, _KeyPlan(cat, cat, unit, unit))
         # every entry finite, the sum of squares not: the stability scan refuses it too
         truth = random_symbol(cat, cat, 1.0, 3)
-        monkeypatch.setattr(recovery, "_solve_blocks", lambda *args: truth.scaled(1e200).blocks)
+        monkeypatch.setattr(recovery, "_solve_blocks", lambda *args: scaled(truth, 1e200).blocks)
         with pytest.raises(ValueError, match="weighted recovery error is .*, not finite"):
             stability_scan(truth, unit, unit, [1e-3], trials=1, seed=0)
 

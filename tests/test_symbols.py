@@ -27,6 +27,8 @@ from muhankel.symbols import (
     symbol_difference,
 )
 
+from helpers import restrict, scaled
+
 
 @pytest.fixture
 def su2_cat():
@@ -35,7 +37,7 @@ def su2_cat():
 
 def torus_halfline(n_max):
     cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return cat.restrict(lambda l: l.index[0] >= 0)
+    return restrict(cat, lambda l: l.index[0] >= 0)
 
 
 def test_weighted_block_diagonal_scaling(su2_cat):
@@ -121,7 +123,7 @@ def test_class_norm_absolutely_homogeneous(su2_cat):
         base = class_norm(assemble(sym, mu, nu), params)
         for c in (2.0, -3.0, 1j, 0.5 - 0.5j):
             np.testing.assert_allclose(
-                class_norm(assemble(sym.scaled(c), mu, nu), params), abs(c) * base,
+                class_norm(assemble(scaled(sym, c), mu, nu), params), abs(c) * base,
                 rtol=1e-10,
             )
 
@@ -183,7 +185,7 @@ def test_hankel_symbol_rejects_non_torus(su2_cat):
 def test_random_symbol_density_extremes():
     cat = enumerate_dual(Torus(1), 1.0)  # 3 labels
     assert random_symbol(cat, cat, 0.0, 1).blocks == {}
-    two = cat.restrict(lambda l: l.index[0] >= 0)  # 2 labels
+    two = restrict(cat, lambda l: l.index[0] >= 0)  # 2 labels
     full = random_symbol(two, two, 1.0, 1)
     assert len(full.blocks) == 4
 
@@ -222,7 +224,7 @@ def test_hs_norm_refuses_a_sum_of_squares_that_overflows():
     # every entry is finite, about 1e200, and its square is not: the norm is
     # refused rather than returned as inf after numpy's overflow warnings
     cat = enumerate_dual(SU2(), 2.0)
-    op = assemble(random_symbol(cat, cat, 1.0, 3).scaled(1e200), PowerLaw(0), PowerLaw(0))
+    op = assemble(scaled(random_symbol(cat, cat, 1.0, 3), 1e200), PowerLaw(0), PowerLaw(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="HS norm is .*, not finite"):
