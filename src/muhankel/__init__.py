@@ -11,7 +11,7 @@ from .duals import SU2, PowerLaw, enumerate_dual, parse_group
 from .fredholm import index_report
 from .operators import BlockOperator, assemble
 from .recovery import forward, tikhonov_recover
-from .spectral import norm_criteria, schatten_norm, spectrum
+from .spectral import norm_criteria, schatten_norm
 from .symbols import (
     Symbol,
     SymbolClassParams,
@@ -21,7 +21,6 @@ from .symbols import (
     hs_norm,
     random_matching_symbol,
     random_symbol,
-    symbol_difference,
 )
 
 __version__ = "0.1.0"

@@ -56,7 +56,6 @@ from .spectral import (
     norm_criteria,
     schatten_norm,
     schatten_series_scan,
-    spectrum,
 )
 from .symbols import Symbol, SymbolClassParams
 
@@ -163,23 +162,24 @@ def cmd_spectrum(args) -> int:
     sym, mu, nu = _with_weights(args, _read_input(args.symbol, Symbol.from_dict))
     params = SymbolClassParams(args.m, args.n)
     op = assemble(sym, mu, nu)
-    report = spectrum(op)
+    values = op.singular_values
+    norm = float(values[0]) if values.size else 0.0
     ps = sorted({1.0, 2.0, args.p} if args.p is not None else {1.0, 2.0})
-    schatten = {str(p): schatten_norm(report, p) for p in ps}
+    schatten = {str(p): schatten_norm(values, p) for p in ps}
     criteria = [*norm_criteria(op, params), compactness_report(op, params)]
 
     payload = {
-        "operator_norm": report.operator_norm,
-        "singular_values": report.singular_values.tolist(),
+        "operator_norm": norm,
+        "singular_values": values.tolist(),
         "schatten": schatten,
         "per_block": [
             {
                 "pi_index": list(pi.index),
                 "rho_index": list(rho.index),
-                "singular_values": values.tolist(),
+                "singular_values": block_values.tolist(),
             }
-            for (pi, rho), values in sorted(
-                report.per_block.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index)
+            for (pi, rho), block_values in sorted(
+                op.block_singular_values.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index)
             )
         ],
         "criteria": [v.to_dict() for v in criteria],
@@ -188,13 +188,13 @@ def cmd_spectrum(args) -> int:
           {"mu": args.mu, "nu": args.nu, "m": args.m, "n": args.n, "format": args.format}, {
         "report": ("spectrum.json", payload),
         "values_csv": ("spectrum_values.csv", ["rank", "singular_value"],
-                       [[i, v] for i, v in enumerate(report.singular_values)]),
+                       [[i, v] for i, v in enumerate(values)]),
         "criteria_csv": ("spectrum_criteria.csv",
                          ["name", "bound_value", "measured_value", "satisfied", "detail"],
                          [[v.name, v.bound_value, v.measured_value, v.satisfied, v.detail]
                           for v in criteria]),
     })
-    print(f"operator norm {report.operator_norm:.12g}")
+    print(f"operator norm {norm:.12g}")
     for verdict in criteria:
         print(f"{verdict.name}: {'ok' if verdict.satisfied else 'NOT satisfied'} ({verdict.detail})")
     return EXIT_OK

@@ -18,6 +18,8 @@ from typing import Iterator, Mapping, Union
 
 # Hard cap on the dense dimension (sum of irrep dimensions) of one catalog.
 MAX_DENSE_DIM = 1_000_000
+# Hard cap on a group's index slots: the label walk recurses once per slot.
+MAX_SLOTS = 256
 
 
 # ---------------------------------------------------------------------------
@@ -43,6 +45,7 @@ class Torus:
     def __post_init__(self) -> None:
         if self.d < 1:
             raise ValueError(f"torus dimension must be >= 1, got {self.d}")
+        _check_slots(self.d)
 
 
 @dataclass(frozen=True)
@@ -60,6 +63,12 @@ class Product:
                 raise ValueError("product groups do not nest")
             if not isinstance(f, (SU2, Torus)):
                 raise TypeError(f"unsupported product factor: {f!r}")
+        _check_slots(sum(1 if isinstance(f, SU2) else f.d for f in self.factors))
+
+
+def _check_slots(slots: int) -> None:
+    if slots > MAX_SLOTS:
+        raise ValueError(f"group has {slots} index slots, over the guard {MAX_SLOTS}")
 
 
 GroupKind = Union[SU2, Torus, Product]
@@ -190,11 +199,6 @@ def _describe(group: GroupKind, index: tuple) -> tuple[int, float, float]:
 def dim(label: IrrepLabel) -> int:
     """Dimension of the representation: 2l+1 on SU(2), 1 on tori."""
     return label.dim
-
-
-def casimir(label: IrrepLabel) -> float:
-    """Casimir eigenvalue: l(l+1) on SU(2), |n|^2 on tori, additive on products."""
-    return label.casimir
 
 
 # ---------------------------------------------------------------------------

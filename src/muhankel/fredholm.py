@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import IrrepLabel, Torus, dim
+from .duals import IrrepLabel, Torus
 from .operators import BlockOperator, retained_count
 from .symbols import Symbol
 
@@ -73,7 +73,7 @@ def index_formula(op: BlockOperator) -> tuple[int, list[ContributingPair]]:
                 f"determinant {det:.6g}"
             )
         if det.real < 0:
-            contributing.append((pi, rho, dim(pi) * dim(rho)))
+            contributing.append((pi, rho, pi.dim * rho.dim))
     return sum(w for _, _, w in contributing), contributing
 
 

@@ -387,9 +387,9 @@ def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
 def max_entry_error(recovered: Symbol, truth: Symbol) -> float:
     """The largest entry modulus of recovered - truth (an absent block is zero,
     no block gives 0), blocks matched by label index; catalogs must agree."""
-    if (recovered.codomain.labels, recovered.domain.labels) != (truth.codomain.labels,
-                                                                 truth.domain.labels):
-        raise ValueError("symbol difference needs matching catalogs")
+    for side in ("codomain", "domain"):
+        if getattr(recovered, side).labels != getattr(truth, side).labels:
+            raise ValueError(f"the true symbol's {side} catalog differs from the recovered one's")
     a, b = ({(pi.index, rho.index): block for (pi, rho), block in sym.blocks.items()}
             for sym in (recovered, truth))
     diffs = (a.get(key, 0) - b.get(key, 0) for key in a.keys() | b.keys())
@@ -415,9 +415,9 @@ def max_residual(op: BlockOperator, data: SpectralData) -> float:
 
 def _weighted_error(a: Mapping[BlockKey, np.ndarray], b: Mapping[BlockKey, np.ndarray],
                     plan: _KeyPlan) -> float:
-    """hs_norm(assemble(symbol_difference(A, B), mu, nu)) for the symbols A and
-    B with blocks ``a`` and ``b`` (an absent block is zero), the weights from
-    ``plan``, building neither; a's keys first."""
+    """The weighted HS-sum norm of A - B for the symbols A and B with blocks
+    ``a`` and ``b`` (an absent block is zero), the weights from ``plan``,
+    building neither; a's keys first."""
     diffs = (plan[key][0] * (a.get(key, 0) - b.get(key, 0)) for key in dict.fromkeys(chain(a, b)))
     return _hs_sum(diffs, "weighted recovery error")
 

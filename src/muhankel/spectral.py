@@ -25,27 +25,16 @@ from .duals import (
     IrrepLabel,
     SU2,
     Weight,
-    casimir,
-    dim,
     weight_eval,
 )
 from .operators import ZERO_REL_TOL, BlockOperator, retained_count
-from .symbols import BlockKey, SymbolClassParams, class_norm
+from .symbols import SymbolClassParams, class_norm
 
 # Trend thresholds for the truncated proxies of infinite-sum criteria.
 SERIES_RATIO_THRESHOLD = 0.75     # Cauchy-increment ratio meaning "converges"
 CARLESON_GROWTH_THRESHOLD = 0.05  # relative growth across half/full cutoffs
 SPECTRAL_DECAY_RATIO = 0.9        # min-singular-value shrink meaning "decays"
 OUTER_DECAY_RATIO = 0.5           # outer-half weighted-norm shrink
-
-
-@dataclass
-class SpectrumReport:
-    """Global and per-block singular values of one assembled operator."""
-
-    singular_values: np.ndarray
-    per_block: dict[BlockKey, np.ndarray]
-    operator_norm: float
 
 
 @dataclass
@@ -61,22 +50,15 @@ class CriterionVerdict:
                 "measured_value": float(self.measured_value), "satisfied": bool(self.satisfied)}
 
 
-def spectrum(op: BlockOperator) -> SpectrumReport:
-    """The operator's singular values plus an SVD of every weighted block."""
-    values = op.singular_values
-    norm = float(values[0]) if values.size else 0.0
-    return SpectrumReport(values, dict(op.block_singular_values), norm)
-
-
-def schatten_norm(report: SpectrumReport, p: float) -> float:
-    """(sum s_n^p)^(1/p) over the global singular values, taken as
+def schatten_norm(values: np.ndarray, p: float) -> float:
+    """(sum s_n^p)^(1/p) over the singular values ``values``, taken as
     s_0 (sum (s_n / s_0)^p)^(1/p) with s_0 the largest, so that no power
     underflows to 0 or overflows to inf; 0.0 for the zero operator."""
     if not (math.isfinite(p) and p > 0):
         raise ValueError(f"Schatten exponent p must be finite and > 0, got {p}")
-    if (s0 := float(report.singular_values.max(initial=0.0))) == 0.0:
+    if (s0 := float(values.max(initial=0.0))) == 0.0:
         return 0.0
-    total = np.sum((report.singular_values / s0) ** p)  # in [1, n]
+    total = np.sum((values / s0) ** p)  # in [1, n]
     with np.errstate(over="ignore"):  # an inf is refused below
         norm = float(s0 * total ** (1.0 / p))
     if not math.isfinite(norm):
@@ -86,8 +68,8 @@ def schatten_norm(report: SpectrumReport, p: float) -> float:
 
 def schur_constant(params: SymbolClassParams, codomain: DualCatalog, domain: DualCatalog) -> float:
     """C with C^2 = (sum_rho d_rho (1+lambda)^-n) (sum_pi (1+lambda)^-m)."""
-    rho_sum = sum(dim(r) * (1.0 + casimir(r)) ** (-params.n) for r in domain.labels)
-    pi_sum = sum((1.0 + casimir(p)) ** (-params.m) for p in codomain.labels)
+    rho_sum = sum(r.dim * (1.0 + r.casimir) ** (-params.n) for r in domain.labels)
+    pi_sum = sum((1.0 + p.casimir) ** (-params.m) for p in codomain.labels)
     return float(np.sqrt(rho_sum * pi_sum))
 
 
@@ -126,10 +108,10 @@ def _carleson_value(nu: Weight, labels: list[IrrepLabel], t: float) -> float:
     if not labels:
         return 0.0
     total = sum(
-        dim(r) ** 2 * weight_eval(nu, r) ** 2 / (1.0 + casimir(r)) ** t
+        r.dim ** 2 * weight_eval(nu, r) ** 2 / (1.0 + r.casimir) ** t
         for r in labels
     )
-    return total / min(dim(r) for r in labels)
+    return total / min(r.dim for r in labels)
 
 
 def carleson_test(nu: Weight, catalog: DualCatalog, t: float) -> CriterionVerdict:
@@ -138,7 +120,7 @@ def carleson_test(nu: Weight, catalog: DualCatalog, t: float) -> CriterionVerdic
     across the outer half stays below 5%."""
     if not (math.isfinite(t) and t > 0):
         raise ValueError(f"Carleson exponent must be finite and > 0, got {t}")
-    half = [r for r in catalog.labels if casimir(r) <= catalog.cutoff / 2.0]
+    half = [r for r in catalog.labels if r.casimir <= catalog.cutoff / 2.0]
     v_half = _carleson_value(nu, half, t)
     v_full = _carleson_value(nu, list(catalog.labels), t)
     if v_half == 0.0:
@@ -166,11 +148,11 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
     values are ``op.support_values`` of the blocks inside the half catalogs.
     The verdict is satisfied only when both fire.
     """
-    lams = sorted({casimir(r) for r in op.domain.labels})
+    lams = sorted({r.casimir for r in op.domain.labels})
     col_norm: dict[float, float] = {lam: 0.0 for lam in lams}
     for (pi, rho), values in op.block_singular_values.items():
         val = params.decay(rho, "n") * float(values[0])
-        col_norm[casimir(rho)] = max(col_norm[casimir(rho)], val)
+        col_norm[rho.casimir] = max(col_norm[rho.casimir], val)
     seq = [col_norm[lam] for lam in lams]
     outer = seq[len(seq) // 2 :]
     if all(v == 0.0 for v in outer):
@@ -182,7 +164,7 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
         decay_fired = monotone and outer_ratio <= OUTER_DECAY_RATIO
 
     half = [(pi, rho) for pi, rho in op.weighted
-            if casimir(pi) <= op.codomain.cutoff / 2 and casimir(rho) <= op.domain.cutoff / 2]
+            if pi.casimir <= op.codomain.cutoff / 2 and rho.casimir <= op.domain.cutoff / 2]
     v_half, v_full = (
         float(values[k - 1]) if (k := retained_count(values, ZERO_REL_TOL)) else 0.0
         for values in (op.support_values(half), op.singular_values)

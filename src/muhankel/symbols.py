@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .duals import DualCatalog, IrrepLabel, PowerLaw, Torus, casimir, dim, weight_eval
+from .duals import DualCatalog, IrrepLabel, PowerLaw, Torus, weight_eval
 
 if TYPE_CHECKING:
     from .operators import BlockOperator
@@ -89,7 +89,7 @@ class Symbol:
                 raise ValueError(f"domain label {rho.index} not in catalog")
             block = np.array(block, dtype=np.complex128)
             block.setflags(write=False)
-            want = (dim(pi), dim(rho))
+            want = (pi.dim, rho.dim)
             if block.shape != want:
                 raise ValueError(f"block ({pi.index}, {rho.index}) has shape {block.shape}, "
                                  f"expected {want}")
@@ -97,11 +97,6 @@ class Symbol:
                 raise ValueError(f"block ({pi.index}, {rho.index}) has non-finite entries")
             checked[(pi, rho)] = block
         self.blocks = checked
-
-    def block(self, pi: IrrepLabel, rho: IrrepLabel) -> np.ndarray:
-        """Stored block, or a zero matrix of the right shape."""
-        found = self.blocks.get((pi, rho))
-        return found if found is not None else np.zeros((dim(pi), dim(rho)), dtype=np.complex128)
 
     def to_dict(self) -> dict:
         blocks = sorted(self.blocks.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index))
@@ -151,7 +146,7 @@ class SymbolClassParams:
         ("m" or "n"); a ValueError naming the order and the label if it overflows."""
         k = getattr(self, order)
         try:
-            return (1.0 + casimir(label)) ** (k / 2.0)
+            return (1.0 + label.casimir) ** (k / 2.0)
         except OverflowError:
             raise ValueError(f"decay order {order}={k} overflows at label {label.index}") from None
 
@@ -182,14 +177,6 @@ def _hs_sum(blocks, what: str) -> float:
     return float(np.sqrt(total))
 
 
-def symbol_difference(a: Symbol, b: Symbol) -> Symbol:
-    """Blockwise a - b over the union of supports; catalogs must agree."""
-    if a.codomain.labels != b.codomain.labels or a.domain.labels != b.domain.labels:
-        raise ValueError("symbol difference needs matching catalogs")
-    return Symbol(a.codomain, a.domain, {key: a.block(*key) - b.block(*key)
-                                         for key in set(a.blocks) | set(b.blocks)})
-
-
 def hankel_symbol_from_fourier(
     coeffs: Mapping[int, complex], codomain: DualCatalog, domain: DualCatalog
 ) -> Symbol:
@@ -213,7 +200,7 @@ def diagonal_symbol(catalog: DualCatalog, decay: float = 0.0) -> Symbol:
     blocks = {}
     for label in catalog.labels:
         scale = weight_eval(taper, label)
-        blocks[(label, label)] = scale * np.eye(dim(label), dtype=np.complex128)
+        blocks[(label, label)] = scale * np.eye(label.dim, dtype=np.complex128)
     return Symbol(catalog, catalog, blocks)
 
 
@@ -229,7 +216,7 @@ def random_symbol(
     for pi in codomain.labels:
         for rho in domain.labels:
             if rng.uniform() < density:
-                blocks[(pi, rho)] = _complex_normal(rng, (dim(pi), dim(rho)))
+                blocks[(pi, rho)] = _complex_normal(rng, (pi.dim, rho.dim))
     return Symbol(codomain, domain, blocks)
 
 
@@ -247,7 +234,7 @@ def random_matching_symbol(
     rhos = [domain.labels[i] for i in rng.permutation(len(domain.labels))[:count]]
     blocks = {}
     for pi, rho in zip(pis, rhos):
-        blocks[(pi, rho)] = _complex_normal(rng, (dim(pi), dim(rho)))
+        blocks[(pi, rho)] = _complex_normal(rng, (pi.dim, rho.dim))
     return Symbol(codomain, domain, blocks)
 
 

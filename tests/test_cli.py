@@ -449,6 +449,54 @@ def test_catalog_non_finite_cutoff_exit_2(tmp_path, capsys, group, cutoff):
     assert not (tmp_path / "catalog.json").exists()
 
 
+def test_catalog_at_the_slot_guard_enumerates(tmp_path, capsys):
+    # one index slot per circle; at cutoff 0 only the zero frequency is left
+    assert main(["catalog", "--group", "torus:256", "--cutoff", "0",
+                 "--out-dir", str(tmp_path)]) == 0
+    assert "catalog: 1 labels, dense dimension 1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("group, slots", [("torus:257", 257), ("x".join(["su2"] * 257), 257)],
+                         ids=["torus:257", "257 su2 factors"])
+def test_catalog_past_the_slot_guard_exit_2(tmp_path, capsys, group, slots):
+    code = main(["catalog", "--group", group, "--cutoff", "0", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert f"group has {slots} index slots, over the guard 256" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_console_catalog_past_the_slot_guard_prints_no_traceback(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "muhankel.cli", "catalog", "--group", "torus:2000",
+                           "--cutoff", "0", "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert "group has 2000 index slots, over the guard 256" in done.stderr
+    assert "Traceback" not in done.stderr
+
+
+def test_symbol_file_with_a_billion_torus_slots_exit_2(tmp_path, capsys):
+    # refused by the group's slot count, before a per-slot tuple is built
+    catalog = {"group": {"kind": "torus", "d": 10**9}, "cutoff": 0.0, "labels": [{"index": [0]}]}
+    path = write_json(tmp_path / "sym.json",
+                      {"codomain": catalog, "domain": catalog, "blocks": []})
+    code = main(["spectrum", "--symbol", path, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "group has 1000000000 index slots, over the guard 256" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_recover_true_symbol_on_other_catalogs_exit_2(tmp_path, capsys):
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    code = main(["recover", "--data", str(inputs / "su2-matching-data.json"),
+                 "--true-symbol", str(inputs / "torus-hankel.json"),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert ("the true symbol's codomain catalog differs from the recovered one's"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["catalog", "--group", "su2", "--cutoff", "2"],
     ["index", "--symbol", "sym.json"],

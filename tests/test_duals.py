@@ -16,7 +16,6 @@ from muhankel.duals import (
     Product,
     TableWeight,
     Torus,
-    casimir,
     dim,
     enumerate_dual,
     group_from_dict,
@@ -190,11 +189,11 @@ def test_dim_values():
 
 
 def test_casimir_values():
-    assert casimir(IrrepLabel(SU2(), (4,))) == 6.0  # l = 2 -> l(l+1)
-    assert casimir(IrrepLabel(Torus(1), (-3,))) == 9.0
-    assert casimir(IrrepLabel(SU2(), (0,))) == 0.0
+    assert IrrepLabel(SU2(), (4,)).casimir == 6.0  # l = 2 -> l(l+1)
+    assert IrrepLabel(Torus(1), (-3,)).casimir == 9.0
+    assert IrrepLabel(SU2(), (0,)).casimir == 0.0
     prod = Product((SU2(), Torus(2)))
-    assert casimir(IrrepLabel(prod, (2, 1, 2))) == 2.0 + 5.0
+    assert IrrepLabel(prod, (2, 1, 2)).casimir == 2.0 + 5.0
 
 
 def test_weight_eval_power_law():
@@ -272,7 +271,7 @@ def test_offsets_partition_and_order():
 
 def test_sorted_by_casimir_then_index():
     cat = enumerate_dual(Torus(2), 8.0)
-    keys = [(casimir(l), l.index) for l in cat.labels]
+    keys = [(l.casimir, l.index) for l in cat.labels]
     assert keys == sorted(keys)
 
 

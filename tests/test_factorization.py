@@ -16,7 +16,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import muhankel.operators as ops
-from muhankel.duals import SU2, PowerLaw, Product, Torus, casimir, dim, enumerate_dual
+from muhankel.duals import SU2, PowerLaw, Product, Torus, dim, enumerate_dual
 from muhankel.fredholm import numerical_index
 from muhankel.operators import ZERO_REL_TOL, assemble, retained_count
 from muhankel.recovery import SpectralData, forward, tikhonov_recover
@@ -185,8 +185,8 @@ def test_half_cutoff_values_match_restricted_dense_svd(
     sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
     mu, nu = PowerLaw(exponents[0]), PowerLaw(exponents[1])
     op = assemble(sym, mu, nu)
-    codomain = restrict(sym.codomain, lambda l: casimir(l) <= cut_out / 2)
-    domain = restrict(sym.domain, lambda l: casimir(l) <= cut_in / 2)
+    codomain = restrict(sym.codomain, lambda l: l.casimir <= cut_out / 2)
+    domain = restrict(sym.domain, lambda l: l.casimir <= cut_in / 2)
     blocks = {
         key: block for key, block in sym.blocks.items()
         if key[0] in codomain and key[1] in domain

@@ -13,20 +13,17 @@ from muhankel.duals import (
     SU2,
     Torus,
     UNIT_WEIGHT,
-    casimir,
     dim,
     enumerate_dual,
 )
 from muhankel.operators import assemble
 from muhankel.spectral import (
-    SpectrumReport,
     carleson_test,
     compactness_report,
     norm_criteria,
     schatten_norm,
     schatten_series_scan,
     schur_constant,
-    spectrum,
 )
 from muhankel.symbols import (
     Symbol,
@@ -48,21 +45,20 @@ def test_spectrum_diagonal_su2():
     cat = enumerate_dual(SU2(), 6.0)
     s, t = 0.7, 0.3
     op = assemble(diagonal_symbol(cat), PowerLaw(s), PowerLaw(t))
-    rep = spectrum(op)
     expected = []
     for label in cat.labels:
         l = label.index[0] / 2
         expected.extend([(1 + l) ** (s + t)] * dim(label))
     np.testing.assert_allclose(
-        rep.singular_values, sorted_desc(expected), rtol=0, atol=1e-12
+        op.singular_values, sorted_desc(expected), rtol=0, atol=1e-12
     )
-    np.testing.assert_allclose(rep.operator_norm, 3.0, rtol=1e-12)
+    np.testing.assert_allclose(op.singular_values[0], 3.0, rtol=1e-12)
 
 
 def test_spectrum_zero_operator():
     cat = enumerate_dual(SU2(), 2.0)
-    rep = spectrum(assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT))
-    assert rep.operator_norm == 0.0
+    op = assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT)
+    assert not op.singular_values.any()
 
 
 def test_global_values_are_union_of_block_values():
@@ -71,16 +67,17 @@ def test_global_values_are_union_of_block_values():
     for codomain, domain in [(su2, su2), (torus, torus), (su2, torus)]:
         for seed in range(10):
             sym = random_matching_symbol(codomain, domain, seed)
-            rep = spectrum(assemble(sym, PowerLaw(0.4), PowerLaw(-0.4)))
+            op = assemble(sym, PowerLaw(0.4), PowerLaw(-0.4))
+            per_block = op.block_singular_values
             union = (
-                np.concatenate(list(rep.per_block.values()))
-                if rep.per_block
+                np.concatenate(list(per_block.values()))
+                if per_block
                 else np.zeros(0)
             )
-            padded = np.zeros(rep.singular_values.size)
+            padded = np.zeros(op.singular_values.size)
             padded[: union.size] = sorted_desc(union)
             np.testing.assert_allclose(
-                rep.singular_values, padded, rtol=0, atol=1e-10
+                op.singular_values, padded, rtol=0, atol=1e-10
             )
 
 
@@ -89,27 +86,27 @@ def test_hs_identity_for_general_support():
     cat = enumerate_dual(SU2(), 6.0)
     sym = random_symbol(cat, cat, 0.7, 21)
     op = assemble(sym, PowerLaw(0.3), UNIT_WEIGHT)
-    rep = spectrum(op)
-    blockwise = np.sqrt(sum(float(np.sum(v**2)) for v in rep.per_block.values()))
-    np.testing.assert_allclose(schatten_norm(rep, 2.0), blockwise, rtol=1e-10)
-    assert rep.operator_norm >= max(v[0] for v in rep.per_block.values()) - 1e-10
+    per_block = op.block_singular_values
+    blockwise = np.sqrt(sum(float(np.sum(v**2)) for v in per_block.values()))
+    np.testing.assert_allclose(schatten_norm(op.singular_values, 2.0), blockwise, rtol=1e-10)
+    assert op.singular_values[0] >= max(v[0] for v in per_block.values()) - 1e-10
 
 
 def test_schatten_p2_is_frobenius():
     cat = enumerate_dual(SU2(), 6.0)
     op = assemble(random_symbol(cat, cat, 0.5, 2), PowerLaw(0.5), PowerLaw(0.5))
-    rep = spectrum(op)
     np.testing.assert_allclose(
-        schatten_norm(rep, 2.0), np.linalg.norm(op.to_dense(), "fro"), rtol=1e-10
+        schatten_norm(op.singular_values, 2.0), np.linalg.norm(op.to_dense(), "fro"),
+        rtol=1e-10
     )
 
 
 def test_schatten_single_value():
     cat = enumerate_dual(Torus(1), 0.0)
     sym = Symbol(cat, cat, {(cat.labels[0], cat.labels[0]): np.array([[3.0]])})
-    rep = spectrum(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
+    values = assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT).singular_values
     for p in (0.5, 1.0, 2.0, 7.0):
-        np.testing.assert_allclose(schatten_norm(rep, p), 3.0, rtol=1e-12)
+        np.testing.assert_allclose(schatten_norm(values, p), 3.0, rtol=1e-12)
 
 
 def test_schatten_p1_diagonal_hand_sum():
@@ -120,15 +117,15 @@ def test_schatten_p1_diagonal_hand_sum():
         oracle = sum(dim(lab) * (1 + lab.index[0] / 2) for lab in cat.labels)
         assert oracle == frozen
         np.testing.assert_allclose(
-            schatten_norm(spectrum(op), 1.0), oracle, rtol=1e-12
+            schatten_norm(op.singular_values, 1.0), oracle, rtol=1e-12
         )
 
 
 def test_schatten_monotone_in_p():
     cat = enumerate_dual(SU2(), 6.0)
-    rep = spectrum(assemble(random_symbol(cat, cat, 0.5, 5), UNIT_WEIGHT, UNIT_WEIGHT))
+    values = assemble(random_symbol(cat, cat, 0.5, 5), UNIT_WEIGHT, UNIT_WEIGHT).singular_values
     ps = [0.5, 1.0, 1.5, 2.0, 4.0, 10.0]
-    norms = [schatten_norm(rep, p) for p in ps]
+    norms = [schatten_norm(values, p) for p in ps]
     assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -145,20 +142,20 @@ def test_schatten_norm_lies_between_the_largest_value_and_its_bound(ratios, expo
     s0, p = 10.0 ** exponent, 10.0 ** log_p
     values = sorted_desc([1.0, *ratios]) * s0
     n = values.size
-    got = schatten_norm(SpectrumReport(values, {}, float(values[0])), p)
+    got = schatten_norm(values, p)
     assert values[0] <= got <= values[0] * n ** (1.0 / p) * (1 + 1e-12)
 
 
 def test_schatten_norm_of_the_zero_operator_is_zero():
-    assert schatten_norm(SpectrumReport(np.zeros(3), {}, 0.0), 1e6) == 0.0
-    assert schatten_norm(SpectrumReport(np.zeros(0), {}, 0.0), 2.0) == 0.0
+    assert schatten_norm(np.zeros(3), 1e6) == 0.0
+    assert schatten_norm(np.zeros(0), 2.0) == 0.0
 
 
 def test_singular_values_scale_with_symbol():
     cat = enumerate_dual(SU2(), 6.0)
     sym = random_symbol(cat, cat, 0.5, 6)
-    base = spectrum(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT)).singular_values
-    values = spectrum(assemble(scaled(sym, -2j), UNIT_WEIGHT, UNIT_WEIGHT)).singular_values
+    base = assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT).singular_values
+    values = assemble(scaled(sym, -2j), UNIT_WEIGHT, UNIT_WEIGHT).singular_values
     np.testing.assert_allclose(values, 2.0 * base, rtol=1e-12, atol=1e-12)
 
 
@@ -340,7 +337,7 @@ def test_schatten_series_operator_cross_reference():
     op = assemble(diagonal_symbol(cat, decay=alpha), UNIT_WEIGHT, UNIT_WEIGHT)
     np.testing.assert_allclose(
         rows[-1]["operator_schatten"],
-        schatten_norm(spectrum(op), p),
+        schatten_norm(op.singular_values, p),
         rtol=1e-10,
     )
 
@@ -354,9 +351,9 @@ def test_partial_sum_values():
 
 def test_schatten_norm_rejects_nonpositive_p():
     cat = enumerate_dual(SU2(), 2.0)
-    rep = spectrum(assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT))
+    values = assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT).singular_values
     with pytest.raises(ValueError):
-        schatten_norm(rep, 0.0)
+        schatten_norm(values, 0.0)
 
 
 def component_shapes(blocks, keep=lambda label: True):
@@ -399,13 +396,13 @@ def test_spectrum_command_factors_each_operator_once(tmp_path, monkeypatch):
     matching = random_matching_symbol(cat, cat, 2, pairs=len(cat.labels))
 
     def half(sym):
-        return component_shapes(sym.blocks, lambda l: casimir(l) <= cat.cutoff / 2)
+        return component_shapes(sym.blocks, lambda l: l.casimir <= cat.cutoff / 2)
 
     # the cases this pins: the connected operator is one component over every
     # label, and its half-cutoff support leaves labels out; the matching's
     # half-cutoff support is single blocks whose SVDs the spectrum already took
     n = cat.dense_dim
-    n_half = restrict(cat, lambda l: casimir(l) <= cat.cutoff / 2).dense_dim
+    n_half = restrict(cat, lambda l: l.casimir <= cat.cutoff / 2).dense_dim
     assert [shape for shape, _ in component_shapes(connected.blocks)] == [(n, n)]
     assert [shape for shape, _ in half(connected)] != [(n_half, n_half)]
     assert half(matching) and all(count == 1 for _, count in half(matching))

@@ -1,7 +1,7 @@
 """The stability experiment's per-trial error, summed block by block without
-building the difference symbol or its operator, against that old chain:
-hs_norm(assemble(symbol_difference(recovered, truth), mu, nu)).
-Needs ``hypothesis`` (in the ``test`` extra)."""
+building the difference symbol or its operator, against an independent
+reference: the Frobenius norm of the difference of the two assembled dense
+operators. Needs ``hypothesis`` (in the ``test`` extra)."""
 
 import json
 import warnings
@@ -26,8 +26,7 @@ from muhankel.recovery import (
     stability_scan,
     tikhonov_recover,
 )
-from muhankel.symbols import (Symbol, _complex_normal, hs_norm, random_matching_symbol,
-                              random_symbol, symbol_difference)
+from muhankel.symbols import Symbol, _complex_normal, random_matching_symbol, random_symbol
 
 from helpers import scaled
 
@@ -36,8 +35,8 @@ GROUPS = [SU2(), Torus(1), Product((SU2(), Torus(1)))]
 catalogs = st.builds(enumerate_dual, st.sampled_from(GROUPS), st.sampled_from([1.0, 2.0, 4.0]))
 
 
-def old_error(a, b, mu, nu):
-    return hs_norm(assemble(symbol_difference(a, b), mu, nu))
+def dense_error(a, b, mu, nu):
+    return np.linalg.norm(assemble(a, mu, nu).to_dense() - assemble(b, mu, nu).to_dense())
 
 
 def weight(kind, catalog, rng):
@@ -69,7 +68,7 @@ def test_weighted_error_equals_norm_of_assembled_difference(
     mu, nu = weight(mu_kind, codomain, rng), weight(nu_kind, domain, rng)
     plan = _KeyPlan(codomain, domain, mu, nu)
     np.testing.assert_allclose(_weighted_error(a.blocks, b.blocks, plan),
-                               old_error(a, b, mu, nu), rtol=1e-12, atol=0)
+                               dense_error(a, b, mu, nu), rtol=1e-12, atol=0)
     assert _weighted_error(a.blocks, a.blocks, plan) == 0.0
 
 
@@ -80,12 +79,12 @@ def test_stability_rows_match_the_old_chain(weighted_penalty):
     deltas = [0.0, 1e-4, 1e-3, 1e-2]
     rows, _ = stability_scan(truth, mu, nu, deltas, trials=3, seed=5,
                              weighted_penalty=weighted_penalty)
-    # the reference: the same draws, each error through a difference symbol
+    # the reference: the same draws, each error from the dense operators
     base = forward(assemble(truth, mu, nu))
     rng = np.random.default_rng(5)
     for row, delta in zip(rows, deltas):
-        errors = [old_error(tikhonov_recover(perturb_spectral_data(base, delta, rng), mu, nu,
-                                             delta * delta, weighted_penalty), truth, mu, nu)
+        errors = [dense_error(tikhonov_recover(perturb_spectral_data(base, delta, rng), mu, nu,
+                                               delta * delta, weighted_penalty), truth, mu, nu)
                   for _ in range(3)]
         assert row.delta == delta and row.alpha == delta * delta
         np.testing.assert_allclose([row.mean_error, row.std_error],
@@ -98,7 +97,7 @@ def reference_error(recovered, truth, mu, nu):
     total = 0
     for pi, rho in dict.fromkeys(chain(recovered.blocks, truth.blocks)):
         diff = (weight_eval(mu, pi) * weight_eval(nu, rho)
-                * (recovered.block(pi, rho) - truth.block(pi, rho)))
+                * (recovered.blocks.get((pi, rho), 0) - truth.blocks.get((pi, rho), 0)))
         total += np.vdot(diff, diff).real
     return float(np.sqrt(total))
 

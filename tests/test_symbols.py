@@ -9,7 +9,6 @@ from muhankel.duals import (
     SU2,
     Torus,
     UNIT_WEIGHT,
-    casimir,
     dim,
     enumerate_dual,
     weight_eval,
@@ -24,7 +23,6 @@ from muhankel.symbols import (
     hs_norm,
     random_matching_symbol,
     random_symbol,
-    symbol_difference,
 )
 
 from helpers import restrict, scaled
@@ -95,7 +93,7 @@ def test_class_norm_single_block(su2_cat):
     # lambda_pi = 2 (l=1), lambda_rho = 6 (l=2), block built to have sigma_max = 5
     pi = su2_cat.labels[2]
     rho = su2_cat.labels[4]
-    assert casimir(pi) == 2.0 and casimir(rho) == 6.0
+    assert pi.casimir == 2.0 and rho.casimir == 6.0
     block = np.zeros((3, 5), dtype=complex)
     block[0, 0] = 5.0
     sigma = np.linalg.svd(block, compute_uv=False)[0]  # oracle SVD
@@ -229,15 +227,6 @@ def test_hs_norm_refuses_a_sum_of_squares_that_overflows():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="HS norm is .*, not finite"):
             hs_norm(op)
-
-
-def test_symbol_difference_and_scaled(su2_cat):
-    a = random_symbol(su2_cat, su2_cat, 0.5, 1)
-    b = random_symbol(su2_cat, su2_cat, 0.5, 2)
-    diff = symbol_difference(a, b)
-    for key in set(a.blocks) | set(b.blocks):
-        np.testing.assert_array_equal(diff.block(*key), a.block(*key) - b.block(*key))
-    assert hs_norm(assemble(symbol_difference(a, a), UNIT_WEIGHT, UNIT_WEIGHT)) == 0.0
 
 
 def test_symbol_json_round_trip(su2_cat):
