@@ -277,7 +277,6 @@ class DualCatalog:
     )
     dense_dim: int = field(init=False, compare=False)
     _by_index: dict[tuple, IrrepLabel] = field(init=False, repr=False, compare=False)
-    _position: dict[IrrepLabel, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.cutoff):
@@ -291,7 +290,6 @@ class DualCatalog:
             start += label.dim
         self.offsets = offsets
         self._by_index = {label.index: label for label in self.labels}
-        self._position = {label: i for i, label in enumerate(self.labels)}
         self.dense_dim = start
         _check_dense_dim(start)
 
@@ -313,10 +311,6 @@ class DualCatalog:
             label = IrrepLabel(self.group, tuple(index))
             raise ValueError(f"{side} label {label.index} not in catalog")
         return found
-
-    def positions(self, labels) -> list[int]:
-        """The catalog position of each label, -1 for one not in the catalog."""
-        return [self._position.get(label, -1) for label in labels]
 
     def slice_of(self, label: IrrepLabel) -> slice:
         start, length = self.offsets[label]

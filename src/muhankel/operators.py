@@ -51,16 +51,10 @@ class BlockOperator:
     weighted: dict[BlockKey, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        _check_table_cover(self.mu, self.symbol.codomain, "mu")
-        _check_table_cover(self.nu, self.symbol.domain, "nu")
-        weighted = {}
-        for (pi, rho), block in self.symbol.blocks.items():
-            # single scalar product keeps the adjoint exactly conjugate-symmetric
-            w = weight_eval(self.mu, pi) * weight_eval(self.nu, rho)
-            wb = w * block
-            wb.setflags(write=False)
-            weighted[(pi, rho)] = wb
-        self.weighted = weighted
+        plan = _KeyPlan(self.symbol.codomain, self.symbol.domain, self.mu, self.nu)
+        self.weighted = {key: plan[key][0] * block for key, block in self.symbol.blocks.items()}
+        for block in self.weighted.values():
+            block.setflags(write=False)
 
     @property
     def codomain(self) -> DualCatalog:
@@ -220,6 +214,25 @@ def _check_table_cover(weight: Weight, catalog: DualCatalog, name: str) -> None:
                 f"{name} weight table is missing {len(missing)} catalog labels, "
                 f"first: {missing[0].index}"
             )
+
+
+class _KeyPlan(dict):
+    """Per block key (pi, rho): its weight mu(pi) nu(rho) and its codomain
+    and domain slices, each key's worked out on its first lookup. A weight
+    table must cover its catalog."""
+
+    def __init__(self, codomain: DualCatalog, domain: DualCatalog, mu: Weight, nu: Weight):
+        super().__init__()
+        _check_table_cover(mu, codomain, "mu")
+        _check_table_cover(nu, domain, "nu")
+        self.codomain, self.domain, self.mu, self.nu = codomain, domain, mu, nu
+
+    def __missing__(self, key: BlockKey) -> tuple[float, slice, slice]:
+        pi, rho = key
+        # one scalar product keeps the adjoint exactly conjugate-symmetric
+        self[key] = found = (weight_eval(self.mu, pi) * weight_eval(self.nu, rho),
+                             self.codomain.slice_of(pi), self.domain.slice_of(rho))
+        return found
 
 
 def assemble(symbol: Symbol, mu: Weight, nu: Weight) -> BlockOperator:

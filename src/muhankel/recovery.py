@@ -9,11 +9,11 @@ one pass, which checks each triple's runs and value fields in file order
 and names the first fault; each field is then decoded and scattered at
 once. Each triple's phase makes the largest entry of its left vector real
 and positive, so the operator, not the SVD routine, fixes the basis the
-stability noise is drawn on. A triple is attributed to the block carrying (at least 99% of)
-the squared mass of its vectors, one pass of squares per side giving the
-label masses and norms; a given key must be the heaviest label by catalog
-position. Recovery solves each attributed block of the reassembled matrix
-in closed form (Tikhonov for alpha > 0) and refuses unattributable data.
+stability noise is drawn on. One mass rule, from one pass of squares per
+side, attributes a triple to the block holding 99% of each side's mass; a
+given attribution, nulls included, is only checked against it. Recovery
+solves each attributed block of the reassembled matrix in closed form
+(Tikhonov for alpha > 0) and refuses unattributable data.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .duals import DualCatalog, Weight, weight_eval
-from .operators import ZERO_REL_TOL, BlockOperator, assemble, retained_count
+from .duals import DualCatalog, IrrepLabel, Weight
+from .operators import ZERO_REL_TOL, BlockOperator, _KeyPlan, assemble, retained_count
 from .symbols import BlockKey, Symbol, _complex_normal, _hs_sum, complex_from_parts, parse_numbers
 
 # A triple belongs to a block when both vectors carry at least this fraction
@@ -52,8 +52,8 @@ class SpectralData:
     ``s`` holds the k singular values, descending, and the columns of ``u``
     (N_out x k) and ``v`` (N_in x k) the unit singular vectors; all three are
     stored C-contiguous. ``attribution[i]`` is the (pi, rho) key for triple
-    i, or None when the mass rule failed for that triple. Left out, it is
-    computed by the mass rule; given, each key is checked against that rule.
+    i, or None when the mass rule failed for that triple. It is always the
+    rule's list; a given list is only checked against it, nulls included.
     """
 
     codomain: DualCatalog
@@ -83,24 +83,20 @@ class SpectralData:
         mass_v, norm_v = _label_masses(self.v, self.domain)
         _first_fault(~(np.abs(norm_u - 1.0) <= 1e-12) | ~(np.abs(norm_v - 1.0) <= 1e-12),
                      "singular vectors must be unit norm")
-        (best_u, held_u), (best_v, held_v) = _heaviest(mass_u), _heaviest(mass_v)
-        if self.attribution is None:
-            pis, rhos = self.codomain.labels, self.domain.labels
-            fits = ((held_u >= ATTRIBUTION_MASS) & (held_v >= ATTRIBUTION_MASS)).tolist()
-            self.attribution = [(pis[p], rhos[r]) if fit else None
-                                for p, r, fit in zip(best_u.tolist(), best_v.tolist(), fits)]
-            return
-        # a key passes when it is the heaviest label, by catalog position,
-        # and holds the 99%
-        keyed = [i for i, key in enumerate(self.attribution) if key]
-        keys = [self.attribution[i] for i in keyed]
-        bad = np.array([(np.array(catalog.positions([key[j] for key in keys])) != best[keyed])
-                        | (held[keyed] < ATTRIBUTION_MASS - 1e-12) for j, catalog, best, held
-                        in ((0, self.codomain, best_u, held_u), (1, self.domain, best_v, held_v))])
-        if bad.any():
-            first, side = divmod(int(np.argmax(bad.T)), 2)  # the first triple, left side first
-            raise ValueError(f"triple {keyed[first]}: {('left', 'right')[side]} mass rule "
-                             f"violated for {keys[first][side].index}")
+        lefts = _heaviest(mass_u, self.codomain.labels)
+        rights = _heaviest(mass_v, self.domain.labels)
+        found = [(pi, rho) if pi and rho else None for pi, rho in zip(lefts, rights)]
+        if self.attribution is not None and self.attribution != found:
+            # the first triple at fault is named, its left side before its right
+            for i, (key, pi, rho) in enumerate(zip(self.attribution, lefts, rights)):
+                if key is None and found[i]:
+                    raise ValueError(f"triple {i}: listed as null, but the mass rule "
+                                     f"attributes it to ({pi.index}, {rho.index})")
+                for side, label, want in zip(("left", "right"), key or (), (pi, rho)):
+                    if label != want:
+                        raise ValueError(f"triple {i}: {side} mass rule violated for "
+                                         f"{label.index}")
+        self.attribution = found
 
     @property
     def triples(self) -> list[SingularTriple]:
@@ -270,11 +266,13 @@ def _label_masses(vecs: np.ndarray, catalog: DualCatalog) -> tuple[np.ndarray, n
     return masses, np.sqrt(masses.sum(axis=0))
 
 
-def _heaviest(masses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of the label ``masses`` (labels x k), the catalog position
-    of the first label holding the largest share, and that share."""
+def _heaviest(masses: np.ndarray, labels: list[IrrepLabel]) -> list[IrrepLabel | None]:
+    """Per column of the label ``masses`` (labels x k), the first of the
+    ``labels`` holding the largest share when that share is at least
+    ``ATTRIBUTION_MASS``, else None."""
     best = np.argmax(masses, axis=0) if masses.size else np.zeros(0, dtype=int)
-    return best, masses[best, np.arange(best.size)]
+    fits = masses[best, np.arange(best.size)] >= ATTRIBUTION_MASS
+    return [labels[b] if fit else None for b, fit in zip(best.tolist(), fits.tolist())]
 
 
 def forward(op: BlockOperator) -> SpectralData:
@@ -345,21 +343,6 @@ def tikhonov_recover(
     blocks = _solve_blocks(data, _KeyPlan(data.codomain, data.domain, mu, nu), alpha,
                            weighted_penalty)
     return Symbol(data.codomain, data.domain, blocks)
-
-
-class _KeyPlan(dict):
-    """Per block key (pi, rho): its weight mu(pi) nu(rho) and its codomain
-    and domain slices, each key's worked out on its first lookup."""
-
-    def __init__(self, codomain: DualCatalog, domain: DualCatalog, mu: Weight, nu: Weight):
-        super().__init__()
-        self.codomain, self.domain, self.mu, self.nu = codomain, domain, mu, nu
-
-    def __missing__(self, key: BlockKey) -> tuple[float, slice, slice]:
-        pi, rho = key
-        self[key] = found = (weight_eval(self.mu, pi) * weight_eval(self.nu, rho),
-                             self.codomain.slice_of(pi), self.domain.slice_of(rho))
-        return found
 
 
 def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
@@ -476,6 +459,8 @@ def stability_scan(
     for delta in deltas:
         if not (np.isfinite(delta) and delta >= 0):
             raise ValueError(f"noise level delta must be finite and >= 0, got {delta}")
+        if not np.isfinite(delta * delta):
+            raise ValueError(f"noise level delta {delta} has no finite square alpha = delta^2")
     base = forward(assemble(true_symbol, mu, nu))
     plan = _KeyPlan(base.codomain, base.domain, mu, nu)
     rng = np.random.default_rng(seed)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import muhankel.cli as cli
+import muhankel.recovery as recovery
 from muhankel.cli import main
 from muhankel.duals import MAX_DENSE_DIM, SU2, Torus, UNIT_WEIGHT, enumerate_dual
 from muhankel.operators import BlockOperator, assemble
@@ -495,6 +496,53 @@ def test_recover_true_symbol_on_other_catalogs_exit_2(tmp_path, capsys):
     assert ("the true symbol's codomain catalog differs from the recovered one's"
             in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
+
+
+def test_recover_partial_weight_table_exit_2(tmp_path, capsys):
+    # the table covers only the 2 attributed codomain labels of 5; with
+    # --true-symbol the solve was the only weighting and accepted it, exit 0
+    cat = enumerate_dual(SU2(), 6.0)
+    sym = random_matching_symbol(cat, cat, 3, pairs=2)
+    data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
+    data_path = write_json(tmp_path / "data.json", data.to_dict())
+    sym_path = write_json(tmp_path / "sym.json", sym.to_dict())
+    mu_path = write_json(tmp_path / "mu.json", {"entries": [
+        {"index": list(pi.index), "value": 1.0} for pi in {pi for pi, _ in data.attribution}]})
+    for extra in ([], ["--true-symbol", sym_path]):
+        code = main(["recover", "--data", data_path, "--mu", mu_path, *extra,
+                     "--out-dir", str(tmp_path / "out")])
+        assert code == 2, extra
+        assert "mu weight table is missing 3 catalog labels" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_recover_listed_null_that_the_mass_rule_attributes_exit_2(tmp_path, capsys):
+    # a null the rule contradicts was kept, and the solve then refused the
+    # file as unattributable, exit 5
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    payload = json.loads((inputs / "su2-matching-data.json").read_text())
+    pi, rho = payload["attribution"][0]
+    payload["attribution"][0] = None
+    data_path = write_json(tmp_path / "data.json", payload)
+    code = main(["recover", "--data", data_path, "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert (f"triple 0: listed as null, but the mass rule attributes it to "
+            f"({tuple(pi)}, {tuple(rho)})" in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_stability_delta_whose_square_overflows_exit_2(tmp_path, capsys, monkeypatch):
+    # the trials of the first two levels ran, then the solve refused alpha = inf
+    cat = enumerate_dual(SU2(), 2.0)
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
+    trials, perturb = [], recovery.perturb_spectral_data
+    monkeypatch.setattr(recovery, "perturb_spectral_data",
+                        lambda *args: trials.append(args) or perturb(*args))
+    code = main(["stability", "--symbol", sym_path, "--delta-grid", "1e-3,1e-2,1e200",
+                 "--trials", "2", "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "noise level delta 1e+200 has no finite square" in capsys.readouterr().err
+    assert trials == [] and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("argv", [

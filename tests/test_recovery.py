@@ -19,6 +19,7 @@ from muhankel.duals import (
 )
 from muhankel.operators import assemble
 from muhankel.recovery import (
+    ATTRIBUTION_MASS,
     AttributionError,
     SpectralData,
     forward,
@@ -364,6 +365,21 @@ def test_spectral_data_validation_names_first_faulty_triple():
         SpectralData(cat, cat, np.ones(1), unit[:3, None], unit[:, None])
     with pytest.raises(ValueError, match="attribution list must align"):
         stacked(cat, cat, [(1.0, unit, unit)], [])
+
+
+def test_given_key_below_the_mass_rule_by_rounding_is_refused():
+    # the rule is >= ATTRIBUTION_MASS exactly; a check that allowed 1e-12 of
+    # slack accepted this key, though the rule computes no key for it
+    cat = enumerate_dual(SU2(), 2.0)  # dims 1, 2, 3
+    a = cat.labels[0]
+    held = ATTRIBUTION_MASS - 5e-13
+    u = np.zeros(6, dtype=complex)
+    u[0], u[1] = np.sqrt(held), np.sqrt(1.0 - held)
+    unit = np.zeros(6, dtype=complex)
+    unit[0] = 1.0
+    assert stacked(cat, cat, [(1.0, u, unit)]).attribution == [None]
+    with pytest.raises(ValueError, match=re.escape("triple 0: left mass rule violated for (0,)")):
+        stacked(cat, cat, [(1.0, u, unit)], [(a, a)])
 
 
 def test_spectral_data_keys_from_an_equal_catalog_validate():

@@ -17,9 +17,8 @@ import muhankel.recovery as recovery
 from muhankel.cli import main
 from muhankel.duals import (SU2, PowerLaw, Product, TableWeight, Torus, enumerate_dual,
                             parse_group, weight_eval)
-from muhankel.operators import assemble
+from muhankel.operators import _KeyPlan, assemble
 from muhankel.recovery import (
-    _KeyPlan,
     _weighted_error,
     forward,
     perturb_spectral_data,
