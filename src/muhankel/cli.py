@@ -103,14 +103,14 @@ def _emit(args, command: str, inputs: dict, config: dict, files: dict) -> None:
 
 def _read_input(path: str, parse):
     """``parse`` applied to the JSON file at ``path``. A wrong type or shape
-    inside the file (a number where a list belongs, a short list) surfaces
-    from parsing as TypeError, IndexError or AttributeError, and an integer
-    too large for a float as OverflowError; it becomes a ValueError naming
-    the file, so that it exits as a validation error."""
+    inside the file (a number where a list belongs, a short list, a missing
+    field) surfaces from parsing as TypeError, IndexError, AttributeError or
+    KeyError, and an integer too large for a float as OverflowError; it
+    becomes a ValueError naming the file, which exits as a validation error."""
     data = json.loads(Path(path).read_text())
     try:
         return parse(data)
-    except (TypeError, IndexError, AttributeError, OverflowError) as exc:
+    except (TypeError, IndexError, AttributeError, KeyError, OverflowError) as exc:
         raise ValueError(f"malformed input file {path}: {exc}") from exc
 
 

@@ -305,10 +305,13 @@ class DualCatalog:
     def label_at(self, index, side: str) -> IrrepLabel:
         """The catalog's own label of index vector ``index`` (1.0 and true
         read as 1, as in IrrepLabel). A malformed index raises IrrepLabel's
-        error, a valid one outside the catalog "<side> label ... not in catalog"."""
+        error after ``side``, one outside the catalog "<side> label ... not in catalog"."""
         found = self._by_index.get(tuple(index))
         if found is None:
-            label = IrrepLabel(self.group, tuple(index))
+            try:
+                label = IrrepLabel(self.group, tuple(index))
+            except ValueError as exc:
+                raise ValueError(f"{side} {exc}") from exc
             raise ValueError(f"{side} label {label.index} not in catalog")
         return found
 

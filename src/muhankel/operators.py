@@ -3,8 +3,8 @@
 The operator carries one finite block T(pi, rho) = mu(pi) a(pi, rho) nu(rho)
 per stored symbol block, mapping the rho coordinate slice of the domain
 layout into the pi slice of the codomain layout. Blocks are weighted once at
-assembly and cached; application, adjoint, and densification all reuse the
-cache, so the adjoint's dense matrix is the exact conjugate transpose.
+assembly and cached for application and densification; the adjoint weights
+its conjugate-transposed blocks anew, giving the exact conjugate transpose.
 
 The stored blocks form a bipartite graph, codomain labels on one side and
 domain labels on the other. The operator's singular values are the union of

@@ -139,11 +139,14 @@ class SpectralData:
         values = _numbers([entry["s"] for entry in entries], "s", 0)
         u = _read_side(entries, "u", codomain.dense_dim)
         v = _read_side(entries, "v", domain.dense_dim)
-        attribution = [
-            None if key is None else (codomain.label_at(key[0], f"triple {i}: codomain"),
-                                      domain.label_at(key[1], f"triple {i}: domain"))
-            for i, key in enumerate(data["attribution"])
-        ]
+        attribution = []
+        for i, key in enumerate(data["attribution"]):
+            if key is not None and not (isinstance(key, list) and len(key) == 2):
+                raise TypeError(
+                    f"triple {i}: attribution {key!r} is not a [pi_index, rho_index] pair")
+            attribution.append(None if key is None else (
+                codomain.label_at(key[0], f"triple {i}: codomain"),
+                domain.label_at(key[1], f"triple {i}: domain")))
         return cls(codomain, domain, values, u, v, attribution)
 
 

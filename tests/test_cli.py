@@ -645,6 +645,23 @@ def test_nan_option_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     assert not (tmp_path / "out" / f"{argv[0]}-manifest.json").exists()
 
 
+def test_spectrum_schatten_exponent_past_a_floats_powers(tmp_path):
+    # the largest value, 5.3, to the power 1e4 overflows a float: the norm stays
+    # finite, between that value and its bound, and no file holds Infinity or NaN
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    assert main(["spectrum", "--symbol", str(inputs / "su2-random.json"), "--mu", "0.5",
+                 "--nu", "-0.5", "--p", "1e4", "--out-dir", str(tmp_path)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for path in tmp_path.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=refuse)
+    report = json.loads((tmp_path / "spectrum.json").read_text())
+    values, norm = report["singular_values"], report["schatten"]["10000.0"]
+    assert values[0] <= norm <= values[0] * len(values) ** 1e-4 * (1 + 1e-12)
+
+
 @pytest.mark.parametrize("ladder, message", [
     ("-5,-3,-1", "cutoff ladder rung -5 is negative"),
     ("64,128,2e6", "cutoff ladder rung 2e+06 has over 1000000 spins"),
@@ -660,18 +677,26 @@ def test_schatten_scan_rung_guard_exit_2(tmp_path, capsys, ladder, message):
     assert not (out / "schatten-scan-manifest.json").exists()
 
 
+DROP = object()
+
+
 def put(*keys, value):
-    """Edit of a JSON payload that sets ``payload[k1][k2]... = value``."""
+    """Edit of a JSON payload that sets ``payload[k1][k2]... = value``, or
+    deletes that entry where ``value`` is ``DROP``."""
     def edit(payload):
         target = payload
         for key in keys[:-1]:
             target = target[key]
-        target[keys[-1]] = value
+        if value is DROP:
+            del target[keys[-1]]
+        else:
+            target[keys[-1]] = value
         return payload
     return edit
 
 
 MALFORMED = "malformed input file"
+NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
 
 
 @pytest.mark.parametrize("kind, edit, message", [
@@ -688,26 +713,38 @@ MALFORMED = "malformed input file"
     ("symbol", put("blocks", 1, "pi_index", value=[9]), "codomain label (9,) not in catalog"),
     ("symbol", put("blocks", 0, "pi_index", value=[0, 0]),
      "index (0, 0) has 2 slots, group needs 1"),
+    ("symbol", put("blocks", 0, "im", value=DROP), MALFORMED),
     ("data", put("attribution", 0, 1, value=[9]), "triple 0: domain label (9,) not in catalog"),
-    ("data", put("attribution", 0, value=[[0]]), MALFORMED),
-    ("data", put("attribution", 0, value=5), MALFORMED),
+    ("data", put("attribution", 0, value=[[0]]), f"triple 0: attribution [[0]] {NOT_A_PAIR}"),
+    ("data", put("attribution", 0, value=5), f"triple 0: attribution 5 {NOT_A_PAIR}"),
+    ("data", put("attribution", 0, value=[[0], [0], [0]]),
+     f"triple 0: attribution [[0], [0], [0]] {NOT_A_PAIR}"),
+    ("data", put("attribution", 0, value=[["x"], [1]]),
+     "triple 0: codomain label index ('x',) must hold integers only"),
     ("data", put("triples", 0, "s", value=[1.0]), MALFORMED),
     ("data", put("triples", value=3), MALFORMED),
+    ("data", put("triples", 1, "v_im", value=DROP), MALFORMED),
     ("mu", lambda _: {"entries": 5}, MALFORMED),
     ("mu", lambda _: {"entries": [5]}, MALFORMED),
     ("mu", lambda _: [1, 2], MALFORMED),
     ("mu", lambda _: {"entries": [{"index": 0, "value": 1.0}]}, MALFORMED),
     ("mu", lambda _: {"entries": [{"index": [0], "value": [1.0]}]}, MALFORMED),
+    ("mu", lambda _: {"entries": [{"index": [0]}]}, MALFORMED),
+    ("mu", lambda _: {"entries": [{"index": ["x"], "value": 1.0}]},
+     "weight table mu.json entry 0: label index ('x',) must hold integers only"),
 ], ids=[
     "pi-index-number", "re-string", "re-null", "blocks-object", "labels-number",
     "group-string", "catalog-index-fraction", "block-index-string", "block-index-outside",
-    "block-index-slots", "attribution-index-outside", "attribution-short",
-    "attribution-number", "s-list", "triples-number", "entries-number", "entry-number",
-    "table-list", "index-number", "value-list",
+    "block-index-slots", "im-missing", "attribution-index-outside", "attribution-short",
+    "attribution-number", "attribution-long", "attribution-index-string", "s-list",
+    "triples-number", "v-im-missing", "entries-number", "entry-number", "table-list",
+    "index-number", "value-list", "value-missing", "table-index-string",
 ])
 def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, message):
     # each exited 1 with a traceback before: a TypeError, IndexError or
-    # AttributeError from parsing, or a silently truncated label index
+    # AttributeError from parsing, or a silently truncated label index; a
+    # missing field exited 2 naming only its key, a malformed label index
+    # named no entry, and a three-item attribution key was read as a pair
     monkeypatch.chdir(tmp_path)
     cat = enumerate_dual(SU2(), 2.0)
     sym = diagonal_symbol(cat, decay=1.0)
@@ -726,7 +763,7 @@ def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, 
     assert main([*argv, "--out-dir", "out"]) == 2
     err = capsys.readouterr().err
     assert message in err
-    if message == MALFORMED:
+    if message == MALFORMED or NOT_A_PAIR in message:
         assert f"{MALFORMED} {argv[-1]}:" in err
     assert not (tmp_path / "out").exists()
 
@@ -736,7 +773,10 @@ def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, 
     (put("blocks", 1, "re", 0, 1, value=True), "block ((1,), (1,)) re[0][1] is True"),
     (put("blocks", 0, "im", value=[[False]]), "block ((0,), (0,)) im[0][0] is False"),
     (put("blocks", 2, "im", 1, 0, value="0.5"), "block ((2,), (2,)) im[1][0] is '0.5'"),
-], ids=["true-among-numbers", "false-block", "string"])
+    # block by block, block 0's number is named before block 2's label
+    (lambda p: put("blocks", 2, "pi_index", value=[99])(
+        put("blocks", 0, "re", 0, 0, value="0.5")(p)), "block ((0,), (0,)) re[0][0] is '0.5'"),
+], ids=["true-among-numbers", "false-block", "string", "number-before-label"])
 def test_non_number_symbol_entry_exit_2(tmp_path, capsys, edit, message):
     cat = enumerate_dual(SU2(), 2.0)
     sym_path = write_json(tmp_path / "sym.json", edit(diagonal_symbol(cat).to_dict()))

@@ -46,11 +46,16 @@ def reference_spectral_data(data) -> SpectralData:
     values = _numbers([entry["s"] for entry in entries], "s", 0)
     u = reference_side(entries, "u", codomain.dense_dim)
     v = reference_side(entries, "v", domain.dense_dim)
-    attribution = [
-        None if key is None else (codomain.label_at(key[0], f"triple {i}: codomain"),
-                                  domain.label_at(key[1], f"triple {i}: domain"))
-        for i, key in enumerate(data["attribution"])
-    ]
+
+    def key_at(i, key):
+        if key is None:
+            return None
+        if not (isinstance(key, list) and len(key) == 2):
+            raise TypeError(f"triple {i}: attribution {key!r} is not a [pi_index, rho_index] pair")
+        return (codomain.label_at(key[0], f"triple {i}: codomain"),
+                domain.label_at(key[1], f"triple {i}: domain"))
+
+    attribution = [key_at(i, key) for i, key in enumerate(data["attribution"])]
     return SpectralData(codomain, domain, values, u, v, attribution)
 
 
@@ -254,7 +259,7 @@ def diagonal_file():
 @given(files=spectral_files(),
        edits=st.lists(st.tuples(st.sampled_from(sorted(TRIPLE_EDITS)), st.integers(0, 10**6),
                                 st.sampled_from(["u", "v"])), min_size=1, max_size=3),
-       key_edit=st.sampled_from([None, [[99], [0]], [[0], "1"], 5, [[0]]]),
+       key_edit=st.sampled_from([None, [[99], [0]], [[0], "1"], 5, [[0]], [[0], [0], [0]]]),
        key_at=st.integers(0, 10**6))
 def test_spectral_data_reader_names_the_references_first_fault(files, edits, key_edit, key_at):
     data, payload = files
