@@ -77,10 +77,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _emit(args, command: str, inputs: dict, config: dict, files: dict) -> None:
+def _emit(args, config: dict, files: dict) -> None:
     """Create ``--out-dir``, write the files ``--format`` selects (all of them
     for commands without ``--format``), then ``<command>-manifest.json``
-    listing exactly the files written. ``files`` maps a manifest key to
+    listing the files written and those of ``--symbol``, ``--data`` and
+    ``--true-symbol`` given. ``files`` maps a manifest key to
     ``(name, payload)`` for JSON or ``(name, header, rows)`` for CSV."""
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -91,11 +92,11 @@ def _emit(args, command: str, inputs: dict, config: dict, files: dict) -> None:
         if fmt in (kind, "both"):
             outputs[key] = out / name
             (_write_csv if kind == "csv" else _write_json)(outputs[key], *content)
-    _write_json(out / f"{command}-manifest.json", {
-        "command": command,
+    _write_json(out / f"{args.command}-manifest.json", {
+        "command": args.command,
         "tool_version": __version__,
         "seed": args.seed,
-        "inputs": {k: str(v) for k, v in inputs.items()},
+        "inputs": {k: v for k in ("symbol", "data", "true_symbol") if (v := vars(args).get(k))},
         "outputs": {k: str(v) for k, v in outputs.items()},
         "config": config,
     })
@@ -105,13 +106,14 @@ def _read_input(path: str, parse):
     """``parse`` applied to the JSON file at ``path``. A wrong type or shape
     inside the file (a number where a list belongs, a short list, a missing
     field) surfaces from parsing as TypeError, IndexError, AttributeError or
-    KeyError, and an integer too large for a float as OverflowError; it
-    becomes a ValueError naming the file, which exits as a validation error."""
+    KeyError (reported as the missing field), and an integer too large for a
+    float as OverflowError; it becomes a ValueError naming the file."""
     data = json.loads(Path(path).read_text())
     try:
         return parse(data)
     except (TypeError, IndexError, AttributeError, KeyError, OverflowError) as exc:
-        raise ValueError(f"malformed input file {path}: {exc}") from exc
+        fault = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"malformed input file {path}: {fault}") from exc
 
 
 def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
@@ -152,7 +154,7 @@ def _parse_float_list(spec: str) -> list[float]:
 def cmd_catalog(args) -> int:
     group = parse_group(args.group)
     catalog = enumerate_dual(group, args.cutoff)
-    _emit(args, "catalog", {}, {"group": args.group, "cutoff": args.cutoff},
+    _emit(args, {"group": args.group, "cutoff": args.cutoff},
           {"catalog": ("catalog.json", catalog.to_dict())})
     print(f"catalog: {len(catalog)} labels, dense dimension {catalog.dense_dim}")
     return EXIT_OK
@@ -182,10 +184,10 @@ def cmd_spectrum(args) -> int:
                 op.block_singular_values.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index)
             )
         ],
-        "criteria": [v.to_dict() for v in criteria],
+        "criteria": [asdict(v) for v in criteria],
     }
-    _emit(args, "spectrum", {"symbol": args.symbol},
-          {"mu": args.mu, "nu": args.nu, "m": args.m, "n": args.n, "format": args.format}, {
+    _emit(args, {"mu": args.mu, "nu": args.nu, "m": args.m, "n": args.n,
+                 "format": args.format}, {
         "report": ("spectrum.json", payload),
         "values_csv": ("spectrum_values.csv", ["rank", "singular_value"],
                        [[i, v] for i, v in enumerate(values)]),
@@ -205,9 +207,8 @@ def cmd_schatten_scan(args) -> int:
     group = SU2(half_integers=args.spins == "half")
     verdict, rows = schatten_series_scan(args.alpha, args.p, ladder, group)
     columns = ["l_max", "partial_sum", "increment", "increment_ratio", "operator_schatten"]
-    _emit(args, "schatten-scan", {},
-          {"p": args.p, "alpha": args.alpha, "ladder": args.ladder, "spins": args.spins}, {
-        "verdict": ("schatten_scan.json", {"verdict": verdict.to_dict(), "rows": rows}),
+    _emit(args, {"p": args.p, "alpha": args.alpha, "ladder": args.ladder, "spins": args.spins}, {
+        "verdict": ("schatten_scan.json", {"verdict": asdict(verdict), "rows": rows}),
         "rows_csv": ("schatten_scan.csv", columns,
                      [[row.get(c, "") for c in columns] for row in rows]),
     })
@@ -230,8 +231,7 @@ def cmd_index(args) -> int:
             payload |= {"winding_number": wind, "minus_winding": -wind}
     except ValueError as exc:
         payload["winding_error"] = str(exc)
-    _emit(args, "index", {"symbol": args.symbol},
-          {"mu": args.mu, "nu": args.nu, "tolerance": args.tolerance},
+    _emit(args, {"mu": args.mu, "nu": args.nu, "tolerance": args.tolerance},
           {"report": ("index.json", payload)})
 
     if report.formula_error is None:
@@ -258,18 +258,15 @@ def cmd_recover(args) -> int:
     data = _read_input(args.data, SpectralData.from_dict)
     data, mu, nu = _with_weights(args, data)
     recovered = tikhonov_recover(data, mu, nu, args.alpha, args.weighted_penalty)
-    inputs = {"data": args.data}
     if args.true_symbol:
         truth = _read_input(args.true_symbol, Symbol.from_dict)
-        inputs["true_symbol"] = args.true_symbol
         check = f"max entry error vs true symbol: {max_entry_error(recovered, truth):.6g}"
     else:
         residual = max_residual(assemble(recovered, mu, nu), data)
         check = f"max residual vs reassembled data: {residual:.6g}"
-    _emit(args, "recover", inputs,
-          {"mu": args.mu, "nu": args.nu,
-           "cutoff": max(data.codomain.cutoff, data.domain.cutoff),
-           "alpha": args.alpha, "weighted_penalty": args.weighted_penalty},
+    _emit(args, {"mu": args.mu, "nu": args.nu,
+                 "cutoff": max(data.codomain.cutoff, data.domain.cutoff),
+                 "alpha": args.alpha, "weighted_penalty": args.weighted_penalty},
           {"symbol": ("recovered_symbol.json", recovered.to_dict())})
     print(check)
     print(f"recovered {len(recovered.blocks)} blocks")
@@ -283,9 +280,8 @@ def cmd_stability(args) -> int:
         sym, mu, nu, deltas, trials=args.trials, seed=args.seed,
         weighted_penalty=args.weighted_penalty,
     )
-    _emit(args, "stability", {"symbol": args.symbol},
-          {"mu": args.mu, "nu": args.nu, "delta_grid": args.delta_grid,
-           "trials": args.trials, "weighted_penalty": args.weighted_penalty}, {
+    _emit(args, {"mu": args.mu, "nu": args.nu, "delta_grid": args.delta_grid,
+                 "trials": args.trials, "weighted_penalty": args.weighted_penalty}, {
         "table": ("stability.csv", ["delta", "alpha", "mean_error", "std_error"],
                   [[r.delta, r.alpha, r.mean_error, r.std_error] for r in rows]),
         "summary": ("stability.json", {"rows": [asdict(r) for r in rows], "slope": slope}),

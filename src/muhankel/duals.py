@@ -303,9 +303,11 @@ class DualCatalog:
         return label in self.offsets
 
     def label_at(self, index, side: str) -> IrrepLabel:
-        """The catalog's own label of index vector ``index`` (1.0 and true
-        read as 1, as in IrrepLabel). A malformed index raises IrrepLabel's
-        error after ``side``, one outside the catalog "<side> label ... not in catalog"."""
+        """The catalog's own label of the index list or tuple ``index`` (1.0
+        and true read as 1, as in IrrepLabel); else an error after ``side``:
+        a TypeError, IrrepLabel's error, or "label ... not in catalog"."""
+        if not isinstance(index, (list, tuple)):
+            raise TypeError(f"{side} label index {index!r} is not a list")
         found = self._by_index.get(tuple(index))
         if found is None:
             try:

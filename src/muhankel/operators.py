@@ -131,20 +131,17 @@ class BlockOperator:
 
     def support_values(self, keys: Collection[BlockKey]) -> np.ndarray:
         """Descending singular values of the stored blocks ``keys`` alone, not
-        zero-padded: one SVD per component of that support, none for a
+        zero-padded: one SVD per support component of ``keys``, none for a
         single-block component whose block values are known."""
-        return self._sorted_values(self._components(keys))
-
-    def _sorted_values(self, components: list[Component]) -> np.ndarray:
-        parts = [self._component_values(component) for component in components]
+        parts = [self._component_values(component) for component in self._components(keys)]
         return np.sort(np.concatenate(parts))[::-1] if parts else np.zeros(0)
 
     @cached_property
     def singular_values(self) -> np.ndarray:
-        """Descending singular values of the dense matrix: those of every
-        component in :attr:`components`, zero-padded to min(n_out, n_in);
-        read-only."""
-        found = self._sorted_values(self.components)
+        """Descending singular values of the dense matrix: the
+        :meth:`support_values` of every stored block, zero-padded to
+        min(n_out, n_in); read-only."""
+        found = self.support_values(self.weighted)
         n_out, n_in = self.shape
         values = np.zeros(min(n_out, n_in))
         values[: found.size] = found

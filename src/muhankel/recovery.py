@@ -232,6 +232,8 @@ def _read_side(entries: list, side: str, n: int) -> np.ndarray:
         pairs += runs
         totals.append(total)
         for name, part in zip(names, parts):
+            if name not in entry:
+                raise TypeError(f"triple {i}: missing field {name!r}")
             value = entry[name]
             if (len(value) != 16 * total if isinstance(value, str)
                     else not (isinstance(value, list) and len(value) == total)):
@@ -422,10 +424,7 @@ def perturb_spectral_data(
     """Additive Gaussian noise of scale delta on the singular values, tangent
     Gaussian perturbation of the same scale on the vectors (then
     re-orthonormalized). Attribution is recomputed on the noisy vectors."""
-    k = len(data.s)
-    if k == 0:
-        return data
-    s_noisy = np.maximum(data.s + delta * rng.standard_normal(k), 0.0)
+    s_noisy = np.maximum(data.s + delta * rng.standard_normal(len(data.s)), 0.0)
     u_mat = _reorthonormalize(data.u + delta * _complex_normal(rng, data.u.shape))
     v_mat = _reorthonormalize(data.v + delta * _complex_normal(rng, data.v.shape))
     order = np.argsort(-s_noisy, kind="stable")

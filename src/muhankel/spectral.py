@@ -45,10 +45,6 @@ class CriterionVerdict:
     satisfied: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {**vars(self), "bound_value": float(self.bound_value),
-                "measured_value": float(self.measured_value), "satisfied": bool(self.satisfied)}
-
 
 def schatten_norm(values: np.ndarray, p: float) -> float:
     """(sum s_n^p)^(1/p) over the singular values ``values``, taken as

@@ -1,9 +1,10 @@
-"""Operations the tests share that the library itself does not use."""
+"""Instance builders and operations the tests share; the library uses none of them."""
 
 import numpy as np
 
-from muhankel.duals import DualCatalog
-from muhankel.symbols import Symbol
+from muhankel.duals import DualCatalog, Torus, enumerate_dual
+from muhankel.operators import assemble
+from muhankel.symbols import Symbol, random_matching_symbol
 
 
 def scaled(sym: Symbol, c: complex) -> Symbol:
@@ -14,6 +15,37 @@ def scaled(sym: Symbol, c: complex) -> Symbol:
 def restrict(catalog: DualCatalog, keep) -> DualCatalog:
     """The sub-catalog of the labels ``keep`` accepts; order and cutoff are kept."""
     return DualCatalog(catalog.group, catalog.cutoff, [l for l in catalog.labels if keep(l)])
+
+
+def torus_halfline(n_max: int) -> DualCatalog:
+    """The 1-torus labels n = 0, ..., n_max."""
+    return restrict(enumerate_dual(Torus(1), float(n_max * n_max)), lambda l: l.index[0] >= 0)
+
+
+def sorted_desc(values) -> np.ndarray:
+    return np.sort(np.asarray(values))[::-1]
+
+
+def well_separated(op, rel_gap=1e-3) -> bool:
+    """True when the weighted blocks' nonzero singular values are pairwise
+    more than ``rel_gap`` times the largest apart, so that every singular
+    triple of the operator lies in one block; False for a zero operator."""
+    values = np.sort([s for block in op.weighted.values()
+                      for s in np.linalg.svd(block, compute_uv=False)])
+    if values.size == 0 or values[-1] == 0:
+        return False
+    values = values[values > 1e-8 * values[-1]]
+    return bool(np.all(np.diff(values) > rel_gap * values[-1]))
+
+
+def separated_matching(codomain, domain, mu, nu, seed: int) -> Symbol:
+    """The first :func:`random_matching_symbol` of the seeds seed, seed + 1000,
+    ... whose weighted operator is :func:`well_separated`."""
+    while True:
+        sym = random_matching_symbol(codomain, domain, seed)
+        if well_separated(assemble(sym, mu, nu)):
+            return sym
+        seed += 1000
 
 
 def list_layout(payload: dict) -> dict:

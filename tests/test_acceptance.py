@@ -30,35 +30,12 @@ from muhankel.symbols import (
     random_symbol,
 )
 
-from helpers import restrict, scaled
+from helpers import restrict, scaled, separated_matching, sorted_desc
 
 
 def report(num, ok, text):
     print(f"criterion {num}: {'PASS' if ok else 'FAIL'} - {text}")
     assert ok, f"criterion {num} failed: {text}"
-
-
-def sorted_desc(values):
-    return np.sort(np.asarray(values))[::-1]
-
-
-def well_separated(sym, mu, nu, rel_gap=1e-3):
-    values = []
-    for block in assemble(sym, mu, nu).weighted.values():
-        values.extend(np.linalg.svd(block, compute_uv=False))
-    values = np.sort(np.asarray(values))
-    if values.size == 0 or values[-1] == 0:
-        return False
-    values = values[values > 1e-8 * values[-1]]
-    return bool(np.all(np.diff(values) > rel_gap * values[-1]))
-
-
-def separated_matching(codomain, domain, mu, nu, seed):
-    while True:
-        sym = random_matching_symbol(codomain, domain, seed)
-        if well_separated(sym, mu, nu):
-            return sym
-        seed += 1000
 
 
 def test_criterion_1_block_dense_svd_equivalence():

@@ -12,9 +12,9 @@ import pytest
 import muhankel.cli as cli
 import muhankel.recovery as recovery
 from muhankel.cli import main
-from muhankel.duals import MAX_DENSE_DIM, SU2, Torus, UNIT_WEIGHT, enumerate_dual
+from muhankel.duals import MAX_DENSE_DIM, SU2, UNIT_WEIGHT, enumerate_dual
 from muhankel.operators import BlockOperator, assemble
-from muhankel.recovery import SpectralData, forward
+from muhankel.recovery import forward
 from muhankel.symbols import (
     Symbol,
     diagonal_symbol,
@@ -22,12 +22,7 @@ from muhankel.symbols import (
     random_matching_symbol,
 )
 
-from helpers import list_layout, restrict
-
-
-def torus_halfline(n_max):
-    cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return restrict(cat, lambda l: l.index[0] >= 0)
+from helpers import list_layout, torus_halfline
 
 
 def write_json(path, payload):
@@ -700,7 +695,8 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
 
 
 @pytest.mark.parametrize("kind, edit, message", [
-    ("symbol", put("blocks", 0, "pi_index", value=5), MALFORMED),
+    ("symbol", put("blocks", 0, "pi_index", value=5),
+     f"{MALFORMED} sym.json: codomain label index 5 is not a list"),
     ("symbol", put("blocks", 0, "re", value="abc"), MALFORMED),
     ("symbol", put("blocks", 0, "re", value=None), MALFORMED),
     ("symbol", lambda p: {**p, "blocks": {"first": p["blocks"][0]}}, MALFORMED),
@@ -709,11 +705,11 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
     ("symbol", put("codomain", "labels", 1, "index", value=[1.5]),
      "label index (1.5,) must hold integers only"),
     ("symbol", put("blocks", 1, "rho_index", value="1"),
-     "label index ('1',) must hold integers only"),
+     f"{MALFORMED} sym.json: domain label index '1' is not a list"),
     ("symbol", put("blocks", 1, "pi_index", value=[9]), "codomain label (9,) not in catalog"),
     ("symbol", put("blocks", 0, "pi_index", value=[0, 0]),
      "index (0, 0) has 2 slots, group needs 1"),
-    ("symbol", put("blocks", 0, "im", value=DROP), MALFORMED),
+    ("symbol", put("blocks", 0, "im", value=DROP), f"{MALFORMED} sym.json: missing field 'im'"),
     ("data", put("attribution", 0, 1, value=[9]), "triple 0: domain label (9,) not in catalog"),
     ("data", put("attribution", 0, value=[[0]]), f"triple 0: attribution [[0]] {NOT_A_PAIR}"),
     ("data", put("attribution", 0, value=5), f"triple 0: attribution 5 {NOT_A_PAIR}"),
@@ -721,22 +717,27 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
      f"triple 0: attribution [[0], [0], [0]] {NOT_A_PAIR}"),
     ("data", put("attribution", 0, value=[["x"], [1]]),
      "triple 0: codomain label index ('x',) must hold integers only"),
+    ("data", put("attribution", 0, value=[0, [1]]),
+     f"{MALFORMED} data.json: triple 0: codomain label index 0 is not a list"),
     ("data", put("triples", 0, "s", value=[1.0]), MALFORMED),
     ("data", put("triples", value=3), MALFORMED),
-    ("data", put("triples", 1, "v_im", value=DROP), MALFORMED),
+    ("data", put("triples", 1, "v_im", value=DROP),
+     f"{MALFORMED} data.json: triple 1: missing field 'v_im'"),
     ("mu", lambda _: {"entries": 5}, MALFORMED),
     ("mu", lambda _: {"entries": [5]}, MALFORMED),
     ("mu", lambda _: [1, 2], MALFORMED),
-    ("mu", lambda _: {"entries": [{"index": 0, "value": 1.0}]}, MALFORMED),
+    ("mu", lambda _: {"entries": [{"index": 0, "value": 1.0}]},
+     f"{MALFORMED} mu.json: weight table mu.json entry 0: label index 0 is not a list"),
     ("mu", lambda _: {"entries": [{"index": [0], "value": [1.0]}]}, MALFORMED),
-    ("mu", lambda _: {"entries": [{"index": [0]}]}, MALFORMED),
+    ("mu", lambda _: {"entries": [{"index": [0]}]}, f"{MALFORMED} mu.json: missing field 'value'"),
     ("mu", lambda _: {"entries": [{"index": ["x"], "value": 1.0}]},
      "weight table mu.json entry 0: label index ('x',) must hold integers only"),
 ], ids=[
     "pi-index-number", "re-string", "re-null", "blocks-object", "labels-number",
     "group-string", "catalog-index-fraction", "block-index-string", "block-index-outside",
     "block-index-slots", "im-missing", "attribution-index-outside", "attribution-short",
-    "attribution-number", "attribution-long", "attribution-index-string", "s-list",
+    "attribution-number", "attribution-long", "attribution-index-string",
+    "attribution-index-number", "s-list",
     "triples-number", "v-im-missing", "entries-number", "entry-number", "table-list",
     "index-number", "value-list", "value-missing", "table-index-string",
 ])
@@ -744,7 +745,9 @@ def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, 
     # each exited 1 with a traceback before: a TypeError, IndexError or
     # AttributeError from parsing, or a silently truncated label index; a
     # missing field exited 2 naming only its key, a malformed label index
-    # named no entry, and a three-item attribution key was read as a pair
+    # named no entry, a label index that is no list was reported by Python's
+    # "object is not iterable" text, and a three-item attribution key was
+    # read as a pair
     monkeypatch.chdir(tmp_path)
     cat = enumerate_dual(SU2(), 2.0)
     sym = diagonal_symbol(cat, decay=1.0)

@@ -28,12 +28,7 @@ from muhankel.symbols import (
     random_matching_symbol,
 )
 
-from helpers import restrict, scaled
-
-
-def torus_halfline(n_max):
-    cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return restrict(cat, lambda l: l.index[0] >= 0)
+from helpers import restrict, scaled, torus_halfline
 
 
 def test_formula_positive_definite_diagonal():

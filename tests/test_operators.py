@@ -10,7 +10,7 @@ from muhankel.duals import (
     dim,
     enumerate_dual,
 )
-from muhankel.operators import BlockOperator, assemble, retained_count
+from muhankel.operators import assemble, retained_count
 from muhankel.symbols import (
     Symbol,
     diagonal_symbol,
@@ -18,12 +18,7 @@ from muhankel.symbols import (
     random_symbol,
 )
 
-from helpers import restrict
-
-
-def torus_halfline(n_max):
-    cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return restrict(cat, lambda l: l.index[0] >= 0)
+from helpers import torus_halfline
 
 
 def test_assemble_diagonal_su2():

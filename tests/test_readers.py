@@ -86,11 +86,13 @@ def reference_side(entries: list, side: str, n: int) -> np.ndarray:
         runs.append(reference_runs(entry[field], n, f"triple {i}: {field}") if given else [[0, n]])
         total = sum(length for _, length in runs[-1])
         for part, lists in parts.items():
-            value = entry[f"{side}_{part}"]
+            if (name := f"{side}_{part}") not in entry:
+                raise TypeError(f"triple {i}: missing field {name!r}")
+            value = entry[name]
             if not isinstance(value, list) or len(value) != total:
                 got = f"length {len(value)}" if isinstance(value, list) else repr(value)
                 fill = f", the total length of {field}" if given else ""
-                raise ValueError(f"triple {i}: {side}_{part} must be a list of {total} "
+                raise ValueError(f"triple {i}: {name} must be a list of {total} "
                                  f"numbers{fill}, got {got}")
             lists.append(value)
     values = {part: _numbers(lists, f"{side}_{part}", 1) for part, lists in parts.items()}

@@ -13,7 +13,6 @@ from muhankel.duals import (
     TableWeight,
     Torus,
     UNIT_WEIGHT,
-    dim,
     enumerate_dual,
     weight_eval,
 )
@@ -36,12 +35,7 @@ from muhankel.symbols import (
     random_matching_symbol,
 )
 
-from helpers import restrict
-
-
-def torus_halfline(n_max):
-    cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return restrict(cat, lambda l: l.index[0] >= 0)
+from helpers import separated_matching, torus_halfline
 
 
 def stacked(codomain, domain, triples, attribution=None):
@@ -51,30 +45,6 @@ def stacked(codomain, domain, triples, attribution=None):
     u = np.array([t[1] for t in triples], dtype=complex).reshape(k, codomain.dense_dim).T
     v = np.array([t[2] for t in triples], dtype=complex).reshape(k, domain.dense_dim).T
     return SpectralData(codomain, domain, s, u, v, attribution)
-
-
-def well_separated(sym, mu, nu, rel_gap=1e-3):
-    """True when the weighted blocks' nonzero singular values are pairwise
-    separated; degenerate spectra make attribution ill-posed."""
-    values = []
-    op = assemble(sym, mu, nu)
-    for block in op.weighted.values():
-        values.extend(np.linalg.svd(block, compute_uv=False))
-    values = np.sort(np.asarray(values))
-    if values.size == 0 or values[-1] == 0:
-        return False
-    values = values[values > 1e-8 * values[-1]]
-    gaps = np.diff(values)
-    return bool(np.all(gaps > rel_gap * values[-1]))
-
-
-def separated_matching(codomain, domain, mu, nu, start_seed):
-    seed = start_seed
-    while True:
-        sym = random_matching_symbol(codomain, domain, seed)
-        if well_separated(sym, mu, nu):
-            return sym
-        seed += 1000
 
 
 def test_forward_diagonal_structure():
@@ -261,6 +231,21 @@ def test_stability_zero_noise_row():
     sym = separated_matching(cat, cat, UNIT_WEIGHT, UNIT_WEIGHT, 60)
     rows, _ = stability_scan(sym, UNIT_WEIGHT, UNIT_WEIGHT, [0.0], trials=3, seed=1)
     assert rows[0].mean_error < 1e-9
+
+
+def test_stability_of_an_empty_symbol_has_no_triples():
+    # the noise model runs on k = 0 triples: it draws nothing and keeps none
+    cat = enumerate_dual(SU2(), 2.0)
+    empty = Symbol(cat, cat, {})
+    rows, slope = stability_scan(empty, UNIT_WEIGHT, UNIT_WEIGHT, [0.0, 1e-3, 1e-2],
+                                 trials=2, seed=0)
+    assert [(r.mean_error, r.std_error) for r in rows] == [(0.0, 0.0)] * 3
+    assert slope is None
+    data = forward(assemble(empty, UNIT_WEIGHT, UNIT_WEIGHT))
+    noisy = perturb_spectral_data(data, 1e-2, np.random.default_rng(0))
+    assert noisy.s.size == 0 and noisy.attribution == []
+    assert noisy.u.shape == (cat.dense_dim, 0) and noisy.v.shape == (cat.dense_dim, 0)
+    assert noisy.codomain is cat and noisy.domain is cat
 
 
 def test_stability_error_roughly_linear_in_delta():

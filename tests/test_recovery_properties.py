@@ -30,6 +30,8 @@ from muhankel.recovery import (
 )
 from muhankel.symbols import Symbol, random_matching_symbol
 
+from helpers import well_separated
+
 
 GROUPS = [SU2(), SU2(half_integers=False), Torus(1), Torus(2), Product((SU2(), Torus(1)))]
 catalogs = st.builds(
@@ -283,16 +285,6 @@ def test_spectral_data_json_round_trip_is_exact(codomain, domain, masses, seed):
         assert got.shape == want.shape and got.flags.c_contiguous
         np.testing.assert_array_equal(got, want)
     assert back.attribution == data.attribution
-
-
-def well_separated(op, rel_gap=1e-3):
-    """True when the weighted blocks' nonzero singular values are pairwise
-    more than ``rel_gap`` times the largest apart, so that every singular
-    triple of the operator lies in one block."""
-    values = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False)
-                                     for b in op.weighted.values()]))
-    values = values[values > 1e-8 * values[-1]]
-    return bool(np.all(np.diff(values) > rel_gap * values[-1]))
 
 
 @settings(max_examples=30, deadline=None)

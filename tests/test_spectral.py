@@ -34,11 +34,7 @@ from muhankel.symbols import (
     random_symbol,
 )
 
-from helpers import restrict, scaled
-
-
-def sorted_desc(values):
-    return np.sort(np.asarray(values))[::-1]
+from helpers import restrict, scaled, sorted_desc
 
 
 def test_spectrum_diagonal_su2():

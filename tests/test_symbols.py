@@ -25,17 +25,12 @@ from muhankel.symbols import (
     random_symbol,
 )
 
-from helpers import restrict, scaled
+from helpers import restrict, scaled, torus_halfline
 
 
 @pytest.fixture
 def su2_cat():
     return enumerate_dual(SU2(), 6.0)  # l in {0, 1/2, 1, 3/2, 2}
-
-
-def torus_halfline(n_max):
-    cat = enumerate_dual(Torus(1), float(n_max * n_max))
-    return restrict(cat, lambda l: l.index[0] >= 0)
 
 
 def test_weighted_block_diagonal_scaling(su2_cat):
