@@ -57,7 +57,7 @@ from .spectral import (
     schatten_norm,
     schatten_series_scan,
 )
-from .symbols import Symbol, SymbolClassParams
+from .symbols import Symbol, SymbolClassParams, _by_key, _key_fields
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -103,15 +103,11 @@ def _emit(args, config: dict, files: dict) -> None:
 
 
 def _read_input(path: str, parse):
-    """``parse`` applied to the JSON file at ``path``. A wrong type or shape
-    inside the file (a number where a list belongs, a short list, a missing
-    field) surfaces from parsing as TypeError, IndexError, AttributeError or
-    KeyError (reported as the missing field), and an integer too large for a
-    float as OverflowError; it becomes a ValueError naming the file."""
-    data = json.loads(Path(path).read_text())
+    """``parse`` applied to the JSON file at ``path``; a fault found reading it
+    becomes a ValueError naming the file, and a KeyError names its field."""
     try:
-        return parse(data)
-    except (TypeError, IndexError, AttributeError, KeyError, OverflowError) as exc:
+        return parse(json.loads(Path(path).read_text()))
+    except (ValueError, TypeError, LookupError, AttributeError, OverflowError) as exc:
         fault = f"missing field {exc}" if isinstance(exc, KeyError) else exc
         raise ValueError(f"malformed input file {path}: {fault}") from exc
 
@@ -174,16 +170,8 @@ def cmd_spectrum(args) -> int:
         "operator_norm": norm,
         "singular_values": values.tolist(),
         "schatten": schatten,
-        "per_block": [
-            {
-                "pi_index": list(pi.index),
-                "rho_index": list(rho.index),
-                "singular_values": block_values.tolist(),
-            }
-            for (pi, rho), block_values in sorted(
-                op.block_singular_values.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index)
-            )
-        ],
+        "per_block": [{**_key_fields(key), "singular_values": block_values.tolist()}
+                      for key, block_values in _by_key(op.block_singular_values.items())],
         "criteria": [asdict(v) for v in criteria],
     }
     _emit(args, {"mu": args.mu, "nu": args.nu, "m": args.m, "n": args.n,
@@ -255,8 +243,7 @@ def cmd_index(args) -> int:
 
 
 def cmd_recover(args) -> int:
-    data = _read_input(args.data, SpectralData.from_dict)
-    data, mu, nu = _with_weights(args, data)
+    data, mu, nu = _with_weights(args, _read_input(args.data, SpectralData.from_dict))
     recovered = tikhonov_recover(data, mu, nu, args.alpha, args.weighted_penalty)
     if args.true_symbol:
         truth = _read_input(args.true_symbol, Symbol.from_dict)
@@ -379,7 +366,7 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

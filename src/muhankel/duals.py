@@ -103,14 +103,32 @@ def _typed(value, types: tuple, field: str):
     return value
 
 
-def group_from_dict(data: Mapping) -> GroupKind:
-    kind = data.get("kind")
+def _fields(entry, what: str, *names: str) -> list:
+    """The fields ``names`` of the JSON object ``entry``, or a TypeError naming ``what``."""
+    if not isinstance(entry, dict):
+        raise TypeError(f"{what} is {entry!r}, not an object")
+    try:
+        return [entry[name] for name in names]
+    except KeyError as exc:  # its text is the quoted field name
+        raise TypeError(f"{what}: missing field {exc}") from None
+
+
+def _index_of(index, side: str) -> tuple:
+    """The label index list ``index`` as a tuple, or a TypeError after ``side``."""
+    if not isinstance(index, (list, tuple)):
+        raise TypeError(f"{side} label index {index!r} is not a list")
+    return tuple(index)
+
+
+def group_from_dict(data: Mapping, what: str = "group") -> GroupKind:
+    kind, = _fields(data, what, "kind")
     if kind == "su2":
         return SU2(half_integers=_typed(data.get("half_integers", True), (bool,), "half_integers"))
     if kind == "torus":
         return Torus(d=_typed(data.get("d", 1), (int,), "d"))
     if kind == "product":
-        return Product(tuple(group_from_dict(f) for f in data["factors"]))
+        factors = enumerate(data["factors"])
+        return Product(tuple(group_from_dict(f, f"{what} factor {i}") for i, f in factors))
     raise ValueError(f"unknown group kind: {kind!r}")
 
 
@@ -306,12 +324,10 @@ class DualCatalog:
         """The catalog's own label of the index list or tuple ``index`` (1.0
         and true read as 1, as in IrrepLabel); else an error after ``side``:
         a TypeError, IrrepLabel's error, or "label ... not in catalog"."""
-        if not isinstance(index, (list, tuple)):
-            raise TypeError(f"{side} label index {index!r} is not a list")
-        found = self._by_index.get(tuple(index))
+        found = self._by_index.get(index := _index_of(index, side))
         if found is None:
             try:
-                label = IrrepLabel(self.group, tuple(index))
+                label = IrrepLabel(self.group, index)
             except ValueError as exc:
                 raise ValueError(f"{side} {exc}") from exc
             raise ValueError(f"{side} label {label.index} not in catalog")
@@ -327,15 +343,16 @@ class DualCatalog:
                             "casimir": label.casimir} for label in self.labels]}
 
     @classmethod
-    def from_dict(cls, data: Mapping) -> "DualCatalog":
-        """Inverse of :meth:`to_dict`."""
-        group = group_from_dict(data["group"])
+    def from_dict(cls, data: Mapping, side: str = "catalog") -> "DualCatalog":
+        """Inverse of :meth:`to_dict`; a mistyped group or label is named after ``side``."""
+        group = group_from_dict(data["group"], f"{side} group")
         cutoff = float(_typed(data["cutoff"], (int, float), "cutoff"))
         if cutoff < 0:
             raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
         labels = []
-        for entry in data["labels"]:
-            label = IrrepLabel(group, tuple(entry["index"]))
+        for i, entry in enumerate(data["labels"]):
+            index, = _fields(entry, f"{side} label {i}", "index")
+            label = IrrepLabel(group, _index_of(index, f"{side} label {i}:"))
             if "dim" in entry and _typed(entry["dim"], (int,), "dim") != label.dim:
                 raise ValueError(f"label {label.index}: stored dim {entry['dim']} != {label.dim}")
             if ("casimir" in entry

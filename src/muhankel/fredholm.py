@@ -18,7 +18,7 @@ import numpy as np
 
 from .duals import IrrepLabel, Torus
 from .operators import BlockOperator, retained_count
-from .symbols import Symbol
+from .symbols import Symbol, _by_key, _key_fields
 
 # Relative imaginary part above which a block determinant is not "real".
 DET_IMAG_TOL = 1e-9
@@ -46,8 +46,7 @@ class IndexReport:
     rank_tolerance: float
 
     def to_dict(self) -> dict:
-        pairs = [{"pi_index": list(pi.index), "rho_index": list(rho.index), "weight": w}
-                 for pi, rho, w in self.contributing_pairs]
+        pairs = [{**_key_fields((pi, rho)), "weight": w} for pi, rho, w in self.contributing_pairs]
         return {**vars(self), "contributing_pairs": pairs}
 
 
@@ -58,9 +57,7 @@ def index_formula(op: BlockOperator) -> tuple[int, list[ContributingPair]]:
     raises FormulaInapplicableError naming the offending pair.
     """
     contributing: list[ContributingPair] = []
-    for (pi, rho), block in sorted(
-        op.weighted.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index)
-    ):
+    for (pi, rho), block in _by_key(op.weighted.items()):
         if block.shape[0] != block.shape[1]:
             raise FormulaInapplicableError(
                 f"block ({pi.index}, {rho.index}) is {block.shape[0]}x{block.shape[1]}, "

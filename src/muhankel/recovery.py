@@ -25,7 +25,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .duals import DualCatalog, IrrepLabel, Weight
+from .duals import DualCatalog, IrrepLabel, Weight, _fields
 from .operators import ZERO_REL_TOL, BlockOperator, _KeyPlan, assemble, retained_count
 from .symbols import BlockKey, Symbol, _complex_normal, _hs_sum, complex_from_parts, parse_numbers
 
@@ -132,11 +132,12 @@ class SpectralData:
         ``v_runs``) holds that side in full, one value per coordinate; the
         runs are checked to be integer pairs, sorted, non-overlapping and
         inside the catalog, and each value list or hex string to fill them."""
-        codomain = DualCatalog.from_dict(data["codomain"])
+        codomain = DualCatalog.from_dict(data["codomain"], "codomain")
         same = data["domain"] == data["codomain"]
-        domain = codomain if same else DualCatalog.from_dict(data["domain"])
+        domain = codomain if same else DualCatalog.from_dict(data["domain"], "domain")
         entries = data["triples"]
-        values = _numbers([entry["s"] for entry in entries], "s", 0)
+        s = [_fields(entry, f"triple {i}", "s")[0] for i, entry in enumerate(entries)]
+        values = _numbers(s, "s", 0)
         u = _read_side(entries, "u", codomain.dense_dim)
         v = _read_side(entries, "v", domain.dense_dim)
         attribution = []
@@ -231,10 +232,7 @@ def _read_side(entries: list, side: str, n: int) -> np.ndarray:
             total += length
         pairs += runs
         totals.append(total)
-        for name, part in zip(names, parts):
-            if name not in entry:
-                raise TypeError(f"triple {i}: missing field {name!r}")
-            value = entry[name]
+        for name, part, value in zip(names, parts, _fields(entry, f"triple {i}", *names)):
             if (len(value) != 16 * total if isinstance(value, str)
                     else not (isinstance(value, list) and len(value) == total)):
                 got = (f"a string of {len(value)} characters, not {16 * total} hex digits"
@@ -374,12 +372,11 @@ def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
 
 def max_entry_error(recovered: Symbol, truth: Symbol) -> float:
     """The largest entry modulus of recovered - truth (an absent block is zero,
-    no block gives 0), blocks matched by label index; catalogs must agree."""
+    no block gives 0), blocks matched by label; catalogs must agree."""
     for side in ("codomain", "domain"):
         if getattr(recovered, side).labels != getattr(truth, side).labels:
             raise ValueError(f"the true symbol's {side} catalog differs from the recovered one's")
-    a, b = ({(pi.index, rho.index): block for (pi, rho), block in sym.blocks.items()}
-            for sym in (recovered, truth))
+    a, b = recovered.blocks, truth.blocks
     diffs = (a.get(key, 0) - b.get(key, 0) for key in a.keys() | b.keys())
     return max((float(np.max(np.abs(diff))) for diff in diffs), default=0.0)
 

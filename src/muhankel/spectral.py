@@ -100,6 +100,11 @@ def norm_criteria(
     return schur, equivalence
 
 
+def _ratio(num: float, den: float) -> float:
+    """num / den, with 0 / 0 = 0 and any other x / 0 = inf."""
+    return num / den if den != 0.0 else 0.0 if num == 0.0 else math.inf
+
+
 def _carleson_value(nu: Weight, labels: list[IrrepLabel], t: float) -> float:
     if not labels:
         return 0.0
@@ -119,10 +124,7 @@ def carleson_test(nu: Weight, catalog: DualCatalog, t: float) -> CriterionVerdic
     half = [r for r in catalog.labels if r.casimir <= catalog.cutoff / 2.0]
     v_half = _carleson_value(nu, half, t)
     v_full = _carleson_value(nu, list(catalog.labels), t)
-    if v_half == 0.0:
-        growth = 0.0 if v_full == 0.0 else float("inf")
-    else:
-        growth = (v_full - v_half) / v_half
+    growth = _ratio(v_full - v_half, v_half)
     return CriterionVerdict(
         name="carleson",
         bound_value=CARLESON_GROWTH_THRESHOLD,
@@ -165,15 +167,8 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
         float(values[k - 1]) if (k := retained_count(values, ZERO_REL_TOL)) else 0.0
         for values in (op.support_values(half), op.singular_values)
     )
-    if v_half == 0.0 and v_full == 0.0:
-        spectral_fired = True
-        sv_ratio = 0.0
-    elif v_half > 0.0:
-        sv_ratio = v_full / v_half
-        spectral_fired = sv_ratio < SPECTRAL_DECAY_RATIO
-    else:
-        sv_ratio = float("inf")
-        spectral_fired = False
+    sv_ratio = _ratio(v_full, v_half)
+    spectral_fired = sv_ratio < SPECTRAL_DECAY_RATIO
 
     names = [name for name, fired in (("decay", decay_fired), ("spectral", spectral_fired))
              if fired]
@@ -236,10 +231,8 @@ def schatten_series_scan(
         row = {"l_max": float(l_max), "partial_sum": partial, "operator_schatten": schatten}
         if rows:
             row["increment"] = increment = row["partial_sum"] - rows[-1]["partial_sum"]
-            prev = rows[-1].get("increment")
-            if prev is not None:
-                row["increment_ratio"] = (increment / prev if prev != 0.0
-                                          else 0.0 if increment == 0.0 else float("inf"))
+            if (prev := rows[-1].get("increment")) is not None:
+                row["increment_ratio"] = _ratio(increment, prev)
         rows.append(row)
     measured = max(row["increment_ratio"] for row in rows[2:])  # >= 3 rungs
     converges = measured < SERIES_RATIO_THRESHOLD

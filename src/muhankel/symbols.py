@@ -14,12 +14,22 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .duals import DualCatalog, IrrepLabel, PowerLaw, Torus, weight_eval
+from .duals import DualCatalog, IrrepLabel, PowerLaw, Torus, _fields, weight_eval
 
 if TYPE_CHECKING:
     from .operators import BlockOperator
 
 BlockKey = tuple[IrrepLabel, IrrepLabel]
+
+
+def _by_key(items) -> list:
+    """The (key, value) ``items`` sorted by the key's label indices, pi's first."""
+    return sorted(items, key=lambda kv: (kv[0][0].index, kv[0][1].index))
+
+
+def _key_fields(key: BlockKey) -> dict:
+    """The JSON fields of a block key: its labels' index lists."""
+    return {"pi_index": list(key[0].index), "rho_index": list(key[1].index)}
 
 
 def parse_numbers(value, ndim: int, what: str) -> np.ndarray:
@@ -99,34 +109,32 @@ class Symbol:
         self.blocks = checked
 
     def to_dict(self) -> dict:
-        blocks = sorted(self.blocks.items(), key=lambda kv: (kv[0][0].index, kv[0][1].index))
         return {"codomain": self.codomain.to_dict(), "domain": self.domain.to_dict(),
-                "blocks": [{"pi_index": list(pi.index), "rho_index": list(rho.index),
-                            "re": block.real.tolist(), "im": block.imag.tolist()}
-                           for (pi, rho), block in blocks]}
+                "blocks": [{**_key_fields(key), "re": a.real.tolist(), "im": a.imag.tolist()}
+                           for key, a in _by_key(self.blocks.items())]}
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "Symbol":
         """Inverse of :meth:`to_dict`. The blocks are read one at a time, in
-        file order: both labels looked up, a duplicate refused, the numbers
-        converted; the first fault found is named."""
-        codomain = DualCatalog.from_dict(data["codomain"])
+        file order: the block's fields looked up, both labels found, a
+        duplicate refused, the numbers converted; the first fault is named."""
+        codomain = DualCatalog.from_dict(data["codomain"], "codomain")
         same = data["domain"] == data["codomain"]
-        domain = codomain if same else DualCatalog.from_dict(data["domain"])
+        domain = codomain if same else DualCatalog.from_dict(data["domain"], "domain")
         blocks = {}
-        for entry in data["blocks"]:
-            pi = codomain.label_at(entry["pi_index"], "codomain")
-            rho = domain.label_at(entry["rho_index"], "domain")
+        for i, entry in enumerate(data["blocks"]):
+            *index, re, im = _fields(entry, f"block {i}", "pi_index", "rho_index", "re", "im")
+            pi, rho = codomain.label_at(index[0], "codomain"), domain.label_at(index[1], "domain")
             if (pi, rho) in blocks:
                 raise ValueError(f"duplicate block ({pi.index}, {rho.index})")
             try:  # one conversion for both parts; a fault is named part by part
-                re, im = parse_numbers([entry["re"], entry["im"]], 3, "block")
+                parts = parse_numbers([re, im], 3, "block")
             except TypeError:
                 what = f"block ({pi.index}, {rho.index})"
-                parse_numbers(entry["re"], 2, f"{what} re")
-                parse_numbers(entry["im"], 2, f"{what} im")
+                parse_numbers(re, 2, f"{what} re")
+                parse_numbers(im, 2, f"{what} im")
                 raise TypeError(f"{what} has re and im of different shapes") from None
-            blocks[(pi, rho)] = complex_from_parts(re, im)
+            blocks[(pi, rho)] = complex_from_parts(*parts)
         return cls(codomain, domain, blocks)
 
 

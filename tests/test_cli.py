@@ -22,11 +22,12 @@ from muhankel.symbols import (
     random_matching_symbol,
 )
 
-from helpers import list_layout, torus_halfline
+from helpers import list_layout, scaled, torus_halfline
 
 
 def write_json(path, payload):
-    path.write_text(json.dumps(payload))
+    """``payload`` written as JSON, or as it is if it is text already."""
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
     return str(path)
 
 
@@ -155,6 +156,20 @@ def test_index_all_positive_symbol(tmp_path):
     assert payload["formula_index"] == 0
     assert payload["contributing_pairs"] == []
     assert payload["numerical_index"] == 0
+
+
+def test_index_prints_each_negative_determinant_block(tmp_path, capsys):
+    # det(-I_d) = (-1)^d: the blocks of odd dimension 1, 3 and 5 contribute d * d
+    cat = enumerate_dual(SU2(), 6.0)
+    sym_path = write_json(tmp_path / "sym.json", scaled(diagonal_symbol(cat), -1.0).to_dict())
+    assert main(["index", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 0
+    payload = json.loads((tmp_path / "index.json").read_text())
+    assert payload["formula_index"] == 35 and payload["numerical_index"] == 0
+    assert [(p["pi_index"], p["rho_index"], p["weight"]) for p in payload["contributing_pairs"]] \
+        == [([0], [0], 1), ([2], [2], 9), ([4], [4], 25)]
+    assert ("formula index 35 (3 contributing pairs)\n  pair pi=[0] rho=[0] weight 1\n"
+            "  pair pi=[2] rho=[2] weight 9\n  pair pi=[4] rho=[4] weight 25\n"
+            in capsys.readouterr().out)
 
 
 def test_index_non_square_block_still_reports_numerical(tmp_path, capsys):
@@ -630,6 +645,8 @@ def test_format_writes_and_lists_only_the_chosen_files(tmp_path, monkeypatch, ar
      "cutoff ladder rung 64 overflows the series at p=0.001, alpha=1.0"),
     (["schatten-scan", "--p", "2", "--alpha", "-200"],
      "cutoff ladder rung 64 overflows the series at p=2.0, alpha=-200.0"),
+    (["stability", "--symbol", "sym.json", "--delta-grid", ","], "empty list spec: ','"),
+    (["stability", "--symbol", "sym.json", "--trials", "0"], "trials must be >= 1"),
 ])
 def test_nan_option_exit_2(tmp_path, monkeypatch, capsys, argv, message):
     # each was accepted before, with a wrong rank or a NaN verdict and exit 0
@@ -701,7 +718,22 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
     ("symbol", put("blocks", 0, "re", value=None), MALFORMED),
     ("symbol", lambda p: {**p, "blocks": {"first": p["blocks"][0]}}, MALFORMED),
     ("symbol", put("codomain", "labels", value=3), MALFORMED),
-    ("symbol", put("codomain", "group", value="su2"), MALFORMED),
+    ("symbol", put("codomain", "group", value="su2"),
+     f"{MALFORMED} sym.json: codomain group is 'su2', not an object"),
+    ("symbol", put("codomain", "group",
+                   value={"kind": "product", "factors": [{"kind": "su2"}, 5]}),
+     f"{MALFORMED} sym.json: codomain group factor 1 is 5, not an object"),
+    ("symbol", put("codomain", "labels", 1, value=7),
+     f"{MALFORMED} sym.json: codomain label 1 is 7, not an object"),
+    ("symbol", put("codomain", "labels", 1, "index", value=5),
+     f"{MALFORMED} sym.json: codomain label 1: label index 5 is not a list"),
+    ("symbol", lambda p: put("domain", "labels", value=p["domain"]["labels"] * 2)(p),
+     f"{MALFORMED} sym.json: duplicate label (0,) at position 3"),
+    ("symbol", put("blocks", 2, "pi_index", value=DROP),
+     f"{MALFORMED} sym.json: block 2: missing field 'pi_index'"),
+    ("symbol", put("blocks", 1, value=7), f"{MALFORMED} sym.json: block 1 is 7, not an object"),
+    ("symbol", lambda p: json.dumps(p)[:13],
+     f"{MALFORMED} sym.json: Expecting value: line 1 column 14 (char 13)"),
     ("symbol", put("codomain", "labels", 1, "index", value=[1.5]),
      "label index (1.5,) must hold integers only"),
     ("symbol", put("blocks", 1, "rho_index", value="1"),
@@ -709,7 +741,8 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
     ("symbol", put("blocks", 1, "pi_index", value=[9]), "codomain label (9,) not in catalog"),
     ("symbol", put("blocks", 0, "pi_index", value=[0, 0]),
      "index (0, 0) has 2 slots, group needs 1"),
-    ("symbol", put("blocks", 0, "im", value=DROP), f"{MALFORMED} sym.json: missing field 'im'"),
+    ("symbol", put("blocks", 0, "im", value=DROP),
+     f"{MALFORMED} sym.json: block 0: missing field 'im'"),
     ("data", put("attribution", 0, 1, value=[9]), "triple 0: domain label (9,) not in catalog"),
     ("data", put("attribution", 0, value=[[0]]), f"triple 0: attribution [[0]] {NOT_A_PAIR}"),
     ("data", put("attribution", 0, value=5), f"triple 0: attribution 5 {NOT_A_PAIR}"),
@@ -720,6 +753,9 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
     ("data", put("attribution", 0, value=[0, [1]]),
      f"{MALFORMED} data.json: triple 0: codomain label index 0 is not a list"),
     ("data", put("triples", 0, "s", value=[1.0]), MALFORMED),
+    ("data", put("triples", 2, "s", value=DROP),
+     f"{MALFORMED} data.json: triple 2: missing field 's'"),
+    ("data", put("triples", 1, value=7), f"{MALFORMED} data.json: triple 1 is 7, not an object"),
     ("data", put("triples", value=3), MALFORMED),
     ("data", put("triples", 1, "v_im", value=DROP),
      f"{MALFORMED} data.json: triple 1: missing field 'v_im'"),
@@ -732,14 +768,17 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
     ("mu", lambda _: {"entries": [{"index": [0]}]}, f"{MALFORMED} mu.json: missing field 'value'"),
     ("mu", lambda _: {"entries": [{"index": ["x"], "value": 1.0}]},
      "weight table mu.json entry 0: label index ('x',) must hold integers only"),
+    ("mu", lambda _: '{"entries": [', f"{MALFORMED} mu.json: Expecting value"),
 ], ids=[
     "pi-index-number", "re-string", "re-null", "blocks-object", "labels-number",
-    "group-string", "catalog-index-fraction", "block-index-string", "block-index-outside",
+    "group-string", "factor-number", "catalog-label-number", "catalog-index-number",
+    "catalog-label-repeated", "pi-index-missing", "block-number", "symbol-truncated",
+    "catalog-index-fraction", "block-index-string", "block-index-outside",
     "block-index-slots", "im-missing", "attribution-index-outside", "attribution-short",
     "attribution-number", "attribution-long", "attribution-index-string",
-    "attribution-index-number", "s-list",
+    "attribution-index-number", "s-list", "s-missing", "triple-number",
     "triples-number", "v-im-missing", "entries-number", "entry-number", "table-list",
-    "index-number", "value-list", "value-missing", "table-index-string",
+    "index-number", "value-list", "value-missing", "table-index-string", "mu-truncated",
 ])
 def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, message):
     # each exited 1 with a traceback before: a TypeError, IndexError or
@@ -747,7 +786,8 @@ def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, 
     # missing field exited 2 naming only its key, a malformed label index
     # named no entry, a label index that is no list was reported by Python's
     # "object is not iterable" text, and a three-item attribution key was
-    # read as a pair
+    # read as a pair; an entry of the wrong type was named by Python's text
+    # alone, and a reader's own refusal or a JSON syntax error named no file
     monkeypatch.chdir(tmp_path)
     cat = enumerate_dual(SU2(), 2.0)
     sym = diagonal_symbol(cat, decay=1.0)
@@ -766,8 +806,7 @@ def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, 
     assert main([*argv, "--out-dir", "out"]) == 2
     err = capsys.readouterr().err
     assert message in err
-    if message == MALFORMED or NOT_A_PAIR in message:
-        assert f"{MALFORMED} {argv[-1]}:" in err
+    assert f"{MALFORMED} {argv[-1]}:" in err
     assert not (tmp_path / "out").exists()
 
 
@@ -793,7 +832,9 @@ def test_non_number_symbol_entry_exit_2(tmp_path, capsys, edit, message):
     (put("triples", 0, "s", value="0.5"), "triple 0: s is '0.5'"),
     (put("triples", 2, "v_im", 1, value=[0.0]), "triple 2: v_im[1] is [0.0]"),
     (put("triples", 1, "v_re", 0, value=True), "triple 1: v_re[0] is True"),
-], ids=["string-entry", "string-value", "nested-list", "boolean"])
+    # triple 0's s of 1.0 is read as a number, not as true
+    (put("triples", 2, "s", value=True), "triple 2: s is True"),
+], ids=["string-entry", "string-value", "nested-list", "boolean", "boolean-s-after-1"])
 def test_non_number_spectral_data_exit_2(tmp_path, capsys, edit, message):
     cat = enumerate_dual(SU2(), 2.0)
     data = forward(assemble(diagonal_symbol(cat, decay=1.0), UNIT_WEIGHT, UNIT_WEIGHT))

@@ -225,6 +225,8 @@ def test_label_validation():
         Product((SU2(),))
     with pytest.raises(ValueError):
         Product((Product((SU2(), Torus(1))), SU2()))
+    with pytest.raises(TypeError, match="unsupported product factor: 'su2'"):
+        Product((SU2(), "su2"))
 
 
 @pytest.mark.parametrize("group, index", [
@@ -351,6 +353,9 @@ def catalog_dict(group, cutoff):
     (SU2(), ("cutoff",), 0.5, "label (1,) has Casimir 0.75, above the cutoff 0.5"),
     (SU2(), ("cutoff",), -3, "cutoff must be finite and >= 0, got -3.0"),
     (SU2(), ("labels", 1, "casimir"), 1.0, "label (1,): stored casimir 1.0 != 0.75"),
+    (SU2(), ("labels", 1, "dim"), 3, "label (1,): stored dim 3 != 2"),
+    (Torus(1), ("group", "d"), 0, "torus dimension must be >= 1, got 0"),
+    (SU2(), ("group", "kind"), "sphere", "unknown group kind: 'sphere'"),
 ])
 def test_catalog_fields_of_the_wrong_type_are_refused(tmp_path, capsys, group, field, value,
                                                       message):

@@ -39,10 +39,13 @@ DATA = Path(__file__).parent / "data"
 def reference_spectral_data(data) -> SpectralData:
     """``SpectralData.from_dict`` entry by entry: each triple's runs and
     value lists checked and gathered in turn, each key looked up alone."""
-    codomain = DualCatalog.from_dict(data["codomain"])
+    codomain = DualCatalog.from_dict(data["codomain"], "codomain")
     same = data["domain"] == data["codomain"]
-    domain = codomain if same else DualCatalog.from_dict(data["domain"])
+    domain = codomain if same else DualCatalog.from_dict(data["domain"], "domain")
     entries = data["triples"]
+    for i, entry in enumerate(entries):
+        if "s" not in entry:
+            raise TypeError(f"triple {i}: missing field 's'")
     values = _numbers([entry["s"] for entry in entries], "s", 0)
     u = reference_side(entries, "u", codomain.dense_dim)
     v = reference_side(entries, "v", domain.dense_dim)
@@ -85,9 +88,11 @@ def reference_side(entries: list, side: str, n: int) -> np.ndarray:
         given = field in entry
         runs.append(reference_runs(entry[field], n, f"triple {i}: {field}") if given else [[0, n]])
         total = sum(length for _, length in runs[-1])
-        for part, lists in parts.items():
+        for part in parts:  # both fields looked up before either is checked
             if (name := f"{side}_{part}") not in entry:
                 raise TypeError(f"triple {i}: missing field {name!r}")
+        for part, lists in parts.items():
+            name = f"{side}_{part}"
             value = entry[name]
             if not isinstance(value, list) or len(value) != total:
                 got = f"length {len(value)}" if isinstance(value, list) else repr(value)
@@ -107,13 +112,16 @@ def reference_side(entries: list, side: str, n: int) -> np.ndarray:
 
 
 def reference_symbol(data) -> Symbol:
-    """``Symbol.from_dict`` block by block: labels, duplicate check and one
-    conversion per block."""
-    codomain = DualCatalog.from_dict(data["codomain"])
+    """``Symbol.from_dict`` block by block: fields, labels, duplicate check
+    and one conversion per block."""
+    codomain = DualCatalog.from_dict(data["codomain"], "codomain")
     same = data["domain"] == data["codomain"]
-    domain = codomain if same else DualCatalog.from_dict(data["domain"])
+    domain = codomain if same else DualCatalog.from_dict(data["domain"], "domain")
     blocks = {}
-    for entry in data["blocks"]:
+    for i, entry in enumerate(data["blocks"]):
+        for name in ("pi_index", "rho_index", "re", "im"):
+            if name not in entry:
+                raise TypeError(f"block {i}: missing field {name!r}")
         pi = codomain.label_at(entry["pi_index"], "codomain")
         rho = domain.label_at(entry["rho_index"], "domain")
         if (pi, rho) in blocks:
@@ -233,6 +241,8 @@ TRIPLE_EDITS = {
     "short": lambda entry, side, n: entry[f"{side}_re"].pop() if entry[f"{side}_re"] else None,
     "values-number": lambda entry, side, n: entry.__setitem__(f"{side}_im", 0.5),
     "values-missing": lambda entry, side, n: entry.pop(f"{side}_re"),
+    "im-missing": lambda entry, side, n: entry.pop(f"{side}_im"),
+    "s-missing": lambda entry, side, n: entry.pop("s"),
     "string-value": edit_value("re", "0.5"),
     "boolean-value": edit_value("im", True),
     "nested-value": edit_value("re", [0.0]),
@@ -256,8 +266,14 @@ def diagonal_file():
 # reads every triple's u side before any v side,
 @example(files=diagonal_file(), edits=[("past-n", 2, "u"), ("zero-length", 0, "v")],
          key_edit=None, key_at=0)
-# and refuses a run too large for int64 by a ValueError, not an OverflowError
+# refuses a run too large for int64 by a ValueError, not an OverflowError,
 @example(files=diagonal_file(), edits=[("huge", 0, "u")], key_edit=None, key_at=0)
+# looks up a side's value fields before checking either,
+@example(files=diagonal_file(), edits=[("short", 0, "u"), ("im-missing", 0, "u")],
+         key_edit=None, key_at=0)
+# and reads every triple's s before any runs
+@example(files=diagonal_file(), edits=[("past-n", 0, "u"), ("s-missing", 2, "u")],
+         key_edit=None, key_at=0)
 @given(files=spectral_files(),
        edits=st.lists(st.tuples(st.sampled_from(sorted(TRIPLE_EDITS)), st.integers(0, 10**6),
                                 st.sampled_from(["u", "v"])), min_size=1, max_size=3),
@@ -394,6 +410,7 @@ BLOCK_EDITS = {
     "re-string": edit_entry("re", "abc"),
     "im-null": edit_entry("im", None),
     "im-missing": lambda entry: entry.pop("im"),
+    "pi-missing": lambda entry: entry.pop("pi_index"),
     "row-short": lambda entry: entry["re"][0].pop(),
     "rows-short": lambda entry: entry["im"].pop(),
     "row-long": lambda entry: entry["re"][0].append(0.0),
@@ -416,8 +433,11 @@ def diagonal_symbol_file():
 # block by block, block 0's bad number is named before block 2's bad label,
 @example(files=diagonal_symbol_file(), edits=[("string-value", 0), ("label-outside", 2)],
          duplicate=None)
-# and block 1's short row before a duplicate of block 0 at the end
+# block 1's short row before a duplicate of block 0 at the end,
 @example(files=diagonal_symbol_file(), edits=[("row-short", 1)], duplicate=0)
+# and a block's missing field before its bad label
+@example(files=diagonal_symbol_file(), edits=[("label-outside", 1), ("im-missing", 1)],
+         duplicate=None)
 @given(files=symbol_files(),
        edits=st.lists(st.tuples(st.sampled_from(sorted(BLOCK_EDITS)), st.integers(0, 10**6)),
                       min_size=1, max_size=3),

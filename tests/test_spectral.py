@@ -338,6 +338,14 @@ def test_schatten_series_operator_cross_reference():
     )
 
 
+def test_schatten_series_increments_that_vanish_have_ratio_0():
+    # at p * alpha = 2e4 every term past l = 0 underflows to 0, so both
+    # increments are 0 and their ratio reads 0 / 0 = 0
+    verdict, rows = schatten_series_scan(1e4, 2.0, (1, 2, 4))
+    assert [row.get("increment") for row in rows] == [None, 0.0, 0.0]
+    assert rows[2]["increment_ratio"] == 0.0 and verdict.satisfied
+
+
 def test_partial_sum_values():
     # first rung of the integer grid, p*alpha = 4, checked by hand:
     # l=0: 1, l=1: 9/16 = 0.5625

@@ -77,6 +77,8 @@ def test_block_labels_validated(su2_cat):
     other = IrrepLabel(SU2(), (8,))  # l = 4, outside cutoff 6
     with pytest.raises(ValueError):
         Symbol(su2_cat, su2_cat, {(other, other): np.eye(9)})
+    with pytest.raises(ValueError, match=r"domain label \(8,\) not in catalog"):
+        Symbol(su2_cat, su2_cat, {(su2_cat.labels[0], other): np.ones((1, 9))})
 
 
 def test_class_norm_empty(su2_cat):
@@ -181,6 +183,9 @@ def test_random_symbol_density_extremes():
     two = restrict(cat, lambda l: l.index[0] >= 0)  # 2 labels
     full = random_symbol(two, two, 1.0, 1)
     assert len(full.blocks) == 4
+    for density in (-0.1, 1.5):
+        with pytest.raises(ValueError, match=f"density must lie in \\[0, 1\\], got {density}"):
+            random_symbol(cat, cat, density, 1)
 
 
 def test_random_symbol_deterministic(su2_cat):
