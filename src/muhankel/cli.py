@@ -38,6 +38,7 @@ from .duals import (
     PowerLaw,
     TableWeight,
     Weight,
+    _fields,
     enumerate_dual,
     parse_group,
 )
@@ -67,7 +68,7 @@ EXIT_ATTRIBUTION = 5
 
 
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -104,12 +105,11 @@ def _emit(args, config: dict, files: dict) -> None:
 
 def _read_input(path: str, parse):
     """``parse`` applied to the JSON file at ``path``; a fault found reading it
-    becomes a ValueError naming the file, and a KeyError names its field."""
+    becomes a ValueError naming the file."""
     try:
         return parse(json.loads(Path(path).read_text()))
     except (ValueError, TypeError, LookupError, AttributeError, OverflowError) as exc:
-        fault = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-        raise ValueError(f"malformed input file {path}: {fault}") from exc
+        raise ValueError(f"malformed input file {path}: {exc}") from exc
 
 
 def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
@@ -122,11 +122,12 @@ def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
 
     def parse(data) -> TableWeight:
         values = {}
-        for i, entry in enumerate(data["entries"]):
-            label = catalog.label_at(entry["index"], f"weight table {spec} entry {i}:")
+        for i, entry in enumerate(_fields(data, f"weight table {spec}", "entries")[0]):
+            index, value = _fields(entry, f"weight table {spec} entry {i}", "index", "value")
+            label = catalog.label_at(index, f"weight table {spec} entry {i}:")
             if label in values:
                 raise ValueError(f"weight table {spec} repeats index {label.index}")
-            if type(value := entry["value"]) not in (int, float):  # not "2", true or null
+            if type(value) not in (int, float):  # not "2", true or null
                 raise TypeError(f"entry {i} value is {value!r}, not a number")
             values[label] = float(value)
         return TableWeight(values)
@@ -172,7 +173,9 @@ def cmd_spectrum(args) -> int:
         "schatten": schatten,
         "per_block": [{**_key_fields(key), "singular_values": block_values.tolist()}
                       for key, block_values in _by_key(op.block_singular_values.items())],
-        "criteria": [asdict(v) for v in criteria],
+        # an undefined ratio (x / 0) is inf, which JSON cannot hold: null
+        "criteria": [asdict(v) | {"measured_value": v.measured_value
+                                  if np.isfinite(v.measured_value) else None} for v in criteria],
     }
     _emit(args, {"mu": args.mu, "nu": args.nu, "m": args.m, "n": args.n,
                  "format": args.format}, {

@@ -127,7 +127,7 @@ def group_from_dict(data: Mapping, what: str = "group") -> GroupKind:
     if kind == "torus":
         return Torus(d=_typed(data.get("d", 1), (int,), "d"))
     if kind == "product":
-        factors = enumerate(data["factors"])
+        factors = enumerate(_fields(data, what, "factors")[0])
         return Product(tuple(group_from_dict(f, f"{what} factor {i}") for i, f in factors))
     raise ValueError(f"unknown group kind: {kind!r}")
 
@@ -345,12 +345,13 @@ class DualCatalog:
     @classmethod
     def from_dict(cls, data: Mapping, side: str = "catalog") -> "DualCatalog":
         """Inverse of :meth:`to_dict`; a mistyped group or label is named after ``side``."""
-        group = group_from_dict(data["group"], f"{side} group")
-        cutoff = float(_typed(data["cutoff"], (int, float), "cutoff"))
+        group, cutoff, entries = _fields(data, side, "group", "cutoff", "labels")
+        group = group_from_dict(group, f"{side} group")
+        cutoff = float(_typed(cutoff, (int, float), "cutoff"))
         if cutoff < 0:
             raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
         labels = []
-        for i, entry in enumerate(data["labels"]):
+        for i, entry in enumerate(entries):
             index, = _fields(entry, f"{side} label {i}", "index")
             label = IrrepLabel(group, _index_of(index, f"{side} label {i}:"))
             if "dim" in entry and _typed(entry["dim"], (int,), "dim") != label.dim:

@@ -118,6 +118,9 @@ def winding_number(samples) -> int:
     Sums principal-branch phase increments around the loop. Any sample with
     modulus at or below ``MIN_LOOP_MODULUS`` rejects the input, as does any
     phase step of magnitude >= pi (the sampling cannot resolve the turn).
+    Each step is the principal angle of z[k+1] / z[k] and the loop closes, so
+    the steps sum to 2 pi times an integer, which rounding moves by under
+    1e-8 turns for up to ``MAX_DENSE_DIM`` samples.
     """
     z = np.asarray(samples, dtype=np.complex128)
     if z.size < 2:
@@ -131,11 +134,7 @@ def winding_number(samples) -> int:
         raise ValueError(
             "phase step of magnitude >= pi encountered; increase the sample count"
         )
-    total = float(np.sum(steps)) / (2.0 * np.pi)
-    nearest = int(round(total))
-    if abs(total - nearest) > 0.25:
-        raise ValueError(f"phase increments sum to {total:.4f} turns, not an integer")
-    return nearest
+    return int(round(float(np.sum(steps)) / (2.0 * np.pi)))
 
 
 def hankel_winding(sym: Symbol, samples: int) -> int | None:

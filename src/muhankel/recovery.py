@@ -11,14 +11,15 @@ once. Each triple's phase makes the largest entry of its left vector real
 and positive, so the operator, not the SVD routine, fixes the basis the
 stability noise is drawn on. One mass rule, from one pass of squares per
 side, attributes a triple to the block holding 99% of each side's mass; a
-given attribution, nulls included, is only checked against it. Recovery
+file's attribution, nulls included, is only checked against it. Recovery
 solves each attributed block of the reassembled matrix in closed form
 (Tikhonov for alpha > 0) and refuses unattributable data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from itertools import chain
 from string import hexdigits
 from typing import Mapping, Sequence
@@ -51,9 +52,8 @@ class SpectralData:
 
     ``s`` holds the k singular values, descending, and the columns of ``u``
     (N_out x k) and ``v`` (N_in x k) the unit singular vectors; all three are
-    stored C-contiguous. ``attribution[i]`` is the (pi, rho) key for triple
-    i, or None when the mass rule failed for that triple. It is always the
-    rule's list; a given list is only checked against it, nulls included.
+    stored C-contiguous. ``attribution[i]``, computed on construction, is the
+    (pi, rho) key the mass rule gives triple i, or None where it gives none.
     """
 
     codomain: DualCatalog
@@ -61,7 +61,7 @@ class SpectralData:
     s: np.ndarray
     u: np.ndarray
     v: np.ndarray
-    attribution: list[BlockKey | None] | None = None
+    attribution: list[BlockKey | None] = field(init=False)
 
     def __post_init__(self) -> None:
         self.s = np.ascontiguousarray(self.s, dtype=float)
@@ -74,8 +74,6 @@ class SpectralData:
                 f"spectral data shapes s {self.s.shape}, u {self.u.shape}, v {self.v.shape} "
                 f"do not fit {k} triples on dense dimensions {n_out} x {n_in}"
             )
-        if self.attribution is not None and len(self.attribution) != k:
-            raise ValueError("attribution list must align with triples")
         above = np.concatenate(([np.inf], self.s[:-1]))
         _first_fault(~(np.isfinite(self.s) & (self.s >= 0) & (self.s <= above)),
                      "singular values must be finite, nonnegative and descending")
@@ -85,18 +83,7 @@ class SpectralData:
                      "singular vectors must be unit norm")
         lefts = _heaviest(mass_u, self.codomain.labels)
         rights = _heaviest(mass_v, self.domain.labels)
-        found = [(pi, rho) if pi and rho else None for pi, rho in zip(lefts, rights)]
-        if self.attribution is not None and self.attribution != found:
-            # the first triple at fault is named, its left side before its right
-            for i, (key, pi, rho) in enumerate(zip(self.attribution, lefts, rights)):
-                if key is None and found[i]:
-                    raise ValueError(f"triple {i}: listed as null, but the mass rule "
-                                     f"attributes it to ({pi.index}, {rho.index})")
-                for side, label, want in zip(("left", "right"), key or (), (pi, rho)):
-                    if label != want:
-                        raise ValueError(f"triple {i}: {side} mass rule violated for "
-                                         f"{label.index}")
-        self.attribution = found
+        self.attribution = [(pi, rho) if pi and rho else None for pi, rho in zip(lefts, rights)]
 
     @property
     def triples(self) -> list[SingularTriple]:
@@ -122,33 +109,38 @@ class SpectralData:
                 {"s": s, **dict(zip(names, fields))} for s, *fields
                 in zip(self.s.tolist(), *_support_runs(self.u), *_support_runs(self.v))
             ],
-            "attribution": [None if key is None else [list(key[0].index), list(key[1].index)]
-                            for key in self.attribution],
+            "attribution": _key_lists(self.attribution),
         }
 
     @classmethod
     def from_dict(cls, data: Mapping) -> "SpectralData":
-        """Inverse of :meth:`to_dict`. An entry without ``u_runs`` (or
-        ``v_runs``) holds that side in full, one value per coordinate; the
-        runs are checked to be integer pairs, sorted, non-overlapping and
-        inside the catalog, and each value list or hex string to fill them."""
-        codomain = DualCatalog.from_dict(data["codomain"], "codomain")
-        same = data["domain"] == data["codomain"]
-        domain = codomain if same else DualCatalog.from_dict(data["domain"], "domain")
-        entries = data["triples"]
+        """Inverse of :meth:`to_dict`; the listed attribution must be the mass
+        rule's, as that writes it. An entry without ``u_runs`` (or ``v_runs``)
+        holds that side in full, one value per coordinate; the runs are checked
+        to be integer pairs, sorted, non-overlapping and inside the catalog, and
+        each value list or hex string to fill them."""
+        cod, dom, entries, listed = _fields(data, "spectral data", "codomain", "domain",
+                                            "triples", "attribution")
+        codomain = DualCatalog.from_dict(cod, "codomain")
+        domain = codomain if dom == cod else DualCatalog.from_dict(dom, "domain")
         s = [_fields(entry, f"triple {i}", "s")[0] for i, entry in enumerate(entries)]
-        values = _numbers(s, "s", 0)
-        u = _read_side(entries, "u", codomain.dense_dim)
-        v = _read_side(entries, "v", domain.dense_dim)
-        attribution = []
-        for i, key in enumerate(data["attribution"]):
-            if key is not None and not (isinstance(key, list) and len(key) == 2):
-                raise TypeError(
-                    f"triple {i}: attribution {key!r} is not a [pi_index, rho_index] pair")
-            attribution.append(None if key is None else (
-                codomain.label_at(key[0], f"triple {i}: codomain"),
-                domain.label_at(key[1], f"triple {i}: domain")))
-        return cls(codomain, domain, values, u, v, attribution)
+        read = cls(codomain, domain, _numbers(s, "s", 0),
+                   _read_side(entries, "u", codomain.dense_dim),
+                   _read_side(entries, "v", domain.dense_dim))
+        rule = _key_lists(read.attribution)
+        if not (isinstance(listed, list) and len(listed) == len(rule)):
+            raise ValueError(f"attribution must hold one key or null for each of the "
+                             f"{len(rule)} triples")
+        for i, (key, want) in enumerate(zip(listed, rule)):
+            if key != want:
+                raise ValueError(f"triple {i}: attribution {json.dumps(key)} is not the "
+                                 f"mass rule's {json.dumps(want)}")
+        return read
+
+
+def _key_lists(keys: list[BlockKey | None]) -> list:
+    """The JSON form of block ``keys``: [pi_index, rho_index] lists, or null."""
+    return [key and [list(key[0].index), list(key[1].index)] for key in keys]
 
 
 def _support_runs(vecs: np.ndarray) -> tuple[list, list, list]:
@@ -471,8 +463,9 @@ def stability_scan(
             noisy = perturb_spectral_data(base, delta, rng)
             solved = _solve_blocks(noisy, plan, alpha, weighted_penalty)
             errors.append(_weighted_error(solved, true_symbol.blocks, plan))
-        rows.append(StabilityRow(float(delta), alpha, float(np.mean(errors)),
-                                 float(np.std(errors))))
+        scaled = np.divide(errors, top := max(errors) or 1.0)  # no square overflows in std
+        rows.append(StabilityRow(float(delta), alpha, top * float(np.mean(scaled)),
+                                 top * float(np.std(scaled))))
     fit_rows = [r for r in rows if r.delta > 0 and r.mean_error > 0]
     if len({r.delta for r in fit_rows}) < 2:
         return rows, None

@@ -118,11 +118,11 @@ class Symbol:
         """Inverse of :meth:`to_dict`. The blocks are read one at a time, in
         file order: the block's fields looked up, both labels found, a
         duplicate refused, the numbers converted; the first fault is named."""
-        codomain = DualCatalog.from_dict(data["codomain"], "codomain")
-        same = data["domain"] == data["codomain"]
-        domain = codomain if same else DualCatalog.from_dict(data["domain"], "domain")
+        cod, dom, entries = _fields(data, "symbol", "codomain", "domain", "blocks")
+        codomain = DualCatalog.from_dict(cod, "codomain")
+        domain = codomain if dom == cod else DualCatalog.from_dict(dom, "domain")
         blocks = {}
-        for i, entry in enumerate(data["blocks"]):
+        for i, entry in enumerate(entries):
             *index, re, im = _fields(entry, f"block {i}", "pi_index", "rho_index", "re", "im")
             pi, rho = codomain.label_at(index[0], "codomain"), domain.label_at(index[1], "domain")
             if (pi, rho) in blocks:
@@ -178,11 +178,14 @@ def hs_norm(op: BlockOperator) -> float:
 
 
 def _hs_sum(blocks, what: str) -> float:
-    """l2-sum of the HS norms of ``blocks``, one np.vdot each (an overflow gives
-    inf or nan, with no warning); a ValueError names ``what`` if not finite."""
-    if not np.isfinite(total := sum(np.vdot(block, block).real for block in blocks)):
+    """l2-sum of the HS norms of ``blocks``, all their entries' parts divided by the
+    largest before squaring; a ValueError names ``what`` if not finite."""
+    parts = np.concatenate([np.zeros(1), *map(np.ravel, blocks)]).view(float)
+    top = float(max(parts.max(), -parts.min())) or 1.0
+    total = top * float(np.linalg.norm(np.divide(parts, top, out=parts)))
+    if not np.isfinite(total):
         raise ValueError(f"{what} is {total}, not finite")
-    return float(np.sqrt(total))
+    return total
 
 
 def hankel_symbol_from_fourier(

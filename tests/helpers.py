@@ -57,3 +57,16 @@ def list_layout(payload: dict) -> dict:
             if isinstance(entry.get(name), str):
                 entry[name] = np.frombuffer(bytes.fromhex(entry[name]), "<f8").tolist()
     return payload
+
+
+def spectral_data_file(codomain, domain, triples, attribution) -> dict:
+    """Spectral-data JSON from (s, u, v) tuples, each vector listing every
+    coordinate (the layout before runs), with ``attribution``, (pi, rho)
+    label pairs or None, as its listed keys. Nothing is checked: a vector
+    may be short or not of unit norm, and a key need not be the mass rule's."""
+    entries = [{"s": s, "u_re": np.real(u).tolist(), "u_im": np.imag(u).tolist(),
+                "v_re": np.real(v).tolist(), "v_im": np.imag(v).tolist()} for s, u, v in triples]
+    keys = [None if key is None else [list(key[0].index), list(key[1].index)]
+            for key in attribution]
+    return {"codomain": codomain.to_dict(), "domain": domain.to_dict(), "triples": entries,
+            "attribution": keys}

@@ -22,7 +22,7 @@ from muhankel.symbols import (
     random_matching_symbol,
 )
 
-from helpers import list_layout, scaled, torus_halfline
+from helpers import list_layout, scaled, spectral_data_file, torus_halfline
 
 
 def write_json(path, payload):
@@ -395,20 +395,6 @@ def test_duplicate_catalog_label_exit_2(tmp_path, capsys):
     assert "duplicate label (0,)" in capsys.readouterr().err
 
 
-def write_spectral_data(path, cat, triples, attribution):
-    """Spectral-data JSON on ``cat`` x ``cat`` from (s, u, v) tuples."""
-    entries = [
-        {"s": s, "u_re": np.real(u).tolist(), "u_im": np.imag(u).tolist(),
-         "v_re": np.real(v).tolist(), "v_im": np.imag(v).tolist()}
-        for s, u, v in triples
-    ]
-    keys = [None if key is None else [list(key[0].index), list(key[1].index)]
-            for key in attribution]
-    payload = {"codomain": cat.to_dict(), "domain": cat.to_dict(), "triples": entries,
-               "attribution": keys}
-    return write_json(path, payload)
-
-
 def test_recover_rejects_faulty_spectral_data_exit_2(tmp_path, capsys):
     cat = enumerate_dual(SU2(), 2.0)  # dims 1, 2, 3
     a = cat.labels[0]
@@ -425,8 +411,8 @@ def test_recover_rejects_faulty_spectral_data_exit_2(tmp_path, capsys):
         ([(1.0, unit, unit), (float("nan"), unit, unit)], [None, None],
          "triple 1: singular values must be finite, nonnegative and descending"),
     ]
-    paths = [write_spectral_data(tmp_path / f"data{n}.json", cat, triples, attribution)
-             for n, (triples, attribution, _) in enumerate(cases)]
+    paths = [write_json(tmp_path / f"data{n}.json", spectral_data_file(cat, cat, triples, keys))
+             for n, (triples, keys, _) in enumerate(cases)]
     # u_re and u_im of unequal length, and a number in place of a list
     payload = json.loads(Path(paths[-1]).read_text())
     payload["triples"][1].update(s=0.5, u_im=[0.0] * 5)
@@ -536,8 +522,8 @@ def test_recover_listed_null_that_the_mass_rule_attributes_exit_2(tmp_path, caps
     data_path = write_json(tmp_path / "data.json", payload)
     code = main(["recover", "--data", data_path, "--out-dir", str(tmp_path / "out")])
     assert code == 2
-    assert (f"triple 0: listed as null, but the mass rule attributes it to "
-            f"({tuple(pi)}, {tuple(rho)})" in capsys.readouterr().err)
+    assert (f"triple 0: attribution null is not the mass rule's {json.dumps([pi, rho])}"
+            in capsys.readouterr().err)
     assert not (tmp_path / "out").exists()
 
 
@@ -674,6 +660,41 @@ def test_spectrum_schatten_exponent_past_a_floats_powers(tmp_path):
     assert values[0] <= norm <= values[0] * len(values) ** 1e-4 * (1 + 1e-12)
 
 
+def test_spectrum_writes_null_for_an_undefined_ratio(tmp_path):
+    # one identity block on the top label: the half-cutoff support keeps no
+    # singular value, so the min-sv ratio is x / 0 = inf, and spectrum.json
+    # held "measured_value": Infinity, which is not JSON; the CSV keeps inf
+    cat = enumerate_dual(SU2(), 6.0)
+    top = cat.labels[-1]
+    assert top.index == (4,)
+    sym = Symbol(cat, cat, {(top, top): np.eye(5)})
+    out = tmp_path / "out"
+    assert main(["spectrum", "--symbol", write_json(tmp_path / "sym.json", sym.to_dict()),
+                 "--out-dir", str(out)]) == 0
+
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+
+    report = json.loads((out / "spectrum.json").read_text(), parse_constant=refuse)
+    verdicts = {v["name"]: v for v in report["criteria"]}
+    assert verdicts["compactness_indicators"]["measured_value"] is None
+    assert not verdicts["compactness_indicators"]["satisfied"]
+    assert all(v["measured_value"] is not None for name, v in verdicts.items()
+               if name != "compactness_indicators")
+    rows = (out / "spectrum_criteria.csv").read_text().splitlines()
+    assert rows[-1].startswith("compactness_indicators,0.9,inf,False,")
+
+
+def test_non_finite_json_output_fails_the_run(tmp_path, monkeypatch, capsys):
+    # json.dumps wrote NaN and Infinity, which no JSON parser need accept
+    monkeypatch.setattr(cli, "schatten_norm", lambda values, p: float("nan"))
+    sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(enumerate_dual(SU2(), 2.0))
+                          .to_dict())
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "spectrum.json").exists()
+
+
 @pytest.mark.parametrize("ladder, message", [
     ("-5,-3,-1", "cutoff ladder rung -5 is negative"),
     ("64,128,2e6", "cutoff ladder rung 2e+06 has over 1000000 spins"),
@@ -708,7 +729,7 @@ def put(*keys, value):
 
 
 MALFORMED = "malformed input file"
-NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
+NOT_THE_RULES = "is not the mass rule's [[0], [0]]"
 
 
 @pytest.mark.parametrize("kind, edit, message", [
@@ -743,15 +764,31 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
      "index (0, 0) has 2 slots, group needs 1"),
     ("symbol", put("blocks", 0, "im", value=DROP),
      f"{MALFORMED} sym.json: block 0: missing field 'im'"),
-    ("data", put("attribution", 0, 1, value=[9]), "triple 0: domain label (9,) not in catalog"),
-    ("data", put("attribution", 0, value=[[0]]), f"triple 0: attribution [[0]] {NOT_A_PAIR}"),
-    ("data", put("attribution", 0, value=5), f"triple 0: attribution 5 {NOT_A_PAIR}"),
+    ("symbol", lambda _: 7, f"{MALFORMED} sym.json: symbol is 7, not an object"),
+    ("symbol", put("codomain", value=5), f"{MALFORMED} sym.json: codomain is 5, not an object"),
+    ("symbol", put("domain", "cutoff", value=DROP),
+     f"{MALFORMED} sym.json: domain: missing field 'cutoff'"),
+    ("symbol", put("blocks", value=DROP), f"{MALFORMED} sym.json: symbol: missing field 'blocks'"),
+    ("symbol", put("codomain", "group", value={"kind": "product"}),
+     f"{MALFORMED} sym.json: codomain group: missing field 'factors'"),
+    ("data", put("attribution", 0, 1, value=[9]),
+     f"{MALFORMED} data.json: triple 0: attribution [[0], [9]] {NOT_THE_RULES}"),
+    ("data", put("attribution", 0, value=[[0]]), f"triple 0: attribution [[0]] {NOT_THE_RULES}"),
+    ("data", put("attribution", 0, value=5), f"triple 0: attribution 5 {NOT_THE_RULES}"),
     ("data", put("attribution", 0, value=[[0], [0], [0]]),
-     f"triple 0: attribution [[0], [0], [0]] {NOT_A_PAIR}"),
+     f"triple 0: attribution [[0], [0], [0]] {NOT_THE_RULES}"),
     ("data", put("attribution", 0, value=[["x"], [1]]),
-     "triple 0: codomain label index ('x',) must hold integers only"),
+     f'triple 0: attribution [["x"], [1]] {NOT_THE_RULES}'),
     ("data", put("attribution", 0, value=[0, [1]]),
-     f"{MALFORMED} data.json: triple 0: codomain label index 0 is not a list"),
+     f"{MALFORMED} data.json: triple 0: attribution [0, [1]] {NOT_THE_RULES}"),
+    ("data", put("attribution", 3, value=[[1], [1]]),
+     "triple 3: attribution [[1], [1]] is not the mass rule's [[2], [2]]"),
+    ("data", lambda p: put("attribution", value=p["attribution"][:-1])(p),
+     f"{MALFORMED} data.json: attribution must hold one key or null for each of the 6 triples"),
+    ("data", put("attribution", value={}), "attribution must hold one key or null for each"),
+    ("data", put("attribution", value=DROP),
+     f"{MALFORMED} data.json: spectral data: missing field 'attribution'"),
+    ("data", lambda _: 7, f"{MALFORMED} data.json: spectral data is 7, not an object"),
     ("data", put("triples", 0, "s", value=[1.0]), MALFORMED),
     ("data", put("triples", 2, "s", value=DROP),
      f"{MALFORMED} data.json: triple 2: missing field 's'"),
@@ -760,12 +797,14 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
     ("data", put("triples", 1, "v_im", value=DROP),
      f"{MALFORMED} data.json: triple 1: missing field 'v_im'"),
     ("mu", lambda _: {"entries": 5}, MALFORMED),
-    ("mu", lambda _: {"entries": [5]}, MALFORMED),
-    ("mu", lambda _: [1, 2], MALFORMED),
+    ("mu", lambda _: {"entries": [5]}, f"{MALFORMED} mu.json: weight table mu.json entry 0 is 5, "
+     "not an object"),
+    ("mu", lambda _: [1, 2], f"{MALFORMED} mu.json: weight table mu.json is [1, 2], not an object"),
     ("mu", lambda _: {"entries": [{"index": 0, "value": 1.0}]},
      f"{MALFORMED} mu.json: weight table mu.json entry 0: label index 0 is not a list"),
     ("mu", lambda _: {"entries": [{"index": [0], "value": [1.0]}]}, MALFORMED),
-    ("mu", lambda _: {"entries": [{"index": [0]}]}, f"{MALFORMED} mu.json: missing field 'value'"),
+    ("mu", lambda _: {"entries": [{"index": [0]}]},
+     f"{MALFORMED} mu.json: weight table mu.json entry 0: missing field 'value'"),
     ("mu", lambda _: {"entries": [{"index": ["x"], "value": 1.0}]},
      "weight table mu.json entry 0: label index ('x',) must hold integers only"),
     ("mu", lambda _: '{"entries": [', f"{MALFORMED} mu.json: Expecting value"),
@@ -774,9 +813,12 @@ NOT_A_PAIR = "is not a [pi_index, rho_index] pair"
     "group-string", "factor-number", "catalog-label-number", "catalog-index-number",
     "catalog-label-repeated", "pi-index-missing", "block-number", "symbol-truncated",
     "catalog-index-fraction", "block-index-string", "block-index-outside",
-    "block-index-slots", "im-missing", "attribution-index-outside", "attribution-short",
+    "block-index-slots", "im-missing", "symbol-number", "codomain-number", "cutoff-missing",
+    "blocks-missing", "factors-missing", "attribution-index-outside", "attribution-short",
     "attribution-number", "attribution-long", "attribution-index-string",
-    "attribution-index-number", "s-list", "s-missing", "triple-number",
+    "attribution-index-number", "attribution-other-key", "attribution-list-short",
+    "attribution-object", "attribution-missing", "data-number", "s-list", "s-missing",
+    "triple-number",
     "triples-number", "v-im-missing", "entries-number", "entry-number", "table-list",
     "index-number", "value-list", "value-missing", "table-index-string", "mu-truncated",
 ])
@@ -787,7 +829,9 @@ def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, 
     # named no entry, a label index that is no list was reported by Python's
     # "object is not iterable" text, and a three-item attribution key was
     # read as a pair; an entry of the wrong type was named by Python's text
-    # alone, and a reader's own refusal or a JSON syntax error named no file
+    # alone, and a reader's own refusal or a JSON syntax error named no file;
+    # a whole file, catalog or weight-table entry that is not a JSON object
+    # gave "'int' object is not subscriptable", naming no entry
     monkeypatch.chdir(tmp_path)
     cat = enumerate_dual(SU2(), 2.0)
     sym = diagonal_symbol(cat, decay=1.0)

@@ -38,7 +38,11 @@ DATA = Path(__file__).parent / "data"
 
 def reference_spectral_data(data) -> SpectralData:
     """``SpectralData.from_dict`` entry by entry: each triple's runs and
-    value lists checked and gathered in turn, each key looked up alone."""
+    value lists checked and gathered in turn, then each listed key compared
+    alone with the mass rule's, written as label index lists or null."""
+    for name in ("codomain", "domain", "triples", "attribution"):
+        if name not in data:
+            raise TypeError(f"spectral data: missing field {name!r}")
     codomain = DualCatalog.from_dict(data["codomain"], "codomain")
     same = data["domain"] == data["codomain"]
     domain = codomain if same else DualCatalog.from_dict(data["domain"], "domain")
@@ -49,17 +53,17 @@ def reference_spectral_data(data) -> SpectralData:
     values = _numbers([entry["s"] for entry in entries], "s", 0)
     u = reference_side(entries, "u", codomain.dense_dim)
     v = reference_side(entries, "v", domain.dense_dim)
-
-    def key_at(i, key):
-        if key is None:
-            return None
-        if not (isinstance(key, list) and len(key) == 2):
-            raise TypeError(f"triple {i}: attribution {key!r} is not a [pi_index, rho_index] pair")
-        return (codomain.label_at(key[0], f"triple {i}: codomain"),
-                domain.label_at(key[1], f"triple {i}: domain"))
-
-    attribution = [key_at(i, key) for i, key in enumerate(data["attribution"])]
-    return SpectralData(codomain, domain, values, u, v, attribution)
+    read = SpectralData(codomain, domain, values, u, v)
+    listed, k = data["attribution"], len(read.attribution)
+    if not isinstance(listed, list) or len(listed) != k:
+        raise ValueError(f"attribution must hold one key or null for each of the {k} triples")
+    for i, key in enumerate(listed):
+        found = read.attribution[i]
+        want = None if found is None else [list(label.index) for label in found]
+        if key != want:
+            raise ValueError(f"triple {i}: attribution {json.dumps(key)} is not the mass "
+                             f"rule's {json.dumps(want)}")
+    return read
 
 
 def reference_runs(runs, n: int, what: str) -> list:
@@ -277,7 +281,8 @@ def diagonal_file():
 @given(files=spectral_files(),
        edits=st.lists(st.tuples(st.sampled_from(sorted(TRIPLE_EDITS)), st.integers(0, 10**6),
                                 st.sampled_from(["u", "v"])), min_size=1, max_size=3),
-       key_edit=st.sampled_from([None, [[99], [0]], [[0], "1"], 5, [[0]], [[0], [0], [0]]]),
+       key_edit=st.sampled_from([None, [[99], [0]], [[0], "1"], 5, [[0]], [[0], [0], [0]],
+                                 [[1.0], [True]], "drop"]),
        key_at=st.integers(0, 10**6))
 def test_spectral_data_reader_names_the_references_first_fault(files, edits, key_edit, key_at):
     data, payload = files
@@ -288,8 +293,13 @@ def test_spectral_data_reader_names_the_references_first_fault(files, edits, key
             TRIPLE_EDITS[name](triples[at % len(triples)], side, n[side])
         except (AttributeError, IndexError, KeyError, TypeError, ZeroDivisionError):
             pass
-    if key_edit is not None and triples:
-        payload["attribution"][key_at % len(triples)] = key_edit
+    keys = payload["attribution"]
+    if key_edit == "drop" and keys:  # one key too few
+        del keys[key_at % len(keys)]
+    elif key_edit == "drop":  # on no triples, one null too many
+        keys.append(None)
+    elif key_edit is not None and keys:
+        keys[key_at % len(keys)] = key_edit
     assert (spectral_outcome(SpectralData.from_dict, payload)
             == spectral_outcome(reference_spectral_data, payload))
 

@@ -35,16 +35,22 @@ from muhankel.symbols import (
     random_matching_symbol,
 )
 
-from helpers import separated_matching, torus_halfline
+from helpers import separated_matching, spectral_data_file, torus_halfline
 
 
-def stacked(codomain, domain, triples, attribution=None):
+def stacked(codomain, domain, triples):
     """SpectralData from (s, u, v) tuples, one column per tuple."""
     k = len(triples)
     s = np.array([t[0] for t in triples], dtype=float)
     u = np.array([t[1] for t in triples], dtype=complex).reshape(k, codomain.dense_dim).T
     v = np.array([t[2] for t in triples], dtype=complex).reshape(k, domain.dense_dim).T
-    return SpectralData(codomain, domain, s, u, v, attribution)
+    return SpectralData(codomain, domain, s, u, v)
+
+
+def listed(codomain, domain, triples, attribution):
+    """SpectralData read from the file of (s, u, v) tuples that lists
+    ``attribution``, (pi, rho) label pairs or None, as its keys."""
+    return SpectralData.from_dict(spectral_data_file(codomain, domain, triples, attribution))
 
 
 def test_forward_diagonal_structure():
@@ -109,7 +115,7 @@ def test_recover_single_block_known_svd():
 
 def test_recover_empty_data_gives_zero_symbol():
     cat = enumerate_dual(SU2(), 2.0)
-    data = stacked(cat, cat, [], [])
+    data = stacked(cat, cat, [])
     assert tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, 0.0).blocks == {}
 
 
@@ -180,7 +186,7 @@ def test_tikhonov_error_monotone_in_alpha():
 
 def test_tikhonov_rejects_negative_alpha():
     cat = enumerate_dual(SU2(), 2.0)
-    data = stacked(cat, cat, [], [])
+    data = stacked(cat, cat, [])
     with pytest.raises(ValueError):
         tikhonov_recover(data, UNIT_WEIGHT, UNIT_WEIGHT, alpha=-0.1)
 
@@ -302,9 +308,9 @@ def test_spectral_data_validation():
     good = (1.0, np.array([1.0 + 0j]), np.array([1.0 + 0j]))
     bad_norm = (0.5, np.array([2.0 + 0j]), np.array([1.0 + 0j]))
     with pytest.raises(ValueError, match="unit norm"):
-        stacked(cat, cat, [good, bad_norm], [None, None])
+        listed(cat, cat, [good, bad_norm], [None, None])
     with pytest.raises(ValueError, match="descending"):
-        stacked(
+        listed(
             cat,
             cat,
             [
@@ -323,18 +329,18 @@ def test_spectral_data_validation_names_first_faulty_triple():
     spread = np.full(6, 1 / np.sqrt(6), dtype=complex)
     outside = IrrepLabel(cat.group, (9,))
     cases = [
-        # triple 0 breaks the mass rule, triple 1 fits it
+        # triple 0 breaks the mass rule, and triple 1, listed as null, fits it
         ([(1.0, spread, unit), (0.5, unit, unit)], [(a, a), None],
-         "triple 0: left mass rule violated for (0,)"),
+         "triple 0: attribution [[0], [0]] is not the mass rule's null"),
         # a label outside the catalog holds none of the mass
         ([(1.0, unit, unit)], [(a, outside)],
-         "triple 0: right mass rule violated for (9,)"),
-        # the first triple at fault is named, with its left side before its right
+         "triple 0: attribution [[0], [9]] is not the mass rule's [[0], [0]]"),
+        # the first triple at fault is named
         ([(1.0, unit, unit), (0.5, unit, unit), (0.25, unit, unit)], [(a, a), (a, b), (b, a)],
-         "triple 1: right mass rule violated for (1,)"),
+         "triple 1: attribution [[0], [1]] is not the mass rule's [[0], [0]]"),
         ([(1.0, unit, unit), (0.5, unit, 2 * unit)], [(a, a), (b, a)],
          "triple 1: singular vectors must be unit norm"),
-        # the checks run one after another: unit norm before the mass rule
+        # the data's own checks run before the attribution's: unit norm first
         ([(1.0, unit, unit), (0.5, unit, 2 * unit)], [(b, a), None],
          "triple 1: singular vectors must be unit norm"),
         ([(1.0, unit, np.full(6, np.nan))], [None],
@@ -345,11 +351,12 @@ def test_spectral_data_validation_names_first_faulty_triple():
     ]
     for triples, attribution, message in cases:
         with pytest.raises(ValueError, match=re.escape(message)):
-            stacked(cat, cat, triples, attribution)
+            listed(cat, cat, triples, attribution)
     with pytest.raises(ValueError, match="do not fit 1 triples on dense dimensions 6 x 6"):
         SpectralData(cat, cat, np.ones(1), unit[:3, None], unit[:, None])
-    with pytest.raises(ValueError, match="attribution list must align"):
-        stacked(cat, cat, [(1.0, unit, unit)], [])
+    with pytest.raises(ValueError, match="attribution must hold one key or null for each of "
+                                         "the 1 triples"):
+        listed(cat, cat, [(1.0, unit, unit)], [])
 
 
 def test_given_key_below_the_mass_rule_by_rounding_is_refused():
@@ -363,26 +370,30 @@ def test_given_key_below_the_mass_rule_by_rounding_is_refused():
     unit = np.zeros(6, dtype=complex)
     unit[0] = 1.0
     assert stacked(cat, cat, [(1.0, u, unit)]).attribution == [None]
-    with pytest.raises(ValueError, match=re.escape("triple 0: left mass rule violated for (0,)")):
-        stacked(cat, cat, [(1.0, u, unit)], [(a, a)])
+    with pytest.raises(ValueError, match=re.escape(
+            "triple 0: attribution [[0], [0]] is not the mass rule's null")):
+        listed(cat, cat, [(1.0, u, unit)], [(a, a)])
 
 
 def test_spectral_data_keys_from_an_equal_catalog_validate():
-    # labels built in code apart from the catalog are equal, not identical
+    # labels built in code apart from the catalog are equal, not identical,
+    # and a file listing them reads back
     cat = enumerate_dual(SU2(), 6.0)
     twin = {label.index: label for label in enumerate_dual(SU2(), 6.0)}
     data = forward(assemble(random_matching_symbol(cat, cat, 5), UNIT_WEIGHT, UNIT_WEIGHT))
     keys = [(twin[pi.index], twin[rho.index]) for pi, rho in data.attribution]
     assert all(a is not b and a == b for key, got in zip(keys, data.attribution)
                for a, b in zip(key, got))
-    assert SpectralData(cat, cat, data.s, data.u, data.v, keys).attribution == keys
+    assert listed(cat, cat, list(zip(data.s, data.u.T, data.v.T)), keys).attribution == keys
 
 
 def test_spectral_data_file_keys_are_the_catalogs_labels():
     cat = enumerate_dual(SU2(), 6.0)
     data = forward(assemble(random_matching_symbol(cat, cat, 5), UNIT_WEIGHT, UNIT_WEIGHT))
     payload = json.loads(json.dumps(data.to_dict()))
-    payload["attribution"] = [[[float(k) for k in pi], rho] for pi, rho in payload["attribution"]]
+    payload["attribution"] = [[[float(k) for k in pi], [True if k == 1 else k for k in rho]]
+                              for pi, rho in payload["attribution"]]
+    assert any(rho[0] is True for _, rho in payload["attribution"])  # an index written true
     back = SpectralData.from_dict(payload)
     assert back.codomain is back.domain
     assert back.attribution == data.attribution
@@ -411,8 +422,8 @@ def test_spectral_data_attributes_triples_when_attribution_left_out():
     data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     assert data.fully_attributed
     assert set(data.attribution) <= set(sym.blocks)
-    # given back, the computed keys pass the same rule
-    again = SpectralData(cat, cat, data.s, data.u, data.v, data.attribution)
+    # listed in its file, the computed keys pass the same rule
+    again = SpectralData.from_dict(data.to_dict())
     assert again.attribution == data.attribution
     # faulty data raises the fault, not an attribution error
     unit = np.zeros(cat.dense_dim, dtype=complex)

@@ -30,7 +30,7 @@ from muhankel.recovery import (
 )
 from muhankel.symbols import Symbol, random_matching_symbol
 
-from helpers import well_separated
+from helpers import spectral_data_file, well_separated
 
 
 GROUPS = [SU2(), SU2(half_integers=False), Torus(1), Torus(2), Product((SU2(), Torus(1)))]
@@ -111,10 +111,10 @@ def reference_attribution(u, v, codomain, domain):
 )
 def test_attribution_matches_per_label_reference(codomain, domain, masses, seed):
     s, u, v = random_arrays(seed, codomain, domain, masses)
-    got = SpectralData(codomain, domain, s, u, v).attribution
-    assert got == reference_attribution(u, v, codomain, domain)
-    data = SpectralData(codomain, domain, s, u, v, got)  # passes its own mass rule
-    assert data.attribution == got
+    data = SpectralData(codomain, domain, s, u, v)
+    assert data.attribution == reference_attribution(u, v, codomain, domain)
+    # a file listing the keys passes its own mass rule
+    assert SpectralData.from_dict(data.to_dict()).attribution == data.attribution
 
 
 def reference_masses(vecs, catalog):
@@ -129,9 +129,15 @@ def reference_masses(vecs, catalog):
     return norms, [catalog.labels[b] for b in best], masses[best, np.arange(best.size)]
 
 
+def key_json(key) -> str:
+    """A (pi, rho) key or None as the file writes it."""
+    return "null" if key is None else f"[{list(key[0].index)}, {list(key[1].index)}]"
+
+
 def reference_outcome(codomain, domain, s, u, v, attribution):
     """The attribution, or the first fault's message, by the two-pass check
-    (the singular values are valid here)."""
+    (the singular values are valid here); ``attribution``, if given, is the
+    file's list, each key compared with the rule's in turn."""
     (norm_u, pis, held_u), (norm_v, rhos, held_v) = (
         reference_masses(u, codomain), reference_masses(v, domain))
     bad = ~(np.abs(norm_u - 1.0) <= 1e-12) | ~(np.abs(norm_v - 1.0) <= 1e-12)
@@ -141,14 +147,10 @@ def reference_outcome(codomain, domain, s, u, v, attribution):
              for pi, rho, hu, hv in zip(pis, rhos, held_u, held_v)]
     if attribution is None:
         return found
-    for i, key in enumerate(attribution):
-        if key is None and found[i] is not None:
-            return (f"triple {i}: listed as null, but the mass rule attributes it to "
-                    f"({pis[i].index}, {rhos[i].index})")
-        for side, label, labels, held in zip(("left", "right"), key or (), (pis, rhos),
-                                             (held_u, held_v)):
-            if label != labels[i] or held[i] < ATTRIBUTION_MASS:
-                return f"triple {i}: {side} mass rule violated for {label.index}"
+    for i, (key, want) in enumerate(zip(attribution, found)):
+        if key != want:
+            return (f"triple {i}: attribution {key_json(key)} is not the mass rule's "
+                    f"{key_json(want)}")
     return attribution
 
 
@@ -184,9 +186,9 @@ BOUNDARY = enumerate_dual(SU2(), 2.0)
 def test_one_pass_check_matches_two_pass_reference(arrays, which, keys_given):
     """The masses and norms from one pass of real^2 + imag^2 give the same
     attribution as np.linalg.norm and |x|^2, heaviest-label masses and norms
-    to 1e-14, and the same outcome with each triple's heaviest labels given
-    as its key, with triple j's key given as null, and with a vector scaled
-    by 2 or spread over all labels."""
+    to 1e-14, and the same outcome with each triple's heaviest labels listed
+    in the file as its key, with triple j's key listed as null, and with a
+    vector scaled by 2 or spread over all labels."""
     codomain, domain, s, u, v = arrays
     data = SpectralData(codomain, domain, s, u, v)
     assert data.attribution == reference_outcome(codomain, domain, s, u, v, None)
@@ -210,7 +212,9 @@ def test_one_pass_check_matches_two_pass_reference(arrays, which, keys_given):
             np.testing.assert_allclose(_label_masses(faulty, codomain)[1],
                                        np.linalg.norm(faulty, axis=0), rtol=0, atol=1e-14)
             try:
-                got = SpectralData(codomain, domain, s, faulty, v, given).attribution
+                got = (SpectralData(codomain, domain, s, faulty, v) if given is None
+                       else SpectralData.from_dict(spectral_data_file(
+                           codomain, domain, list(zip(s, faulty.T, v.T)), given))).attribution
             except ValueError as exc:
                 got = str(exc)
             assert got == reference_outcome(codomain, domain, s, faulty, v, given)

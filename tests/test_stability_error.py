@@ -25,7 +25,8 @@ from muhankel.recovery import (
     stability_scan,
     tikhonov_recover,
 )
-from muhankel.symbols import Symbol, _complex_normal, random_matching_symbol, random_symbol
+from muhankel.symbols import (Symbol, _complex_normal, _hs_sum, random_matching_symbol,
+                              random_symbol)
 
 from helpers import scaled
 
@@ -92,13 +93,19 @@ def test_stability_rows_match_the_old_chain(weighted_penalty):
 
 def reference_error(recovered, truth, mu, nu):
     """The weighted error summed as a trial did through the recovered Symbol:
-    the union of keys, the recovered symbol's first, one np.vdot per block."""
-    total = 0
-    for pi, rho in dict.fromkeys(chain(recovered.blocks, truth.blocks)):
-        diff = (weight_eval(mu, pi) * weight_eval(nu, rho)
-                * (recovered.blocks.get((pi, rho), 0) - truth.blocks.get((pi, rho), 0)))
-        total += np.vdot(diff, diff).real
-    return float(np.sqrt(total))
+    the union of keys, the recovered symbol's first, each block weighted by
+    weight_eval, all summed by the one scaled sum."""
+    return _hs_sum((weight_eval(mu, pi) * weight_eval(nu, rho)
+                    * (recovered.blocks.get((pi, rho), 0) - truth.blocks.get((pi, rho), 0))
+                    for pi, rho in dict.fromkeys(chain(recovered.blocks, truth.blocks))), "error")
+
+
+def reference_row(errors):
+    """Mean and std of ``errors`` as a row holds them: of the errors divided by
+    their largest, scaled back."""
+    top = max(errors) or 1.0
+    return (top * float(np.mean(np.array(errors) / top)),
+            top * float(np.std(np.array(errors) / top)))
 
 
 def product_matching():
@@ -132,8 +139,9 @@ def test_stability_rows_equal_a_reference_loop(instance, deltas, kind, weighted_
                                                    nu, alpha, weighted_penalty), truth, mu, nu)
                   for _ in range(2)]
         assert (row.delta, row.alpha) == (delta, alpha)
-        assert (row.mean_error, row.std_error) == (float(np.mean(errors)), float(np.std(errors)))
-        means.append(float(np.mean(errors)))
+        mean, std = reference_row(errors)
+        assert (row.mean_error, row.std_error) == (mean, std)
+        means.append(mean)
     fit = np.polyfit(np.log(deltas[1:]), np.log(means[1:]), 1)[0]
     assert slope == float(fit)
 
@@ -143,15 +151,19 @@ def test_non_finite_error_raises(monkeypatch):
     key = (cat.labels[0], cat.labels[0])
     big, small = (Symbol(cat, cat, {key: [[x]]}) for x in (1e308, -1e308))
     unit = PowerLaw(0.0)
+    plan = _KeyPlan(cat, cat, unit, unit)
     # numpy's overflow warnings are not the refusal under test
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(ValueError, match="weighted recovery error is .*, not finite"):
-            _weighted_error(big.blocks, small.blocks, _KeyPlan(cat, cat, unit, unit))
-        # every entry finite, the sum of squares not: the stability scan refuses it too
-        truth = random_symbol(cat, cat, 1.0, 3)
-        monkeypatch.setattr(recovery, "_solve_blocks", lambda *args: scaled(truth, 1e200).blocks)
-        with pytest.raises(ValueError, match="weighted recovery error is .*, not finite"):
-            stability_scan(truth, unit, unit, [1e-3], trials=1, seed=0)
+            _weighted_error(big.blocks, small.blocks, plan)
+    # every entry finite, the sum of squares not: the scan was refused with "nan";
+    # the scaled sum reports the finite error, with no overflow warning on the way
+    truth = random_symbol(cat, cat, 1.0, 3)
+    monkeypatch.setattr(recovery, "_solve_blocks", lambda *args: scaled(truth, 1e200).blocks)
+    (row,), _ = stability_scan(truth, unit, unit, [1e-3], trials=1, seed=0)
+    np.testing.assert_allclose(row.mean_error, 1e200 * _weighted_error(truth.blocks, {}, plan),
+                               rtol=1e-12)
+    assert row.std_error == 0.0
 
 
 @pytest.mark.parametrize("deltas", [[1e-4, 1e-4], [0.0, 1e-3, 1e-3, 1e-3], [1e-3]])

@@ -218,15 +218,22 @@ def test_hs_norm_matches_direct_sum(su2_cat):
     np.testing.assert_allclose(hs_norm(assemble(sym, mu, nu)), expected, rtol=1e-12)
 
 
-def test_hs_norm_refuses_a_sum_of_squares_that_overflows():
-    # every entry is finite, about 1e200, and its square is not: the norm is
-    # refused rather than returned as inf after numpy's overflow warnings
+def test_hs_norm_of_entries_whose_squares_overflow_is_finite():
+    # every entry is finite, about 1e200, and its square is not: the norm was
+    # refused as inf; scaled by the largest modulus before squaring, it is
+    # the finite 1e200 times the unscaled norm, with no overflow warning
     cat = enumerate_dual(SU2(), 2.0)
-    op = assemble(scaled(random_symbol(cat, cat, 1.0, 3), 1e200), PowerLaw(0), PowerLaw(0))
+    sym = random_symbol(cat, cat, 1.0, 3)
+    op = assemble(scaled(sym, 1e200), PowerLaw(0), PowerLaw(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="HS norm is .*, not finite"):
-            hs_norm(op)
+        np.testing.assert_allclose(
+            hs_norm(op), 1e200 * hs_norm(assemble(sym, PowerLaw(0), PowerLaw(0))), rtol=1e-12)
+    # a norm past the largest float is still refused: nine entries of 1e308
+    top = cat.labels[2]
+    huge = Symbol(cat, cat, {(top, top): np.full((3, 3), 1e308)})
+    with pytest.raises(ValueError, match="HS norm is inf, not finite"):
+        hs_norm(assemble(huge, PowerLaw(0), PowerLaw(0)))
 
 
 def test_symbol_json_round_trip(su2_cat):
