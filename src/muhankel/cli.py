@@ -67,8 +67,47 @@ EXIT_INDEX_INAPPLICABLE = 4
 EXIT_ATTRIBUTION = 5
 
 
+_ENCODE = json.JSONEncoder(allow_nan=False, check_circular=False).encode
+_PLAIN = frozenset({int, float, bool, type(None)})
+
+
+def _json_parts(value, indent: str, parts: list) -> None:
+    """Append to ``parts`` the text of ``json.dumps(value, indent=2, sort_keys=True,
+    allow_nan=False)`` at ``indent``, but refuse a key that is not a str. A list of
+    plain numbers or of rows of them, and a container's plain scalars, take one
+    C-encoder call each; its ", " separators are then re-indented or split at."""
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        if bad := [key for key in value if not isinstance(key, str)]:
+            raise TypeError(f"JSON object keys must be str, not {bad[0]!r}")
+        items, brackets = [(_ENCODE(key) + ": ", value[key]) for key in sorted(value)], "{}"
+    elif not (isinstance(value, (list, tuple)) and value):
+        return parts.append(_ENCODE(value))
+    elif _PLAIN.issuperset(map(type, value)):
+        text = _ENCODE(value)[1:-1].replace(", ", ",\n" + inner)
+        return parts.extend(("[\n", inner, text, "\n", indent, "]"))
+    elif all(type(row) in (list, tuple) and row and _PLAIN.issuperset(map(type, row))
+             for row in value):
+        row = inner + "  "
+        text = _ENCODE(value)[2:-2].replace("], [", f"\n{inner}],\n{inner}[\n{row}")
+        return parts.extend(("[\n", inner, "[\n", row, text.replace(", ", ",\n" + row),
+                             "\n", inner, "]\n", indent, "]"))
+    else:
+        items, brackets = [("", item) for item in value], "[]"
+    scalars = [item for _, item in items if type(item) in _PLAIN]
+    texts = iter(_ENCODE(scalars)[1:-1].split(", ") if scalars else ())
+    for i, (key, item) in enumerate(items):
+        parts += (",\n" if i else brackets[0] + "\n", inner, key)
+        if type(item) in _PLAIN:
+            parts.append(next(texts))
+        else:
+            _json_parts(item, inner, parts)
+    parts += ("\n", indent, brackets[1])
+
+
 def _write_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    _json_parts(payload, "", parts := [])
+    path.write_text("".join(parts) + "\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:

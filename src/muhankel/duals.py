@@ -12,6 +12,7 @@ assembly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, Union
@@ -72,17 +73,17 @@ def _check_slots(slots: int) -> None:
 
 
 GroupKind = Union[SU2, Torus, Product]
+# One instance per distinct group, which the readers return: labels compare groups by identity.
+_GROUPS: dict = {}
 
 
-_CIRCLE = Torus(1)
-
-
+@functools.cache
 def _atoms(group: GroupKind) -> tuple:
     """One atom per index slot: each SU(2) factor as it is, and the circle
-    ``Torus(1)`` once per torus dimension."""
+    ``Torus(1)`` once per torus dimension; computed once per group."""
     atoms = []
     for f in group.factors if isinstance(group, Product) else (group,):
-        atoms.extend((f,) if isinstance(f, SU2) else (_CIRCLE,) * f.d)
+        atoms.extend((f,) if isinstance(f, SU2) else (Torus(1),) * f.d)
     return tuple(atoms)
 
 
@@ -123,13 +124,15 @@ def _index_of(index, side: str) -> tuple:
 def group_from_dict(data: Mapping, what: str = "group") -> GroupKind:
     kind, = _fields(data, what, "kind")
     if kind == "su2":
-        return SU2(half_integers=_typed(data.get("half_integers", True), (bool,), "half_integers"))
-    if kind == "torus":
-        return Torus(d=_typed(data.get("d", 1), (int,), "d"))
-    if kind == "product":
+        group = SU2(half_integers=_typed(data.get("half_integers", True), (bool,), "half_integers"))
+    elif kind == "torus":
+        group = Torus(d=_typed(data.get("d", 1), (int,), "d"))
+    elif kind == "product":
         factors = enumerate(_fields(data, what, "factors")[0])
-        return Product(tuple(group_from_dict(f, f"{what} factor {i}") for i, f in factors))
-    raise ValueError(f"unknown group kind: {kind!r}")
+        group = Product(tuple(group_from_dict(f, f"{what} factor {i}") for i, f in factors))
+    else:
+        raise ValueError(f"unknown group kind: {kind!r}")
+    return _GROUPS.setdefault(group, group)
 
 
 def parse_group(spec: str) -> GroupKind:
@@ -147,9 +150,8 @@ def parse_group(spec: str) -> GroupKind:
             factors.append(Torus(d=int(dim) if dim else 1))
         else:
             raise ValueError(f"unknown group spec: {part!r}")
-    if len(factors) == 1:
-        return factors[0]
-    return Product(tuple(factors))
+    group = factors[0] if len(factors) == 1 else Product(tuple(factors))
+    return _GROUPS.setdefault(group, group)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from .symbols import Symbol, _by_key, _key_fields
 
 # Relative imaginary part above which a block determinant is not "real".
 DET_IMAG_TOL = 1e-9
-# Winding loops with a sample of modulus at or below this are rejected.
+# Winding loops with a sample at or below this times their largest modulus are rejected.
 MIN_LOOP_MODULUS = 1e-9
 # Default relative rank tolerance of the numerical index.
 RANK_TOL = 1e-8
@@ -116,7 +116,7 @@ def winding_number(samples) -> int:
     """Winding of a closed loop sampled at equispaced circle points.
 
     Sums principal-branch phase increments around the loop. Any sample with
-    modulus at or below ``MIN_LOOP_MODULUS`` rejects the input, as does any
+    modulus at or below ``MIN_LOOP_MODULUS`` times the largest rejects it, as does any
     phase step of magnitude >= pi (the sampling cannot resolve the turn).
     Each step is the principal angle of z[k+1] / z[k] and the loop closes, so
     the steps sum to 2 pi times an integer, which rounding moves by under
@@ -125,10 +125,10 @@ def winding_number(samples) -> int:
     z = np.asarray(samples, dtype=np.complex128)
     if z.size < 2:
         raise ValueError("winding number needs at least two samples")
-    if np.min(np.abs(z)) <= MIN_LOOP_MODULUS:
-        raise ValueError(
-            f"loop passes within {MIN_LOOP_MODULUS} of the origin; winding undefined"
-        )
+    modulus = np.abs(z)
+    if np.min(modulus) <= MIN_LOOP_MODULUS * np.max(modulus):
+        raise ValueError(f"loop passes within {MIN_LOOP_MODULUS} of the origin, relative to "
+                         "its largest modulus; winding undefined")
     steps = np.angle(np.roll(z, -1) / z)
     if np.max(np.abs(steps)) >= np.pi - 1e-12:
         raise ValueError(

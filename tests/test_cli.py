@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import muhankel.cli as cli
 import muhankel.recovery as recovery
@@ -23,6 +25,8 @@ from muhankel.symbols import (
 )
 
 from helpers import list_layout, scaled, spectral_data_file, torus_halfline
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def write_json(path, payload):
@@ -693,6 +697,55 @@ def test_non_finite_json_output_fails_the_run(tmp_path, monkeypatch, capsys):
     assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path / "out")]) == 2
     assert "Out of range float values are not JSON compliant" in capsys.readouterr().err
     assert not (tmp_path / "out" / "spectrum.json").exists()
+
+
+def dumps(value) -> str:
+    """The layout every JSON output keeps."""
+    return json.dumps(value, indent=2, sort_keys=True, allow_nan=False)
+
+
+def written(value) -> str:
+    parts = []
+    cli._json_parts(value, "", parts)
+    return "".join(parts)
+
+
+NUMBERS = st.one_of(
+    st.integers(), st.floats(allow_nan=False, allow_infinity=False), st.booleans(), st.none(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e22, 2**70, -2**70]),
+)
+TEXT = st.one_of(st.text(), st.lists(st.sampled_from(
+    ['"', "\\", "[", "], [", ", ", "]", "é", "日本", "\n", "\x00", "\ud800", "a"])).map("".join))
+ROWS = st.lists(st.lists(NUMBERS, max_size=4) | st.tuples(NUMBERS, NUMBERS), max_size=4)
+JSON_VALUES = st.recursive(
+    NUMBERS | TEXT | st.lists(NUMBERS, max_size=6) | ROWS,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(TEXT, inner, max_size=4)),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(JSON_VALUES)
+def test_json_writer_gives_the_bytes_of_json_dumps(value):
+    # the indenting json.dumps ran the pure-Python encoder; the writer hands
+    # lists of numbers, lists of rows and a container's scalars to the C encoder
+    assert written(value) == dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1: 2.0}, {"a": {None: []}}, [{"b": 1, 2: 3}], {True: 1}])
+def test_json_writer_refuses_a_key_that_is_not_a_str(value):
+    # json.dumps writes such a key as a string, which would not read back as
+    # the key written
+    with pytest.raises(TypeError, match="keys must be str"):
+        written(value)
+
+
+@pytest.mark.parametrize("path", sorted(GOLDEN.rglob("*.json")),
+                         ids=lambda path: str(path.relative_to(GOLDEN)))
+def test_golden_json_files_re_encode_to_their_text(tmp_path, path):
+    cli._write_json(tmp_path / "copy.json", json.loads(path.read_text()))
+    assert (tmp_path / "copy.json").read_text() == path.read_text()
 
 
 @pytest.mark.parametrize("ladder, message", [

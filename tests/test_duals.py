@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import json
 import re
@@ -327,6 +328,22 @@ def test_group_dict_round_trip():
         assert group_from_dict(group_to_dict(g)) == g
     assert group_from_dict({"kind": "su2"}) == SU2()  # absent fields keep their defaults
     assert group_from_dict({"kind": "torus"}) == Torus(1)
+
+
+@pytest.mark.parametrize("spec", ["su2", "su2int", "torus:2", "su2xtorus:1"])
+def test_read_groups_are_one_object_per_group(spec):
+    # labels read from two files compared their group dataclasses field by
+    # field; one object per group makes that an identity check
+    data = catalog_dict(parse_group(spec), 6.0)
+    first, second = DualCatalog.from_dict(data), DualCatalog.from_dict(json.loads(json.dumps(data)))
+    assert first.group is second.group is parse_group(spec) is group_from_dict(data["group"])
+    assert all(a.group is b.group and a == b for a, b in zip(first, second, strict=True))
+    fresh = dataclasses.replace(first.group)
+    assert fresh is not first.group and fresh == first.group
+    for label in first:
+        other = IrrepLabel(fresh, label.index)
+        assert other == label and hash(other) == hash(label) and other.dim == label.dim
+    assert _atoms(fresh) is _atoms(first.group)
 
 
 def catalog_dict(group, cutoff):

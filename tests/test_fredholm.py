@@ -190,6 +190,17 @@ def test_winding_rejects_vanishing_sample():
         winding_number(samples)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-12, 1.0, 1e300])
+def test_winding_refusal_is_relative_to_the_loop(scale):
+    # an absolute bound refused every loop of modulus under 1e-9
+    theta = 2 * np.pi * np.arange(64) / 64
+    assert winding_number(scale * (np.exp(1j * theta) + 0.5)) == 1
+    with pytest.raises(ValueError, match="origin"):
+        winding_number(scale * np.array([1.0, 1e-10, 1.0, 1.0]))
+    with pytest.raises(ValueError, match="origin"):
+        winding_number(np.zeros(4))
+
+
 def test_winding_rejects_undersampling():
     theta = 2 * np.pi * np.arange(4) / 4
     with pytest.raises(ValueError, match="sample count"):

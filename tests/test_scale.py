@@ -4,9 +4,7 @@ entry multiplied by c = 10^k, k drawn from [-300, 300].
 * ``spectrum``'s singular values, operator norm, Schatten norms and block
   singular values scale by c, to 1e-12 of the largest, and no verdict
   changes;
-* ``index``'s fields do not change. The one exception is the winding
-  number: a loop within ``MIN_LOOP_MODULUS`` (an absolute 1e-9) of the
-  origin is refused, so at small c the winding is reported as refused;
+* ``index``'s fields do not change, the winding number included;
 * ``recover --true-symbol`` on ``forward``'s data gives back c times the
   symbol;
 * every command exits 0 and writes JSON without Infinity or NaN.
@@ -24,7 +22,6 @@ from hypothesis import strategies as st
 
 from muhankel.cli import main
 from muhankel.duals import PowerLaw
-from muhankel.fredholm import MIN_LOOP_MODULUS
 from muhankel.operators import assemble
 from muhankel.recovery import forward
 from muhankel.symbols import Symbol
@@ -101,12 +98,7 @@ def test_commands_are_equivariant_under_scaling(tmp_path_factory, k):
             == [(v["name"], v["satisfied"]) for v in want["criteria"]])
 
     for case in ("index-non-square", "index-winding"):
-        report, report_want = got[case]["index.json"], ref[case]["index.json"]
-        if "winding_error" in report and "winding_number" in report_want:
-            assert c < 1 and report.pop("winding_error") == (
-                f"loop passes within {MIN_LOOP_MODULUS} of the origin; winding undefined")
-            del report_want["winding_number"], report_want["minus_winding"]
-        assert report == report_want
+        assert got[case]["index.json"] == ref[case]["index.json"]
 
     mu, nu = PowerLaw(0.5), PowerLaw(-0.5)
     truth = scaled(read_symbol(GOLDEN / "inputs" / "su2-matching.json"), c)
