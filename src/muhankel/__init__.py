@@ -8,8 +8,7 @@ from (possibly noisy) singular-value data.
 """
 
 from .duals import SU2, PowerLaw, enumerate_dual, parse_group
-from .fredholm import index_report
-from .operators import BlockOperator, assemble
+from .operators import assemble
 from .recovery import forward, tikhonov_recover
 from .spectral import norm_criteria, schatten_norm
 from .symbols import (
@@ -17,8 +16,6 @@ from .symbols import (
     SymbolClassParams,
     class_norm,
     diagonal_symbol,
-    hankel_symbol_from_fourier,
-    hs_norm,
     random_matching_symbol,
     random_symbol,
 )

@@ -28,7 +28,7 @@ import numpy as np
 
 from .duals import DualCatalog, IrrepLabel, Weight, _fields
 from .operators import ZERO_REL_TOL, BlockOperator, _KeyPlan, assemble, retained_count
-from .symbols import BlockKey, Symbol, _complex_normal, _hs_sum, complex_from_parts, parse_numbers
+from .symbols import BlockKey, Symbol, _complex_normal, complex_from_parts, parse_numbers
 
 # A triple belongs to a block when both vectors carry at least this fraction
 # of their squared mass inside the block's coordinate ranges.
@@ -394,9 +394,15 @@ def _weighted_error(a: Mapping[BlockKey, np.ndarray], b: Mapping[BlockKey, np.nd
                     plan: _KeyPlan) -> float:
     """The weighted HS-sum norm of A - B for the symbols A and B with blocks
     ``a`` and ``b`` (an absent block is zero), the weights from ``plan``,
-    building neither; a's keys first."""
+    building neither; a's keys first. All the entries' parts are divided by
+    the largest before squaring; a ValueError if the norm is not finite."""
     diffs = (plan[key][0] * (a.get(key, 0) - b.get(key, 0)) for key in dict.fromkeys(chain(a, b)))
-    return _hs_sum(diffs, "weighted recovery error")
+    parts = np.concatenate([np.zeros(1), *map(np.ravel, diffs)]).view(float)
+    top = float(max(parts.max(), -parts.min())) or 1.0
+    total = top * float(np.linalg.norm(np.divide(parts, top, out=parts)))
+    if not np.isfinite(total):
+        raise ValueError(f"weighted recovery error is {total}, not finite")
+    return total
 
 
 def _reorthonormalize(mat: np.ndarray) -> np.ndarray:

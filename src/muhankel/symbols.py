@@ -172,22 +172,6 @@ def class_norm(op: BlockOperator, params: SymbolClassParams) -> float:
     return best
 
 
-def hs_norm(op: BlockOperator) -> float:
-    """l2-sum of Hilbert-Schmidt norms of the weighted blocks."""
-    return _hs_sum(op.weighted.values(), "HS norm")
-
-
-def _hs_sum(blocks, what: str) -> float:
-    """l2-sum of the HS norms of ``blocks``, all their entries' parts divided by the
-    largest before squaring; a ValueError names ``what`` if not finite."""
-    parts = np.concatenate([np.zeros(1), *map(np.ravel, blocks)]).view(float)
-    top = float(max(parts.max(), -parts.min())) or 1.0
-    total = top * float(np.linalg.norm(np.divide(parts, top, out=parts)))
-    if not np.isfinite(total):
-        raise ValueError(f"{what} is {total}, not finite")
-    return total
-
-
 def hankel_symbol_from_fourier(
     coeffs: Mapping[int, complex], codomain: DualCatalog, domain: DualCatalog
 ) -> Symbol:

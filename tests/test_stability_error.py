@@ -25,8 +25,7 @@ from muhankel.recovery import (
     stability_scan,
     tikhonov_recover,
 )
-from muhankel.symbols import (Symbol, _complex_normal, _hs_sum, random_matching_symbol,
-                              random_symbol)
+from muhankel.symbols import Symbol, _complex_normal, random_matching_symbol, random_symbol
 
 from helpers import scaled
 
@@ -94,10 +93,13 @@ def test_stability_rows_match_the_old_chain(weighted_penalty):
 def reference_error(recovered, truth, mu, nu):
     """The weighted error summed as a trial did through the recovered Symbol:
     the union of keys, the recovered symbol's first, each block weighted by
-    weight_eval, all summed by the one scaled sum."""
-    return _hs_sum((weight_eval(mu, pi) * weight_eval(nu, rho)
-                    * (recovered.blocks.get((pi, rho), 0) - truth.blocks.get((pi, rho), 0))
-                    for pi, rho in dict.fromkeys(chain(recovered.blocks, truth.blocks))), "error")
+    weight_eval, the entries' parts divided by the largest before squaring."""
+    parts = np.concatenate([np.zeros(1), *(
+        np.ravel(weight_eval(mu, pi) * weight_eval(nu, rho)
+                 * (recovered.blocks.get((pi, rho), 0) - truth.blocks.get((pi, rho), 0)))
+        for pi, rho in dict.fromkeys(chain(recovered.blocks, truth.blocks)))]).view(float)
+    top = float(np.max(np.abs(parts))) or 1.0
+    return top * float(np.linalg.norm(parts / top))
 
 
 def reference_row(errors):

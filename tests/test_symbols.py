@@ -13,14 +13,15 @@ from muhankel.duals import (
     enumerate_dual,
     weight_eval,
 )
-from muhankel.operators import assemble
+from muhankel.operators import _KeyPlan, assemble
+from muhankel.recovery import _weighted_error
+from muhankel.spectral import schatten_norm
 from muhankel.symbols import (
     Symbol,
     SymbolClassParams,
     class_norm,
     diagonal_symbol,
     hankel_symbol_from_fourier,
-    hs_norm,
     random_matching_symbol,
     random_symbol,
 )
@@ -207,6 +208,8 @@ def test_random_matching_symbol_is_matching(su2_cat):
 
 
 def test_hs_norm_matches_direct_sum(su2_cat):
+    # S_2 is the Hilbert-Schmidt class: the Schatten-2 norm of the singular
+    # values is the entrywise l2-sum of the weighted blocks
     sym = random_symbol(su2_cat, su2_cat, 0.5, 11)
     mu, nu = PowerLaw(0.5), PowerLaw(-0.5)
     expected = np.sqrt(
@@ -215,25 +218,26 @@ def test_hs_norm_matches_direct_sum(su2_cat):
             for (pi, rho), block in sym.blocks.items()
         )
     )
-    np.testing.assert_allclose(hs_norm(assemble(sym, mu, nu)), expected, rtol=1e-12)
+    np.testing.assert_allclose(schatten_norm(assemble(sym, mu, nu).singular_values, 2),
+                               expected, rtol=1e-12)
 
 
 def test_hs_norm_of_entries_whose_squares_overflow_is_finite():
-    # every entry is finite, about 1e200, and its square is not: the norm was
-    # refused as inf; scaled by the largest modulus before squaring, it is
-    # the finite 1e200 times the unscaled norm, with no overflow warning
+    # every entry is finite, about 1e200, and its square is not: the weighted
+    # error was refused as inf; scaled by the largest modulus before squaring,
+    # it is the finite 1e200 times the unscaled norm, with no overflow warning
     cat = enumerate_dual(SU2(), 2.0)
     sym = random_symbol(cat, cat, 1.0, 3)
-    op = assemble(scaled(sym, 1e200), PowerLaw(0), PowerLaw(0))
+    plan = _KeyPlan(cat, cat, PowerLaw(0), PowerLaw(0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        np.testing.assert_allclose(
-            hs_norm(op), 1e200 * hs_norm(assemble(sym, PowerLaw(0), PowerLaw(0))), rtol=1e-12)
+        np.testing.assert_allclose(_weighted_error(scaled(sym, 1e200).blocks, {}, plan),
+                                   1e200 * _weighted_error(sym.blocks, {}, plan), rtol=1e-12)
     # a norm past the largest float is still refused: nine entries of 1e308
     top = cat.labels[2]
     huge = Symbol(cat, cat, {(top, top): np.full((3, 3), 1e308)})
-    with pytest.raises(ValueError, match="HS norm is inf, not finite"):
-        hs_norm(assemble(huge, PowerLaw(0), PowerLaw(0)))
+    with pytest.raises(ValueError, match="weighted recovery error is inf, not finite"):
+        _weighted_error(huge.blocks, {}, plan)
 
 
 def test_symbol_json_round_trip(su2_cat):
