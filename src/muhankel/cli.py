@@ -74,8 +74,8 @@ _PLAIN = frozenset({int, float, bool, type(None)})
 def _json_parts(value, indent: str, parts: list) -> None:
     """Append to ``parts`` the text of ``json.dumps(value, indent=2, sort_keys=True,
     allow_nan=False)`` at ``indent``, but refuse a key that is not a str. A list of
-    plain numbers or of rows of them, and a container's plain scalars, take one
-    C-encoder call each; its ", " separators are then re-indented or split at."""
+    plain numbers or of rows of them takes one C-encoder call, whose ", "
+    separators are then re-indented or split at; every other item recurses."""
     inner = indent + "  "
     if isinstance(value, dict) and value:
         if bad := [key for key in value if not isinstance(key, str)]:
@@ -94,14 +94,9 @@ def _json_parts(value, indent: str, parts: list) -> None:
                              "\n", inner, "]\n", indent, "]"))
     else:
         items, brackets = [("", item) for item in value], "[]"
-    scalars = [item for _, item in items if type(item) in _PLAIN]
-    texts = iter(_ENCODE(scalars)[1:-1].split(", ") if scalars else ())
     for i, (key, item) in enumerate(items):
         parts += (",\n" if i else brackets[0] + "\n", inner, key)
-        if type(item) in _PLAIN:
-            parts.append(next(texts))
-        else:
-            _json_parts(item, inner, parts)
+        _json_parts(item, inner, parts)
     parts += ("\n", indent, brackets[1])
 
 
@@ -143,12 +138,15 @@ def _emit(args, config: dict, files: dict) -> None:
 
 
 def _read_input(path: str, parse):
-    """``parse`` applied to the JSON file at ``path``; a fault found reading it
-    becomes a ValueError naming the file."""
+    """``parse`` applied to the JSON file at ``path``; a fault found reading it, or a
+    nesting too deep, becomes a ValueError naming the file, its text cut at 500 chars."""
     try:
         return parse(json.loads(Path(path).read_text()))
-    except (ValueError, TypeError, LookupError, AttributeError, OverflowError) as exc:
-        raise ValueError(f"malformed input file {path}: {exc}") from exc
+    except (ValueError, TypeError, LookupError, AttributeError, OverflowError,
+            RecursionError) as exc:
+        text = str(exc)
+        cut = " ... (cut at 500 characters)" if len(text) > 500 else ""
+        raise ValueError(f"malformed input file {path}: {text[:500]}{cut}") from exc
 
 
 def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:

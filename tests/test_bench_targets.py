@@ -42,6 +42,21 @@ def test_benchmark_tracer_finds_every_target():
     assert tr.find_traced(mh, np) == []
 
 
+def test_benchmark_write_count_reads_the_written_files_path(tmp_path):
+    # count_written takes args[0] of cli._write_json as the file's path; only
+    # traced benchmark runs call it otherwise
+    tr = load_tracer()
+    tracer = tr.Tracer()
+    tr.instrument(tracer, mh, np)
+    try:
+        mh.cli._write_json(tmp_path / "out.json", {"a": [1.5]})
+    finally:
+        tracer.restore()
+    written = tr.totals(tracer.spans)["cli.json.write"]
+    assert written["calls"] == 1
+    assert written["bytes"] == (tmp_path / "out.json").stat().st_size
+
+
 def test_benchmark_forward_check_uses_the_librarys_cut():
     # bench/workloads.py restates forward's relative cut for its triple count;
     # a change to the library's cut must not leave the benchmark on the old one

@@ -476,6 +476,35 @@ def test_console_catalog_past_the_slot_guard_prints_no_traceback(tmp_path):
     assert "Traceback" not in done.stderr
 
 
+@pytest.mark.parametrize("option", ["--symbol", "--mu"])
+def test_console_deeply_nested_input_prints_no_traceback(tmp_path, option):
+    # the JSON decoder's RecursionError exited 1 with a traceback
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200000)
+    sym = write_json(tmp_path / "sym.json", diagonal_symbol(enumerate_dual(SU2(), 2.0)).to_dict())
+    inputs = {"--symbol": ["--symbol", str(deep)], "--mu": ["--symbol", sym, "--mu", str(deep)]}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    done = subprocess.run([sys.executable, "-m", "muhankel.cli", "spectrum", *inputs[option],
+                           "--out-dir", str(tmp_path / "out")],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 2
+    assert f"malformed input file {deep}: maximum recursion depth exceeded" in done.stderr
+    assert "Traceback" not in done.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_refusal_of_a_large_input_file_prints_bounded_text(tmp_path, capsys):
+    # the refusal quoted the whole value: a 0.5 MB list gave a 0.5 MB stderr line
+    path = write_json(tmp_path / "sym.json", [list(range(80000))])
+    assert Path(path).stat().st_size > 500_000
+    assert main(["spectrum", "--symbol", path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert err.startswith(f"error: malformed input file {path}: symbol is [[0, 1, 2")
+    assert err.endswith(" ... (cut at 500 characters)\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_symbol_file_with_a_billion_torus_slots_exit_2(tmp_path, capsys):
     # refused by the group's slot count, before a per-slot tuple is built
     catalog = {"group": {"kind": "torus", "d": 10**9}, "cutoff": 0.0, "labels": [{"index": [0]}]}
@@ -729,7 +758,7 @@ JSON_VALUES = st.recursive(
 @given(JSON_VALUES)
 def test_json_writer_gives_the_bytes_of_json_dumps(value):
     # the indenting json.dumps ran the pure-Python encoder; the writer hands
-    # lists of numbers, lists of rows and a container's scalars to the C encoder
+    # each list of numbers, each list of rows and each other leaf to the C encoder
     assert written(value) == dumps(value)
 
 
