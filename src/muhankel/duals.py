@@ -225,6 +225,12 @@ def dim(label: IrrepLabel) -> int:
 # Weights
 # ---------------------------------------------------------------------------
 
+def _finite(value: float, name: str, bound: str = "") -> None:
+    """ValueError naming ``value`` unless it is finite and meets ``bound``: "", "> 0" or ">= 0"."""
+    if not (math.isfinite(value) and {"": True, "> 0": value > 0, ">= 0": value >= 0}[bound]):
+        raise ValueError(f"{name} must be finite{bound and ' and ' + bound}, got {value}")
+
+
 @dataclass(frozen=True)
 class PowerLaw:
     """Weight (1 + r)^s with r the label's radial size."""
@@ -232,8 +238,7 @@ class PowerLaw:
     exponent: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.exponent):
-            raise ValueError(f"power-law exponent must be finite, got {self.exponent}")
+        _finite(self.exponent, "power-law exponent")
 
 
 @dataclass(frozen=True)
@@ -245,10 +250,7 @@ class TableWeight:
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", dict(self.values))
         for label, value in self.values.items():
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(
-                    f"weight table value for {label.index} must be finite and > 0, got {value}"
-                )
+            _finite(value, f"weight table value for {label.index}", "> 0")
 
 
 Weight = Union[PowerLaw, TableWeight]
@@ -299,8 +301,7 @@ class DualCatalog:
     _by_index: dict[tuple, IrrepLabel] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.cutoff):
-            raise ValueError(f"cutoff must be finite, got {self.cutoff}")
+        _finite(self.cutoff, "cutoff")
         offsets = {}
         start = 0
         for position, label in enumerate(self.labels):
@@ -428,8 +429,7 @@ def enumerate_dual(group: GroupKind, cutoff: float) -> DualCatalog:
     with more than ``MAX_DENSE_DIM`` labels or a larger dense dimension. Both
     are counted before any label is built.
     """
-    if not (math.isfinite(cutoff) and cutoff >= 0):
-        raise ValueError(f"cutoff must be finite and >= 0, got {cutoff}")
+    _finite(cutoff, "cutoff", ">= 0")
     atoms = _atoms(group)
     count, dense_dim = _count(atoms, cutoff)
     if count > MAX_DENSE_DIM:

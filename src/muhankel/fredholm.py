@@ -11,12 +11,11 @@ reconciled.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .duals import IrrepLabel, Torus
+from .duals import IrrepLabel, Torus, _finite
 from .operators import BlockOperator, retained_count
 from .symbols import Symbol, _by_key, _key_fields
 
@@ -82,8 +81,7 @@ def numerical_index(
     Rank counts singular values above rank_tolerance times the largest one
     (zero operator has rank zero).
     """
-    if not (math.isfinite(rank_tolerance) and rank_tolerance > 0):
-        raise ValueError(f"rank tolerance must be finite and > 0, got {rank_tolerance}")
+    _finite(rank_tolerance, "rank tolerance", "> 0")
     n_out, n_in = op.shape
     rank = retained_count(op.singular_values, rank_tolerance)
     kernel = n_in - rank

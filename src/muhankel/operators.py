@@ -200,7 +200,7 @@ def retained_count(values: np.ndarray, rel_tol: float) -> int:
     singular value and the triples ``forward`` keeps."""
     if values.size == 0 or values[0] == 0.0:
         return 0
-    return int(np.count_nonzero(values > rel_tol * values[0]))
+    return int(np.count_nonzero(values > rel_tol * float(values[0])))
 
 
 def _check_table_cover(weight: Weight, catalog: DualCatalog, name: str) -> None:

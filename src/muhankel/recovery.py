@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .duals import DualCatalog, IrrepLabel, Weight, _fields
+from .duals import DualCatalog, IrrepLabel, Weight, _fields, _finite
 from .operators import ZERO_REL_TOL, BlockOperator, _KeyPlan, assemble, retained_count
 from .symbols import BlockKey, Symbol, _complex_normal, complex_from_parts, parse_numbers
 
@@ -329,25 +329,22 @@ def tikhonov_recover(
     penalty alpha (0 for exact recovery from clean data).
 
     Each attributed block T is the block's slice of the reassembled matrix
-    sum s_n u_n v_n^H, summed over all triples, and is solved in closed
-    form: with penalty alpha * ||a||_HS^2 the minimizer is
-    a = w T / (w^2 + alpha) with w = mu(pi) nu(rho); with the weighted penalty
-    alpha * ||w a||_HS^2 it is a = T / (w (1 + alpha)). Either is T / w at
-    alpha = 0. Blocks without a triple stay zero.
+    sum s_n u_n v_n^H over all triples, solved in closed form with
+    w = mu(pi) nu(rho), refused if 0 or inf: with penalty alpha * ||a||_HS^2
+    the minimizer is a = w T / (w^2 + alpha), computed as T / (w + alpha / w);
+    with the weighted penalty alpha * ||w a||_HS^2 it is T / (w (1 + alpha)).
+    Either is T / w at alpha = 0. Blocks without a triple stay zero.
     """
-    blocks = _solve_blocks(data, _KeyPlan(data.codomain, data.domain, mu, nu), alpha,
-                           weighted_penalty)
-    return Symbol(data.codomain, data.domain, blocks)
+    plan = _KeyPlan(data.codomain, data.domain, mu, nu)
+    return Symbol(data.codomain, data.domain, _solve_blocks(data, plan, alpha, weighted_penalty))
 
 
 def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
                   weighted_penalty: bool) -> dict[BlockKey, np.ndarray]:
     """The closed-form solve of :func:`tikhonov_recover`, weights and slices
     taken from ``plan``."""
-    if not (np.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"regularization parameter must be finite and >= 0, got {alpha}")
-    missing = data.attribution.count(None)
-    if missing:
+    _finite(alpha, "regularization parameter", ">= 0")
+    if missing := data.attribution.count(None):
         raise AttributionError(
             f"tikhonov recovery: {missing} of {len(data.attribution)} triples are not "
             "attributable to a single block; enlarge the singular-value gaps "
@@ -356,9 +353,11 @@ def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
     blocks = {}
     for key in dict.fromkeys(data.attribution):
         w, rows, cols = plan[key]
+        if not 0.0 < w < np.inf:  # each weight is in float range, their product may not be
+            raise ValueError(f"weight mu(pi) nu(rho) of block ({key[0].index}, {key[1].index}) "
+                             f"is {w}, not a finite number > 0")
         t_block = (data.u[rows] * data.s) @ data.v[cols].conj().T
-        blocks[key] = (t_block / (w * (1.0 + alpha)) if weighted_penalty
-                       else w * t_block / (w * w + alpha))
+        blocks[key] = t_block / (w * (1.0 + alpha) if weighted_penalty else w + alpha / w)
     return blocks
 
 
@@ -454,8 +453,7 @@ def stability_scan(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     for delta in deltas:
-        if not (np.isfinite(delta) and delta >= 0):
-            raise ValueError(f"noise level delta must be finite and >= 0, got {delta}")
+        _finite(delta, "noise level delta", ">= 0")
         if not np.isfinite(delta * delta):
             raise ValueError(f"noise level delta {delta} has no finite square alpha = delta^2")
     base = forward(assemble(true_symbol, mu, nu))

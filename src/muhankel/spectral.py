@@ -26,6 +26,7 @@ from .duals import (
     SU2,
     Weight,
     weight_eval,
+    _finite,
 )
 from .operators import ZERO_REL_TOL, BlockOperator, retained_count
 from .symbols import SymbolClassParams, class_norm
@@ -50,8 +51,7 @@ def schatten_norm(values: np.ndarray, p: float) -> float:
     """(sum s_n^p)^(1/p) over the singular values ``values``, taken as
     s_0 (sum (s_n / s_0)^p)^(1/p) with s_0 the largest, so that no power
     underflows to 0 or overflows to inf; 0.0 for the zero operator."""
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError(f"Schatten exponent p must be finite and > 0, got {p}")
+    _finite(p, "Schatten exponent p", "> 0")
     if (s0 := float(values.max(initial=0.0))) == 0.0:
         return 0.0
     total = np.sum((values / s0) ** p)  # in [1, n]
@@ -119,8 +119,7 @@ def carleson_test(nu: Weight, catalog: DualCatalog, t: float) -> CriterionVerdic
     """Truncated Carleson sum with sigma({rho}) = d_rho nu(rho)^2; the sum is
     recomputed at half the cutoff and called bounded when the relative growth
     across the outer half stays below 5%."""
-    if not (math.isfinite(t) and t > 0):
-        raise ValueError(f"Carleson exponent must be finite and > 0, got {t}")
+    _finite(t, "Carleson exponent", "> 0")
     half = [r for r in catalog.labels if r.casimir <= catalog.cutoff / 2.0]
     v_half = _carleson_value(nu, half, t)
     v_full = _carleson_value(nu, list(catalog.labels), t)
@@ -146,13 +145,11 @@ def compactness_report(op: BlockOperator, params: SymbolClassParams) -> Criterio
     values are ``op.support_values`` of the blocks inside the half catalogs.
     The verdict is satisfied only when both fire.
     """
-    lams = sorted({r.casimir for r in op.domain.labels})
-    col_norm: dict[float, float] = {lam: 0.0 for lam in lams}
+    col_norm = dict.fromkeys(sorted({r.casimir for r in op.domain.labels}), 0.0)
     for (pi, rho), values in op.block_singular_values.items():
         val = params.decay(rho, "n") * float(values[0])
         col_norm[rho.casimir] = max(col_norm[rho.casimir], val)
-    seq = [col_norm[lam] for lam in lams]
-    outer = seq[len(seq) // 2 :]
+    outer = list(col_norm.values())[len(col_norm) // 2 :]
     if all(v == 0.0 for v in outer):
         decay_fired = True
         outer_ratio = 0.0
@@ -201,10 +198,8 @@ def schatten_series_scan(
     factor-2 ladder shrink geometrically (every ratio below 0.75). Returns
     (verdict, rows).
     """
-    if not (math.isfinite(p) and p > 0):
-        raise ValueError(f"Schatten exponent p must be finite and > 0, got {p}")
-    if not math.isfinite(alpha):
-        raise ValueError(f"decay alpha must be finite, got {alpha}")
+    _finite(p, "Schatten exponent p", "> 0")
+    _finite(alpha, "decay alpha")
     if not isinstance(group, SU2):
         raise ValueError(f"series scan is defined on SU(2) duals, got {group!r}")
     if (len(l_ladder) < 3 or not all(math.isfinite(l) for l in l_ladder)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import muhankel.cli as cli
 import muhankel.recovery as recovery
 from muhankel.cli import main
-from muhankel.duals import MAX_DENSE_DIM, SU2, UNIT_WEIGHT, enumerate_dual
+from muhankel.duals import MAX_DENSE_DIM, SU2, UNIT_WEIGHT, DualCatalog, enumerate_dual
 from muhankel.operators import BlockOperator, assemble
 from muhankel.recovery import forward
 from muhankel.symbols import (
@@ -92,6 +92,18 @@ def test_spectrum_single_casimir_level(tmp_path):
     assert "outer-half ratio=1," in compactness["detail"]
 
 
+@pytest.mark.parametrize("codomain_cutoff", [2.0, None])
+def test_spectrum_with_empty_catalogs(tmp_path, capsys, codomain_cutoff):
+    # an empty domain has no Casimir level: the compactness indicators read
+    # an empty outer half and fire both, with ratios 0
+    empty = DualCatalog(SU2(), 0.0, [])
+    codomain = empty if codomain_cutoff is None else enumerate_dual(SU2(), codomain_cutoff)
+    sym_path = write_json(tmp_path / "sym.json", Symbol(codomain, empty, {}).to_dict())
+    assert main(["spectrum", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 0
+    assert ("compactness_indicators: ok (fired=['decay', 'spectral']; "
+            "outer-half ratio=0, min-sv ratio=0)") in capsys.readouterr().out
+
+
 def test_spectrum_bad_schema_exit_2(tmp_path):
     bad = write_json(tmp_path / "sym.json", {"blocks": []})
     assert main(["spectrum", "--symbol", bad, "--out-dir", str(tmp_path)]) == 2
@@ -123,6 +135,15 @@ def test_index_torus_winding(tmp_path, capsys):
     assert payload["formula_index"] == 0  # no negative determinants
     out = capsys.readouterr().out
     assert "-winding" in out and "numerical index" in out
+
+
+def test_index_huge_tolerance_gives_rank_0(tmp_path, capsys):
+    # tolerance times the largest singular value overflows: numpy warned
+    # "overflow encountered in scalar multiply", an error under -W error
+    argv = ["index", "--symbol", str(GOLDEN / "inputs" / "su2-random.json"),
+            "--tolerance", "1e308", "--out-dir", str(tmp_path)]
+    assert main(argv) == 0
+    assert json.loads((tmp_path / "index.json").read_text())["numerical_rank"] == 0
 
 
 @pytest.mark.parametrize("samples", ["-3", str(MAX_DENSE_DIM + 1)])

@@ -1,9 +1,11 @@
 import dataclasses
 import itertools
 import json
+import math
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,9 +27,11 @@ from muhankel.duals import (
     weight_eval,
 )
 from muhankel.duals import _atoms, _count
+from muhankel.fredholm import numerical_index
 from muhankel.operators import assemble
-from muhankel.recovery import forward
-from muhankel.symbols import random_matching_symbol
+from muhankel.recovery import forward, stability_scan, tikhonov_recover
+from muhankel.spectral import carleson_test, schatten_norm, schatten_series_scan
+from muhankel.symbols import diagonal_symbol, random_matching_symbol
 
 from helpers import restrict
 
@@ -451,6 +455,46 @@ def test_catalog_rejects_non_finite_cutoff(cutoff):
     payload["cutoff"] = cutoff
     with pytest.raises(ValueError, match=f"cutoff must be finite, got {cutoff}"):
         DualCatalog.from_dict(json.loads(json.dumps(payload)))
+
+
+CAT = enumerate_dual(SU2(), 2.0)
+IDENTITY = diagonal_symbol(CAT)
+# each parameter check: the call it guards, the parameter's name in the
+# message, its bound, and a finite value outside that bound (-inf if none)
+FINITE_CHECKS = {
+    "PowerLaw": (PowerLaw, "power-law exponent", "", -math.inf),
+    "TableWeight": (lambda v: TableWeight({CAT.labels[1]: v}),
+                    "weight table value for (1,)", "> 0", 0.0),
+    "DualCatalog": (lambda v: DualCatalog(SU2(), v, []), "cutoff", "", -math.inf),
+    "enumerate_dual": (lambda v: enumerate_dual(SU2(), v), "cutoff", ">= 0", -1.0),
+    "schatten_norm": (lambda v: schatten_norm(np.ones(2), v), "Schatten exponent p", "> 0", 0.0),
+    "carleson_test": (lambda v: carleson_test(PowerLaw(0.0), CAT, v),
+                      "Carleson exponent", "> 0", 0.0),
+    "schatten_series_scan p": (lambda v: schatten_series_scan(1.0, v),
+                               "Schatten exponent p", "> 0", -1.0),
+    "schatten_series_scan alpha": (lambda v: schatten_series_scan(v, 2.0),
+                                   "decay alpha", "", -math.inf),
+    "numerical_index": (lambda v: numerical_index(assemble(IDENTITY, PowerLaw(0.0),
+                                                           PowerLaw(0.0)), v),
+                        "rank tolerance", "> 0", 0.0),
+    "tikhonov_recover": (lambda v: tikhonov_recover(
+        forward(assemble(IDENTITY, PowerLaw(0.0), PowerLaw(0.0))), PowerLaw(0.0),
+        PowerLaw(0.0), v), "regularization parameter", ">= 0", -1.0),
+    "stability_scan": (lambda v: stability_scan(IDENTITY, PowerLaw(0.0), PowerLaw(0.0),
+                                                [1e-3, v], 1, 0),
+                       "noise level delta", ">= 0", -1.0),
+}
+
+
+@pytest.mark.parametrize("check", FINITE_CHECKS)
+@pytest.mark.parametrize("kind", ["nan", "inf", "out of bound"])
+def test_finite_parameter_refusal_text(check, kind):
+    call, name, bound, outside = FINITE_CHECKS[check]
+    value = outside if kind == "out of bound" else float(kind)
+    with pytest.raises(ValueError) as exc_info:
+        call(value)
+    assert str(exc_info.value) == (
+        f"{name} must be finite{' and ' + bound if bound else ''}, got {value}")
 
 
 def test_weight_eval_rejects_out_of_range_power_law():

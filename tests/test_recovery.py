@@ -112,6 +112,32 @@ def test_recover_single_block_known_svd():
     np.testing.assert_allclose(recovered.blocks[(label, label)], block, atol=1e-12)
 
 
+@pytest.mark.parametrize("exponent", [300.0, -300.0])
+def test_exact_recovery_at_weights_whose_square_leaves_float_range(exponent):
+    # w = 3^(+-600) at the spin-2 block: w * w overflows to inf or underflows to 0
+    cat = enumerate_dual(SU2(), 6.0)
+    key = (cat.labels[-1], cat.labels[-1])
+    block = np.random.default_rng(3).standard_normal((5, 5)) + 0j
+    sym, weight = Symbol(cat, cat, {key: block}), PowerLaw(exponent)
+    recovered = tikhonov_recover(forward(assemble(sym, weight, weight)), weight, weight, 0.0)
+    assert np.linalg.norm(recovered.blocks[key] - block) <= 1e-12 * np.linalg.norm(block)
+
+
+@pytest.mark.parametrize("exponent, product", [(400.0, "inf"), (-400.0, "0.0")])
+@pytest.mark.parametrize("alpha", [0.0, 1e-3])
+def test_recovery_refuses_a_weight_product_out_of_float_range(exponent, product, alpha):
+    # each weight 3^(+-400) at the spin-2 label is a float, their product is not;
+    # the data come from unit weights, so the block holds triples
+    cat = enumerate_dual(SU2(), 6.0)
+    top = cat.labels[-1]
+    data = forward(assemble(Symbol(cat, cat, {(top, top): np.eye(5) + 0j}),
+                            UNIT_WEIGHT, UNIT_WEIGHT))
+    weight = PowerLaw(exponent)
+    with pytest.raises(ValueError, match=re.escape(
+            f"weight mu(pi) nu(rho) of block ((4,), (4,)) is {product}, not a finite number > 0")):
+        tikhonov_recover(data, weight, weight, alpha)
+
+
 def test_recover_empty_data_gives_zero_symbol():
     cat = enumerate_dual(SU2(), 2.0)
     data = stacked(cat, cat, [])
@@ -148,7 +174,7 @@ def test_tikhonov_closed_form_against_lstsq():
         design = np.array([[w], [np.sqrt(alpha)]])
         target = np.array([t, 0.0])
         oracle = np.linalg.lstsq(design, target, rcond=None)[0][0]
-        closed = w * t / (w * w + alpha)
+        closed = t / (w + alpha / w)  # w t / (w^2 + alpha), as the solver computes it
         np.testing.assert_allclose(closed, oracle, rtol=1e-10)
 
 
