@@ -1,9 +1,10 @@
 """Assembly of weighted block operators in the single-copy coefficient model.
 
 The operator carries one finite block T(pi, rho) = mu(pi) a(pi, rho) nu(rho)
-per stored symbol block, mapping the rho coordinate slice of the domain
-layout into the pi slice of the codomain layout. Blocks are weighted once at
-assembly and cached for application and densification; the adjoint weights
+per stored symbol block, mapping the rho slice of the domain layout into the
+pi slice of the codomain layout. Assembly weights each block once and caches
+it, refusing, with the block's name, a product mu(pi) nu(rho) that is not a
+finite number > 0 and a weighted block that overflows. The adjoint weights
 its conjugate-transposed blocks anew, giving the exact conjugate transpose.
 
 The stored blocks form a bipartite graph, codomain labels on one side and
@@ -48,12 +49,17 @@ class BlockOperator:
     symbol: Symbol
     mu: Weight
     nu: Weight
+    plan: _KeyPlan = field(init=False, repr=False)
     weighted: dict[BlockKey, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        plan = _KeyPlan(self.symbol.codomain, self.symbol.domain, self.mu, self.nu)
-        self.weighted = {key: plan[key][0] * block for key, block in self.symbol.blocks.items()}
-        for block in self.weighted.values():
+        self.plan = plan = _KeyPlan(self.symbol.codomain, self.symbol.domain, self.mu, self.nu)
+        with np.errstate(over="ignore"):
+            self.weighted = {key: plan[key][0] * block for key, block in self.symbol.blocks.items()}
+        for (pi, rho), block in self.weighted.items():
+            # a weight w <= 1 keeps |w a| <= |a|, which is finite
+            if (w := plan[pi, rho][0]) > 1.0 and not np.isfinite(block).all():
+                raise ValueError(f"block ({pi.index}, {rho.index}) times its weight {w} overflows")
             block.setflags(write=False)
 
     @property
@@ -203,32 +209,28 @@ def retained_count(values: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(values > rel_tol * float(values[0])))
 
 
-def _check_table_cover(weight: Weight, catalog: DualCatalog, name: str) -> None:
-    if isinstance(weight, TableWeight):
-        missing = [l for l in catalog.labels if l not in weight.values]
-        if missing:
-            raise ValueError(
-                f"{name} weight table is missing {len(missing)} catalog labels, "
-                f"first: {missing[0].index}"
-            )
-
-
 class _KeyPlan(dict):
-    """Per block key (pi, rho): its weight mu(pi) nu(rho) and its codomain
-    and domain slices, each key's worked out on its first lookup. A weight
-    table must cover its catalog."""
+    """Per block key (pi, rho): its weight mu(pi) nu(rho), refused unless a
+    finite number > 0, and its codomain and domain slices, each key's worked
+    out on its first lookup. A weight table must cover its catalog."""
 
     def __init__(self, codomain: DualCatalog, domain: DualCatalog, mu: Weight, nu: Weight):
         super().__init__()
-        _check_table_cover(mu, codomain, "mu")
-        _check_table_cover(nu, domain, "nu")
+        for name, weight, catalog in (("mu", mu, codomain), ("nu", nu, domain)):
+            if isinstance(weight, TableWeight) and (
+                    missing := [l for l in catalog.labels if l not in weight.values]):
+                raise ValueError(f"{name} weight table is missing {len(missing)} catalog "
+                                 f"labels, first: {missing[0].index}")
         self.codomain, self.domain, self.mu, self.nu = codomain, domain, mu, nu
 
     def __missing__(self, key: BlockKey) -> tuple[float, slice, slice]:
         pi, rho = key
         # one scalar product keeps the adjoint exactly conjugate-symmetric
-        self[key] = found = (weight_eval(self.mu, pi) * weight_eval(self.nu, rho),
-                             self.codomain.slice_of(pi), self.domain.slice_of(rho))
+        w = weight_eval(self.mu, pi) * weight_eval(self.nu, rho)
+        if not 0.0 < w < np.inf:  # each weight is in float range, their product may not be
+            raise ValueError(f"weight mu(pi) nu(rho) of block ({pi.index}, {rho.index}) "
+                             f"is {w}, not a finite number > 0")
+        self[key] = found = (w, self.codomain.slice_of(pi), self.domain.slice_of(rho))
         return found
 
 

@@ -353,9 +353,6 @@ def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
     blocks = {}
     for key in dict.fromkeys(data.attribution):
         w, rows, cols = plan[key]
-        if not 0.0 < w < np.inf:  # each weight is in float range, their product may not be
-            raise ValueError(f"weight mu(pi) nu(rho) of block ({key[0].index}, {key[1].index}) "
-                             f"is {w}, not a finite number > 0")
         t_block = (data.u[rows] * data.s) @ data.v[cols].conj().T
         blocks[key] = t_block / (w * (1.0 + alpha) if weighted_penalty else w + alpha / w)
     return blocks
@@ -456,8 +453,7 @@ def stability_scan(
         _finite(delta, "noise level delta", ">= 0")
         if not np.isfinite(delta * delta):
             raise ValueError(f"noise level delta {delta} has no finite square alpha = delta^2")
-    base = forward(assemble(true_symbol, mu, nu))
-    plan = _KeyPlan(base.codomain, base.domain, mu, nu)
+    base = forward(op := assemble(true_symbol, mu, nu))
     rng = np.random.default_rng(seed)
     rows = []
     for delta in deltas:
@@ -465,8 +461,8 @@ def stability_scan(
         errors = []
         for _ in range(trials):
             noisy = perturb_spectral_data(base, delta, rng)
-            solved = _solve_blocks(noisy, plan, alpha, weighted_penalty)
-            errors.append(_weighted_error(solved, true_symbol.blocks, plan))
+            solved = _solve_blocks(noisy, op.plan, alpha, weighted_penalty)
+            errors.append(_weighted_error(solved, true_symbol.blocks, op.plan))
         scaled = np.divide(errors, top := max(errors) or 1.0)  # no square overflows in std
         rows.append(StabilityRow(float(delta), alpha, top * float(np.mean(scaled)),
                                  top * float(np.std(scaled))))

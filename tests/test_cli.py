@@ -463,6 +463,46 @@ def test_out_of_range_weight_exit_2(tmp_path, capsys, mu, value):
     assert f"exponent {float(mu)} is {value}, not a finite number > 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["spectrum", "index", "stability"])
+@pytest.mark.parametrize("weight", ["400", "-400", "1"])
+def test_weighted_block_out_of_float_range_exit_2(tmp_path, capfd, command, weight):
+    # each weight is a float, their product or the weighted block is not: at
+    # weight 1 every real part of the matching symbol is 1e308, and its block
+    # of weight 3 overflows. Assembly refuses it before LAPACK sees an inf or
+    # a zero block
+    on_random = command != "stability" and weight != "1"
+    path = GOLDEN / "inputs" / ("su2-random.json" if on_random else "su2-matching.json")
+    message = {
+        "400": f"weight mu(pi) nu(rho) of block {'((3,), (3,))' if on_random else '((4,), (3,))'} "
+               "is inf, not a finite number > 0",
+        "-400": "weight mu(pi) nu(rho) of block ((4,), (3,)) is 0.0, not a finite number > 0",
+        "1": "block ((0,), (4,)) times its weight 3.0 overflows",
+    }[weight]
+    if weight == "1":
+        payload = json.loads(path.read_text())
+        for block in payload["blocks"]:
+            block["re"] = [[1e308] * len(row) for row in block["re"]]
+        path = write_json(tmp_path / "huge.json", payload)
+    code = main([command, "--symbol", str(path), "--mu", weight, "--nu", weight,
+                 "--out-dir", str(tmp_path / "out")])
+    out, err = capfd.readouterr()
+    assert code == 2
+    assert f"error: {message}" in err
+    assert "DLASCL" not in out + err and "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nu_weight_table_missing_labels_exit_2(tmp_path, capsys):
+    table = {"entries": [{"index": [0], "value": 1.0}, {"index": [1], "value": 1.0}]}
+    code = main(["spectrum", "--symbol", str(GOLDEN / "inputs" / "su2-random.json"),
+                 "--nu", write_json(tmp_path / "nu.json", table),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert ("nu weight table is missing 3 catalog labels, first: (2,)"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("group, cutoff", [("su2", "nan"), ("torus:1", "inf")])
 def test_catalog_non_finite_cutoff_exit_2(tmp_path, capsys, group, cutoff):
     code = main(["catalog", "--group", group, "--cutoff", cutoff, "--out-dir", str(tmp_path)])

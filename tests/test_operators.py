@@ -1,5 +1,10 @@
+import re
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from muhankel.duals import (
     PowerLaw,
@@ -210,3 +215,25 @@ def test_retained_count_rule():
     zero = assemble(Symbol(cat, cat, {}), UNIT_WEIGHT, UNIT_WEIGHT).singular_values
     assert zero.size == cat.dense_dim
     assert retained_count(zero, 1e-12) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.floats(-500.0, 500.0))
+def test_assembled_weights_are_finite_or_refused(exponent):
+    # w = (1 + r_pi)^e (1 + r_rho)^e on identity blocks: every weighted block
+    # is w I with w finite and > 0, or assembly names the block it refuses
+    cat = enumerate_dual(SU2(), 6.0)
+    weight = PowerLaw(exponent)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            op = assemble(diagonal_symbol(cat, 0.0), weight, weight)
+        except ValueError as exc:
+            assert re.fullmatch(r"weight mu\(pi\) nu\(rho\) of block \(\(\d+,\), \(\d+,\)\) "
+                                r"is (inf|0\.0), not a finite number > 0"
+                                r"|block .* times its weight .* overflows", str(exc)), exc
+            return
+    for (pi, rho), block in op.weighted.items():
+        w = op.plan[pi, rho][0]
+        assert 0.0 < w < np.inf
+        assert np.array_equal(block, w * np.eye(pi.dim))

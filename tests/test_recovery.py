@@ -127,15 +127,19 @@ def test_exact_recovery_at_weights_whose_square_leaves_float_range(exponent):
 @pytest.mark.parametrize("alpha", [0.0, 1e-3])
 def test_recovery_refuses_a_weight_product_out_of_float_range(exponent, product, alpha):
     # each weight 3^(+-400) at the spin-2 label is a float, their product is not;
-    # the data come from unit weights, so the block holds triples
+    # the data come from unit weights, so the block holds triples. Assembly
+    # refuses the same product
     cat = enumerate_dual(SU2(), 6.0)
     top = cat.labels[-1]
-    data = forward(assemble(Symbol(cat, cat, {(top, top): np.eye(5) + 0j}),
-                            UNIT_WEIGHT, UNIT_WEIGHT))
+    sym = Symbol(cat, cat, {(top, top): np.eye(5) + 0j})
+    data = forward(assemble(sym, UNIT_WEIGHT, UNIT_WEIGHT))
     weight = PowerLaw(exponent)
-    with pytest.raises(ValueError, match=re.escape(
-            f"weight mu(pi) nu(rho) of block ((4,), (4,)) is {product}, not a finite number > 0")):
+    refusal = re.escape(
+        f"weight mu(pi) nu(rho) of block ((4,), (4,)) is {product}, not a finite number > 0")
+    with pytest.raises(ValueError, match=refusal):
         tikhonov_recover(data, weight, weight, alpha)
+    with pytest.raises(ValueError, match=refusal):
+        assemble(sym, weight, weight)
 
 
 def test_recover_empty_data_gives_zero_symbol():
