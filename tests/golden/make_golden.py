@@ -60,6 +60,7 @@ CASES = {
                  *WEIGHTS, "--m", "1", "--n", "1", "--p", "3"],
     "index-winding": ["index", "--symbol", "inputs/torus-hankel.json"],
     "index-non-square": ["index", "--symbol", "inputs/su2-non-square.json"],
+    "index-dense": ["index", "--symbol", "inputs/su2-dense.json", *WEIGHTS],
     "recover-true-symbol": ["recover", "--data", "inputs/su2-matching-data.json",
                             *WEIGHTS, "--true-symbol", "inputs/su2-matching.json"],
     "recover-residual": ["recover", "--data", "inputs/su2-matching-data.json",
@@ -86,6 +87,11 @@ def write_inputs(inputs: Path) -> None:
     pi, rho = su2.labels[0], su2.labels[1]
     non_square = Symbol(su2, su2, {(pi, rho): np.array([[1.0, 2.0]])})
     _write_json(inputs / "su2-non-square.json", non_square.to_dict())
+
+    # two multi-block support components, each of full rank, on catalogs of
+    # 15 and 28 coefficients
+    dense = random_symbol(su2, enumerate_dual(SU2(), 12.0), 0.3, 3)
+    _write_json(inputs / "su2-dense.json", dense.to_dict())
 
     matching = random_matching_symbol(su2, su2, 3, pairs=len(su2))
     _write_json(inputs / "su2-matching.json", matching.to_dict())

@@ -1130,7 +1130,7 @@ def test_golden_argvs_run_twice_alike_on_one_parser(tmp_path, monkeypatch, capsy
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     cases = sorted(path.parent for path in GOLDEN.glob("*/argv.json"))
-    assert len(cases) == 8
+    assert len(cases) == 9
     runs, built = [], []
     for rerun in (0, 1):
         for case in cases:
@@ -1142,7 +1142,7 @@ def test_golden_argvs_run_twice_alike_on_one_parser(tmp_path, monkeypatch, capsy
             files = {str(p.relative_to(workdir)): p.read_bytes()
                      for p in sorted((workdir / "out").rglob("*"))}
             runs.append((capsys.readouterr().out, files))
-    assert runs[:8] == runs[8:]
+    assert runs[:9] == runs[9:]
     assert built[0] > 0 and set(built) == {built[0]}  # every build was in the first call
     assert cli.build_parser.cache_info().currsize == 1
 

@@ -90,7 +90,7 @@ def data_scale(argv: list) -> float:
 
 
 def test_golden_cases_present():
-    assert len(CASES) == 8
+    assert len(CASES) == 9
 
 
 @pytest.mark.parametrize("case", CASES)
