@@ -5,8 +5,8 @@ that of a torus Hankel symbol's Fourier series.
 The two index computations are deliberately independent. The formula route
 needs square blocks with (numerically) real determinants and counts d_pi*d_rho
 over blocks with negative determinant; the numerical route counts singular
-values against a relative rank tolerance. Disagreements are surfaced, never
-reconciled.
+values above a relative cut, or proves by Cholesky that none lies below it.
+Disagreements are surfaced, never reconciled.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .duals import IrrepLabel, Torus, _finite
-from .operators import BlockOperator, retained_count
+from .operators import BlockOperator, frobenius, retained_count
 from .symbols import Symbol, _by_key, _key_fields
 
 # Relative imaginary part above which a block determinant is not "real".
@@ -25,6 +25,7 @@ DET_IMAG_TOL = 1e-9
 MIN_LOOP_MODULUS = 1e-9
 # Default relative rank tolerance of the numerical index.
 RANK_TOL = 1e-8
+EPS = float(np.finfo(float).eps)
 
 ContributingPair = tuple[IrrepLabel, IrrepLabel, int]
 
@@ -58,16 +59,13 @@ def index_formula(op: BlockOperator) -> tuple[int, list[ContributingPair]]:
     contributing: list[ContributingPair] = []
     for (pi, rho), block in _by_key(op.weighted.items()):
         if block.shape[0] != block.shape[1]:
-            raise FormulaInapplicableError(
-                f"block ({pi.index}, {rho.index}) is {block.shape[0]}x{block.shape[1]}, "
-                "determinant sign undefined for non-square blocks"
-            )
+            raise FormulaInapplicableError(f"block ({pi.index}, {rho.index}) is {block.shape[0]}x"
+                                           f"{block.shape[1]}, determinant sign undefined for "
+                                           "non-square blocks")
         det = complex(np.linalg.det(block))
         if abs(det.imag) > DET_IMAG_TOL * abs(det):
-            raise FormulaInapplicableError(
-                f"block ({pi.index}, {rho.index}) has materially complex "
-                f"determinant {det:.6g}"
-            )
+            raise FormulaInapplicableError(f"block ({pi.index}, {rho.index}) has materially "
+                                           f"complex determinant {det:.6g}")
         if det.real < 0:
             contributing.append((pi, rho, pi.dim * rho.dim))
     return sum(w for _, _, w in contributing), contributing
@@ -78,23 +76,46 @@ def numerical_index(
 ) -> tuple[int, int, int, int]:
     """(rank, kernel dim, cokernel dim, index) of the dense truncation.
 
-    Rank counts singular values above rank_tolerance times the largest one
-    (zero operator has rank zero).
+    Rank counts singular values above tol = rank_tolerance times the largest
+    one (zero operator has rank zero). Where each support component provably
+    has all values above b = 2 tol ||T||_F, it is the sum of min(rows, cols),
+    with no SVD: a single block if its smallest value is above b, an n x k or
+    k x n matrix M (n >= k), scaled as in ``frobenius``, if Cholesky factors
+    G - c I, G = M^H M or M M^H, c = b^2 + 4 (n + k + 2) eps tr(G) bounding the
+    rounding of G and of the factors (Rump 2006, BIT 46). As b >= 2 tol ||T||_2
+    the SVD's rounding cannot move such a value below the cut. Else, and for
+    tol >= 1/2 or < 1e3 max(shape) eps (a rounding-level count), the SVD counts.
     """
     _finite(rank_tolerance, "rank tolerance", "> 0")
+    if (rank := _certified_rank(op, rank_tolerance)) is None:
+        rank = retained_count(op.singular_values, rank_tolerance)
     n_out, n_in = op.shape
-    rank = retained_count(op.singular_values, rank_tolerance)
-    kernel = n_in - rank
-    cokernel = n_out - rank
-    return rank, kernel, cokernel, kernel - cokernel
+    return rank, n_in - rank, n_out - rank, n_in - n_out
+
+
+def _certified_rank(op: BlockOperator, tol: float) -> int | None:
+    """The rank that :func:`numerical_index`'s certificate proves, or None."""
+    s, norm = frobenius(op.weighted.values())
+    floor = 2.0 * tol * norm
+    singles = [op.block_singular_values[keys[0]] for *_, keys in op.components if len(keys) == 1]
+    if not 1e3 * max(op.shape) * EPS <= tol < 0.5 or not all(s * v[-1] > floor for v in singles):
+        return None
+    rank = sum(v.size for v in singles)
+    for m in (s * op._component_matrix(c) for c in op.components if len(c[2]) > 1):
+        gram = m.conj().T @ m if len(m) >= len(m.T) else m @ m.conj().T
+        gram.flat[:: len(gram) + 1] -= floor**2 + 4 * (sum(m.shape) + 2) * EPS * np.trace(gram).real
+        try:
+            np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        rank += len(gram)
+    return rank
 
 
 def index_report(op: BlockOperator, rank_tolerance: float = RANK_TOL) -> IndexReport:
     """Run both index routes; formula inapplicability is recorded, not fatal.
     If the numerical SVD fails as well, FormulaInapplicableError names both."""
-    formula = None
-    pairs: list[ContributingPair] = []
-    error = None
+    formula, pairs, error = None, [], None
     try:
         formula, pairs = index_formula(op)
     except FormulaInapplicableError as exc:
@@ -104,9 +125,8 @@ def index_report(op: BlockOperator, rank_tolerance: float = RANK_TOL) -> IndexRe
     except np.linalg.LinAlgError as exc:
         if error is None:
             raise
-        raise FormulaInapplicableError(
-            f"formula inapplicable ({error}); numerical SVD failed ({exc})"
-        ) from exc
+        raise FormulaInapplicableError(f"formula inapplicable ({error}); numerical SVD "
+                                       f"failed ({exc})") from exc
     return IndexReport(formula, pairs, error, *numerical, rank_tolerance)
 
 
@@ -129,9 +149,7 @@ def winding_number(samples) -> int:
                          "its largest modulus; winding undefined")
     steps = np.angle(np.roll(z, -1) / z)
     if np.max(np.abs(steps)) >= np.pi - 1e-12:
-        raise ValueError(
-            "phase step of magnitude >= pi encountered; increase the sample count"
-        )
+        raise ValueError("phase step of magnitude >= pi encountered; increase the sample count")
     return int(round(float(np.sum(steps)) / (2.0 * np.pi)))
 
 

@@ -209,6 +209,17 @@ def retained_count(values: np.ndarray, rel_tol: float) -> int:
     return int(np.count_nonzero(values > rel_tol * float(values[0])))
 
 
+def frobenius(blocks: Collection[np.ndarray]) -> tuple[float, float]:
+    """(s, f): s = 1 if the plain sum of squares is in [2^-900, inf), else the
+    power of two putting the largest part of the ``blocks`` in [1/2, 1), and
+    f = ||s blocks||_F, from squares that neither over- nor underflow."""
+    if 2.0**-900 <= (total := sum(float(np.vdot(b, b).real) for b in blocks)) < np.inf:
+        return 1.0, float(np.sqrt(total))
+    top = max((float(np.max(np.abs(x))) for b in blocks for x in (b.real, b.imag)), default=0.0)
+    s = 2.0 ** -max(int(np.frexp(top)[1]), -1022)
+    return s, float(np.sqrt(sum(float(np.vdot(x := s * b, x).real) for b in blocks)))
+
+
 class _KeyPlan(dict):
     """Per block key (pi, rho): its weight mu(pi) nu(rho), refused unless a
     finite number > 0, and its codomain and domain slices, each key's worked

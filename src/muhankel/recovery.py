@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .duals import DualCatalog, IrrepLabel, Weight, _fields, _finite
-from .operators import ZERO_REL_TOL, BlockOperator, _KeyPlan, assemble, retained_count
+from .operators import ZERO_REL_TOL, BlockOperator, _KeyPlan, assemble, frobenius, retained_count
 from .symbols import BlockKey, Symbol, _complex_normal, complex_from_parts, parse_numbers
 
 # A triple belongs to a block when both vectors carry at least this fraction
@@ -390,13 +390,11 @@ def _weighted_error(a: Mapping[BlockKey, np.ndarray], b: Mapping[BlockKey, np.nd
                     plan: _KeyPlan) -> float:
     """The weighted HS-sum norm of A - B for the symbols A and B with blocks
     ``a`` and ``b`` (an absent block is zero), the weights from ``plan``,
-    building neither; a's keys first. All the entries' parts are divided by
-    the largest before squaring; a ValueError if the norm is not finite."""
-    diffs = (plan[key][0] * (a.get(key, 0) - b.get(key, 0)) for key in dict.fromkeys(chain(a, b)))
-    parts = np.concatenate([np.zeros(1), *map(np.ravel, diffs)]).view(float)
-    top = float(max(parts.max(), -parts.min())) or 1.0
-    total = top * float(np.linalg.norm(np.divide(parts, top, out=parts)))
-    if not np.isfinite(total):
+    building neither; a's keys first, by :func:`frobenius`; a ValueError if
+    the norm is not finite."""
+    s, norm = frobenius([plan[key][0] * (a.get(key, 0) - b.get(key, 0))
+                         for key in dict.fromkeys(chain(a, b))])
+    if not np.isfinite(total := norm / s):
         raise ValueError(f"weighted recovery error is {total}, not finite")
     return total
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import muhankel.cli as cli
 import muhankel.recovery as recovery
 from muhankel.cli import main
-from muhankel.duals import MAX_DENSE_DIM, SU2, UNIT_WEIGHT, DualCatalog, enumerate_dual
+from muhankel.duals import MAX_DENSE_DIM, SU2, UNIT_WEIGHT, DualCatalog, Torus, enumerate_dual
 from muhankel.operators import BlockOperator, assemble
 from muhankel.recovery import forward
 from muhankel.symbols import (
@@ -346,6 +346,49 @@ def test_index_svd_failure_with_square_blocks_exit_3(tmp_path, monkeypatch):
     sym_path = write_json(tmp_path / "sym.json", diagonal_symbol(cat).to_dict())
     monkeypatch.setattr(np.linalg, "svd", _failing_svd)
     assert main(["index", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 3
+
+
+def all_ones(cat, dims):
+    """Every block of the labels with the given dimensions set to ones: one
+    support component whose matrix has rank one."""
+    labels = [l for l in cat.labels if l.dim in dims]
+    return Symbol(cat, cat, {(pi, rho): np.ones((pi.dim, rho.dim))
+                             for pi in labels for rho in labels})
+
+
+@pytest.mark.parametrize("group, dims, code", [
+    (Torus(1), {1}, 3),  # 1 x 1 blocks: the formula applies, the SVD's failure is exit 3
+    (SU2(), {1, 2}, 4),  # 1 x 2 blocks: neither route applies
+])
+def test_index_svd_failure_after_a_failed_certificate(tmp_path, capsys, monkeypatch, group,
+                                                      dims, code):
+    sym = all_ones(enumerate_dual(group, 2.0), dims)
+    sym_path = write_json(tmp_path / "sym.json", sym.to_dict())
+    calls, cholesky = [], np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(a) or cholesky(a))
+    monkeypatch.setattr(np.linalg, "svd", _failing_svd)
+    assert main(["index", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == code
+    assert "SVD did not converge" in capsys.readouterr().err
+    assert len(calls) == 1  # the certificate ran, and failed
+
+
+def test_index_failed_cholesky_leaves_the_rank_to_the_svd(tmp_path, monkeypatch):
+    # the full-rank support component [[2, 1], [1, 2]] of two 1 x 1 blocks on a
+    # diagonal, its Cholesky certificate failing
+    cat = enumerate_dual(Torus(1), 2.0)
+    a, b = cat.labels[:2]
+    sym = Symbol(cat, cat, {(a, a): [[2.0]], (a, b): [[1.0]], (b, a): [[1.0]], (b, b): [[2.0]]})
+    sym_path = write_json(tmp_path / "sym.json", sym.to_dict())
+    calls = []
+
+    def failing_cholesky(*args, **kwargs):
+        calls.append(args)
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", failing_cholesky)
+    assert main(["index", "--symbol", sym_path, "--out-dir", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "index.json").read_text())
+    assert len(calls) == 1 and report["numerical_rank"] == 2
 
 
 def test_duplicate_block_exit_2(tmp_path, capsys):

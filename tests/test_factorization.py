@@ -4,9 +4,10 @@ the compactness indicator reads, the cases the dense path cannot reach and
 the per-component size guard; over the same draws, forward against the
 dense SVD with the same phase rule and its exact zeros outside each
 triple's component, the spectral-data file's runs and bitwise round trip
-with signed zeros marked in, the adjoint identity, and the numerical
-index's invariance under scaling and additivity over direct sums. Needs
-``hypothesis`` (in the ``test`` extra)."""
+with signed zeros marked in, the adjoint identity, the numerical index's
+invariance under scaling and additivity over direct sums, and its
+certified rank against the SVD count, low-rank blocks and scales 10^k for
+k in [-300, 300] included. Needs ``hypothesis`` (in the ``test`` extra)."""
 
 import json
 
@@ -438,3 +439,52 @@ def test_numerical_index_additive_over_a_direct_sum(
             assume(not np.any((values > 0.99 * low) & (values <= 1.01 * high)))
     want = np.sum([numerical_index(op, RANK_TOLERANCE) for op in parts], axis=0)
     assert numerical_index(total, RANK_TOLERANCE) == tuple(int(x) for x in want)
+
+
+@settings(max_examples=80, deadline=None)
+@given(**DRAWS, low_rank=st.sampled_from([0.0, 0.5, 1.0]), k=st.integers(-300, 300),
+       tol=st.sampled_from([1e-8, 1e-4, 1e-2]))
+# one full-rank component over every label, at both ends of the float range;
+# the same support with every block of rank one; full-rank components beside
+# zero blocks on non-square catalogs
+@example(group="su2", cut_out=6.0, cut_in=6.0, support="random", density=1.0,
+         zero_share=0.0, seed=0, exponents=(0.5, -0.5), low_rank=0.0, k=300, tol=1e-8)
+@example(group="su2", cut_out=6.0, cut_in=6.0, support="random", density=1.0,
+         zero_share=0.0, seed=0, exponents=(0.5, -0.5), low_rank=0.0, k=-300, tol=1e-2)
+@example(group="su2", cut_out=6.0, cut_in=6.0, support="random", density=1.0,
+         zero_share=0.0, seed=0, exponents=(0.5, -0.5), low_rank=1.0, k=0, tol=1e-8)
+@example(group="su2", cut_out=6.0, cut_in=12.0, support="random", density=0.3,
+         zero_share=0.3, seed=3, exponents=(0.0, 1.0), low_rank=0.0, k=0, tol=1e-4)
+def test_certified_rank_equals_the_svd_count(
+    group, cut_out, cut_in, support, density, zero_share, seed, exponents, low_rank, k, tol
+):
+    # a share low_rank of the blocks is replaced by an outer product of its
+    # first column and first row, which has rank one
+    sym = drawn_symbol(group, cut_out, cut_in, support, density, zero_share, seed)
+    rng = np.random.default_rng(seed + 2)
+    blocks = {key: block[:, :1] @ block[:1] if rng.uniform() < low_rank else block
+              for key, block in sym.blocks.items()}
+    sym = scaled(Symbol(sym.codomain, sym.domain, blocks), 10.0**k)
+    op = assemble(sym, PowerLaw(exponents[0]), PowerLaw(exponents[1]))
+    got = numerical_index(op, tol)
+    rank = retained_count(op.singular_values, tol)
+    n_out, n_in = op.shape
+    assert got == (rank, n_in - rank, n_out - rank, n_in - n_out)
+
+
+def test_full_rank_connected_operator_skips_the_svd():
+    # SU(2) cutoff 12, density 0.3, seed 2: one support component of 18 blocks
+    # with every singular value above 1e-2 times the largest
+    cat = enumerate_dual(SU2(), 12.0)
+    sym = random_symbol(cat, cat, 0.3, 2)
+    mu, nu = PowerLaw(0.5), PowerLaw(-0.5)
+    op = assemble(sym, mu, nu)
+    assert [len(keys) for *_, keys in op.components] == [18]
+    assert numerical_index(op, RANK_TOLERANCE) == (28, 0, 0, 0)
+    assert "singular_values" not in vars(op)
+    # zero the one block of a domain label: its columns are zero, and the SVD counts
+    lone = next(key for key in sym.blocks if [rho for _, rho in sym.blocks].count(key[1]) == 1)
+    zeroed = assemble(Symbol(cat, cat, {**sym.blocks, lone: 0 * sym.blocks[lone]}), mu, nu)
+    rank = numerical_index(zeroed, RANK_TOLERANCE)[0]
+    assert "singular_values" in vars(zeroed)
+    assert rank == retained_count(zeroed.singular_values, RANK_TOLERANCE) == 28 - lone[1].dim

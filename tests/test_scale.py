@@ -4,7 +4,9 @@ entry multiplied by c = 10^k, k drawn from [-300, 300].
 * ``spectrum``'s singular values, operator norm, Schatten norms and block
   singular values scale by c, to 1e-12 of the largest, and no verdict
   changes;
-* ``index``'s fields do not change, the winding number included;
+* ``index``'s fields do not change, the winding number included (on the
+  full-rank input, whose formula refusal names a determinant, the
+  numerical ones);
 * ``recover --true-symbol`` on ``forward``'s data gives back c times the
   symbol;
 * every command exits 0 and writes JSON without Infinity or NaN.
@@ -29,7 +31,7 @@ from muhankel.symbols import Symbol
 from helpers import scaled
 
 GOLDEN = Path(__file__).parent / "golden"
-CASES = ["spectrum", "index-non-square", "index-winding", "stability"]
+CASES = ["spectrum", "index-non-square", "index-winding", "index-dense", "stability"]
 
 
 def refuse(token):
@@ -99,6 +101,10 @@ def test_commands_are_equivariant_under_scaling(tmp_path_factory, k):
 
     for case in ("index-non-square", "index-winding"):
         assert got[case]["index.json"] == ref[case]["index.json"]
+    # the formula's refusal there names a block determinant, which scales
+    dense, dense_want = got["index-dense"]["index.json"], ref["index-dense"]["index.json"]
+    assert {key: dense[key] for key in dense if key.startswith("numerical")} == {
+        key: dense_want[key] for key in dense_want if key.startswith("numerical")}
 
     mu, nu = PowerLaw(0.5), PowerLaw(-0.5)
     truth = scaled(read_symbol(GOLDEN / "inputs" / "su2-matching.json"), c)

@@ -17,7 +17,7 @@ import muhankel.recovery as recovery
 from muhankel.cli import main
 from muhankel.duals import (SU2, PowerLaw, Product, TableWeight, Torus, enumerate_dual,
                             parse_group, weight_eval)
-from muhankel.operators import _KeyPlan, assemble
+from muhankel.operators import _KeyPlan, assemble, frobenius
 from muhankel.recovery import (
     _weighted_error,
     forward,
@@ -93,13 +93,12 @@ def test_stability_rows_match_the_old_chain(weighted_penalty):
 def reference_error(recovered, truth, mu, nu):
     """The weighted error summed as a trial did through the recovered Symbol:
     the union of keys, the recovered symbol's first, each block weighted by
-    weight_eval, the entries' parts divided by the largest before squaring."""
-    parts = np.concatenate([np.zeros(1), *(
-        np.ravel(weight_eval(mu, pi) * weight_eval(nu, rho)
-                 * (recovered.blocks.get((pi, rho), 0) - truth.blocks.get((pi, rho), 0)))
-        for pi, rho in dict.fromkeys(chain(recovered.blocks, truth.blocks)))]).view(float)
-    top = float(np.max(np.abs(parts))) or 1.0
-    return top * float(np.linalg.norm(parts / top))
+    weight_eval, the blocks' squares summed by ``frobenius``."""
+    s, norm = frobenius([
+        weight_eval(mu, pi) * weight_eval(nu, rho)
+        * (recovered.blocks.get((pi, rho), 0) - truth.blocks.get((pi, rho), 0))
+        for pi, rho in dict.fromkeys(chain(recovered.blocks, truth.blocks))])
+    return norm / s
 
 
 def reference_row(errors):
