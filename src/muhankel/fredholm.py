@@ -71,20 +71,24 @@ def index_formula(op: BlockOperator) -> tuple[int, list[ContributingPair]]:
     return sum(w for _, _, w in contributing), contributing
 
 
-def numerical_index(
-    op: BlockOperator, rank_tolerance: float = RANK_TOL
-) -> tuple[int, int, int, int]:
+def numerical_index(op: BlockOperator,
+                    rank_tolerance: float = RANK_TOL) -> tuple[int, int, int, int]:
     """(rank, kernel dim, cokernel dim, index) of the dense truncation.
 
     Rank counts singular values above tol = rank_tolerance times the largest
     one (zero operator has rank zero). Where each support component provably
     has all values above b = 2 tol ||T||_F, it is the sum of min(rows, cols),
-    with no SVD: a single block if its smallest value is above b, an n x k or
-    k x n matrix M (n >= k), scaled as in ``frobenius``, if Cholesky factors
-    G - c I, G = M^H M or M M^H, c = b^2 + 4 (n + k + 2) eps tr(G) bounding the
-    rounding of G and of the factors (Rump 2006, BIT 46). As b >= 2 tol ||T||_2
-    the SVD's rounding cannot move such a value below the cut. Else, and for
-    tol >= 1/2 or < 1e3 max(shape) eps (a rounding-level count), the SVD counts.
+    with no SVD: a single block if its smallest value is above b, another
+    component's matrix M if Cholesky factors G - c I, c = b^2 + 4 (n + k + 2)
+    eps tr(G) (Rump 2006, BIT 46), G = A^H A for A (n x k, n >= k) = s M or
+    s M^T, s as in ``frobenius`` (the Gram of M^T is conj(M M^H): the same
+    eigenvalues and trace). G = X^T X + Y^T Y + i (X^T Y - (X^T Y)^T) from
+    X = Re A, Y = Im A: each part is two length-n real dot products and one
+    addition, so ||dG||_2 <= 2 gamma_(n+1) tr(G) (Higham 2002, 3.1), under a
+    quarter of c's rounding term; the rest bounds the shift and the factors.
+    As b >= 2 tol ||T||_2 the SVD's rounding cannot move such a value below
+    the cut. Else, and for tol >= 1/2 or < 1e3 max(shape) eps (a
+    rounding-level count), the SVD counts.
     """
     _finite(rank_tolerance, "rank tolerance", "> 0")
     if (rank := _certified_rank(op, rank_tolerance)) is None:
@@ -101,15 +105,26 @@ def _certified_rank(op: BlockOperator, tol: float) -> int | None:
     if not 1e3 * max(op.shape) * EPS <= tol < 0.5 or not all(s * v[-1] > floor for v in singles):
         return None
     rank = sum(v.size for v in singles)
-    for m in (s * op._component_matrix(c) for c in op.components if len(c[2]) > 1):
-        gram = m.conj().T @ m if len(m) >= len(m.T) else m @ m.conj().T
-        gram.flat[:: len(gram) + 1] -= floor**2 + 4 * (sum(m.shape) + 2) * EPS * np.trace(gram).real
+    for c in (c for c in op.components if len(c[2]) > 1):
+        gram = _gram(op._component_matrix(c), s)
+        n_k = sum(l.dim for l in c[0] + c[1])
+        gram.flat[:: len(gram) + 1] -= floor**2 + 4 * (n_k + 2) * EPS * np.trace(gram).real
         try:
-            np.linalg.cholesky(gram)
+            rank += len(np.linalg.cholesky(gram))
         except np.linalg.LinAlgError:
             return None
-        rank += len(gram)
     return rank
+
+
+def _gram(m: np.ndarray, s: float) -> np.ndarray:
+    """:func:`numerical_index`'s G of ``m`` and ``s``, from contiguous X and Y
+    (two syrk and one gemm), ``m`` dropped once they are made."""
+    x, y = (s * part.T if len(m) < len(m.T) else s * part for part in (m.real, m.imag))
+    del m
+    gram = (x.T @ x).astype(complex)
+    gram.real += y.T @ y
+    np.subtract(t := x.T @ y, t.T, out=gram.imag)
+    return gram
 
 
 def index_report(op: BlockOperator, rank_tolerance: float = RANK_TOL) -> IndexReport:
@@ -167,7 +182,4 @@ def hankel_winding(sym: Symbol, samples: int) -> int | None:
         if abs(coeffs.setdefault(k, value) - value) > 1e-12 * max(1.0, abs(value)):
             return None
     theta = 2.0 * np.pi * np.arange(samples) / samples
-    loop = np.zeros(samples, dtype=complex)
-    for k, c in coeffs.items():
-        loop += c * np.exp(1j * k * theta)
-    return winding_number(loop)
+    return winding_number(sum(c * np.exp(1j * k * theta) for k, c in coeffs.items()))

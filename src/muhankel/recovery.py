@@ -255,8 +255,9 @@ def _label_masses(vecs: np.ndarray, catalog: DualCatalog) -> tuple[np.ndarray, n
     ``catalog`` (labels x k), from one pass of real^2 + imag^2, and its norm,
     the square root of the column sum of those masses."""
     starts = [start for start, _ in catalog.offsets.values()]
-    squares = vecs.real * vecs.real  # bit for bit real ** 2 + imag ** 2, in place
-    squares += vecs.imag * vecs.imag
+    with np.errstate(over="ignore"):  # an inf norm is refused as not unit
+        squares = vecs.real * vecs.real  # bit for bit real ** 2 + imag ** 2, in place
+        squares += vecs.imag * vecs.imag
     masses = np.add.reduceat(squares, starts, axis=0)
     return masses, np.sqrt(masses.sum(axis=0))
 
@@ -318,13 +319,8 @@ def _canonical_phases(u: np.ndarray, v: np.ndarray) -> None:
     v *= phase
 
 
-def tikhonov_recover(
-    data: SpectralData,
-    mu: Weight,
-    nu: Weight,
-    alpha: float = 0.0,
-    weighted_penalty: bool = False,
-) -> Symbol:
+def tikhonov_recover(data: SpectralData, mu: Weight, nu: Weight, alpha: float = 0.0,
+                     weighted_penalty: bool = False) -> Symbol:
     """Least-squares recovery of the symbol from its triples, with quadratic
     penalty alpha (0 for exact recovery from clean data).
 
@@ -345,11 +341,9 @@ def _solve_blocks(data: SpectralData, plan: _KeyPlan, alpha: float,
     taken from ``plan``."""
     _finite(alpha, "regularization parameter", ">= 0")
     if missing := data.attribution.count(None):
-        raise AttributionError(
-            f"tikhonov recovery: {missing} of {len(data.attribution)} triples are not "
-            "attributable to a single block; enlarge the singular-value gaps "
-            "or reduce the noise"
-        )
+        raise AttributionError(f"tikhonov recovery: {missing} of {len(data.attribution)} triples "
+                               "are not attributable to a single block; enlarge the "
+                               "singular-value gaps or reduce the noise")
     blocks = {}
     for key in dict.fromkeys(data.attribution):
         w, rows, cols = plan[key]
@@ -407,9 +401,8 @@ def _reorthonormalize(mat: np.ndarray) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
-def perturb_spectral_data(
-    data: SpectralData, delta: float, rng: np.random.Generator
-) -> SpectralData:
+def perturb_spectral_data(data: SpectralData, delta: float,
+                          rng: np.random.Generator) -> SpectralData:
     """Additive Gaussian noise of scale delta on the singular values, tangent
     Gaussian perturbation of the same scale on the vectors (then
     re-orthonormalized). Attribution is recomputed on the noisy vectors."""
@@ -429,15 +422,9 @@ class StabilityRow:
     std_error: float
 
 
-def stability_scan(
-    true_symbol: Symbol,
-    mu: Weight,
-    nu: Weight,
-    deltas: Sequence[float],
-    trials: int,
-    seed: int,
-    weighted_penalty: bool = False,
-) -> tuple[list[StabilityRow], float | None]:
+def stability_scan(true_symbol: Symbol, mu: Weight, nu: Weight, deltas: Sequence[float],
+                   trials: int, seed: int,
+                   weighted_penalty: bool = False) -> tuple[list[StabilityRow], float | None]:
     """Noise-response experiment: perturb the spectral data of the true
     operator at each noise level, recover with alpha = delta^2, and record
     the weighted HS-sum recovery error.

@@ -2,7 +2,11 @@
 
 Run from the repository root:
 
-    PYTHONPATH=src python tests/golden/make_golden.py
+    PYTHONPATH=src python tests/golden/make_golden.py [CASE ...]
+
+With no CASE it writes ``inputs/`` and every case anew. Naming cases rewrites
+only those case directories, from the ``inputs/`` already there, and leaves
+every other file as it is.
 
 Fixtures are regenerated only on a parent commit, never to make a change
 pass. They record what the CLI wrote before a change; the test then reruns
@@ -115,12 +119,15 @@ def run_case(argv: list[str], workdir: Path) -> tuple[int, str]:
     return code, stdout.getvalue()
 
 
-def main_generate() -> None:
-    for name in ["inputs", *CASES]:
+def main_generate(names: list[str]) -> None:
+    if unknown := sorted(set(names) - set(CASES)):
+        raise SystemExit(f"unknown cases {unknown}; the cases are {sorted(CASES)}")
+    if not names:
+        shutil.rmtree(HERE / "inputs", ignore_errors=True)
+        write_inputs(HERE / "inputs")
+    for name in names or CASES:
         shutil.rmtree(HERE / name, ignore_errors=True)
-    write_inputs(HERE / "inputs")
-    for name, argv in CASES.items():
-        argv = [*argv, "--out-dir", "out"]
+        argv = [*CASES[name], "--out-dir", "out"]
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
             shutil.copytree(HERE / "inputs", work / "inputs")
@@ -136,4 +143,4 @@ def main_generate() -> None:
 
 
 if __name__ == "__main__":
-    main_generate()
+    main_generate(sys.argv[1:])

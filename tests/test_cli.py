@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -495,6 +496,20 @@ def test_recover_rejects_faulty_spectral_data_exit_2(tmp_path, capsys):
         assert main(["recover", "--data", path, "--out-dir", str(tmp_path)]) == 2
         assert message in capsys.readouterr().err
     assert not (tmp_path / "recovered_symbol.json").exists()
+
+
+def test_recover_entry_whose_square_overflows_exit_2_without_a_warning(tmp_path, capsys):
+    # 1e200 squared overflows to inf in the mass pass; the norm check refuses it
+    payload = json.loads((GOLDEN / "inputs" / "su2-matching-data.json").read_text())
+    payload["triples"][0]["u_re"][0] = 1e200
+    data = write_json(tmp_path / "data.json", payload)
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["recover", "--mu", "0", "--nu", "0", "--data", data, "--out-dir", str(out)])
+    assert code == 2
+    assert "triple 0: singular vectors must be unit norm" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("mu, value", [("1000", "inf"), ("-1000", "0.0")])

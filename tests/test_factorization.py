@@ -7,15 +7,19 @@ triple's component, the spectral-data file's runs and bitwise round trip
 with signed zeros marked in, the adjoint identity, the numerical index's
 invariance under scaling and additivity over direct sums, and its
 certified rank against the SVD count, low-rank blocks and scales 10^k for
-k in [-300, 300] included. Needs ``hypothesis`` (in the ``test`` extra)."""
+k in [-300, 300] included, with the certificate's Gram matrix against its
+rounding bound and its peak memory against the component matrix's size.
+Needs ``hypothesis`` (in the ``test`` extra)."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import muhankel.fredholm as fredholm
 import muhankel.operators as ops
 from muhankel.duals import SU2, PowerLaw, Product, Torus, dim, enumerate_dual
 from muhankel.fredholm import numerical_index
@@ -455,6 +459,15 @@ def test_numerical_index_additive_over_a_direct_sum(
          zero_share=0.0, seed=0, exponents=(0.5, -0.5), low_rank=1.0, k=0, tol=1e-8)
 @example(group="su2", cut_out=6.0, cut_in=12.0, support="random", density=0.3,
          zero_share=0.3, seed=3, exponents=(0.0, 1.0), low_rank=0.0, k=0, tol=1e-4)
+# a tall (20 x 7) and a wide (5 x 7, whose transpose is split) full-rank
+# component, then two wide ones, at both ends of the float range, where the
+# split takes the scale
+@example(group="su2", cut_out=12.0, cut_in=6.0, support="random", density=0.3,
+         zero_share=0.0, seed=0, exponents=(0.0, 0.0), low_rank=0.0, k=300, tol=1e-4)
+@example(group="su2", cut_out=12.0, cut_in=6.0, support="random", density=0.3,
+         zero_share=0.0, seed=0, exponents=(0.0, 0.0), low_rank=0.0, k=-300, tol=1e-4)
+@example(group="su2", cut_out=6.0, cut_in=12.0, support="random", density=0.3,
+         zero_share=0.0, seed=3, exponents=(0.0, 0.0), low_rank=0.0, k=300, tol=1e-4)
 def test_certified_rank_equals_the_svd_count(
     group, cut_out, cut_in, support, density, zero_share, seed, exponents, low_rank, k, tol
 ):
@@ -488,3 +501,49 @@ def test_full_rank_connected_operator_skips_the_svd():
     rank = numerical_index(zeroed, RANK_TOLERANCE)[0]
     assert "singular_values" in vars(zeroed)
     assert rank == retained_count(zeroed.singular_values, RANK_TOLERANCE) == 28 - lone[1].dim
+
+
+@pytest.mark.parametrize("power", [-500, 0, 500])
+@pytest.mark.parametrize("part", ["complex", "real", "imaginary"])
+@pytest.mark.parametrize("dims", [(7, 3), (3, 7), (4, 4)])
+def test_gram_within_its_rounding_bound(dims, part, power):
+    # one block of SU(2) labels of the given dimensions, scaled by 2^power;
+    # each part of G is two length-n real dot products and one addition, so
+    # every entry is within 2 gamma_(n+1) (|A|^T |A|)_ij of the exact one
+    cat = enumerate_dual(SU2(), 12.0)  # dimensions 1 to 7
+    pi, rho = (next(l for l in cat.labels if l.dim == d) for d in dims)
+    rng = np.random.default_rng(sum(dims))
+    block = {"complex": 1.0, "real": 0.0, "imaginary": 1j}[part] * rng.standard_normal(dims)
+    if part == "complex":
+        block = block + 1j * rng.standard_normal(dims)
+    sym = scaled(Symbol(cat, cat, {(pi, rho): block}), 2.0**power)
+    op = assemble(sym, PowerLaw(0.0), PowerLaw(0.0))
+    m = op.weighted[pi, rho]
+    s = ops.frobenius([m])[0]
+    gram = fredholm._gram(m, s)
+    a = (m if dims[0] >= dims[1] else m.T).astype(np.clongdouble) * s
+    n, k = a.shape
+    assert gram.shape == (k, k)
+    exact = a.conj().T @ a
+    u = np.finfo(float).eps / 2
+    bound = 2 * (n + 1) * u / (1 - (n + 1) * u) * (np.abs(a).T @ np.abs(a))
+    assert np.all(np.abs(gram - exact) <= bound)
+    if part != "complex":  # X or Y is zero, so X^T Y is
+        assert not gram.imag.any()
+
+
+def test_certificate_peak_memory_is_below_three_component_matrices():
+    # the complex matrix is dropped once split into its real and imaginary
+    # parts; the Gram matrix and its Cholesky factor are each as large as it
+    cat = enumerate_dual(SU2(), 143.75)  # spins 0 to 23/2, N = 300
+    op = assemble(random_symbol(cat, cat, 1.0, 0), PowerLaw(0.5), PowerLaw(-0.5))
+    [component] = op.components
+    nbytes = op._component_matrix(component).nbytes
+    tracemalloc.start()
+    try:
+        rank = fredholm._certified_rank(op, RANK_TOLERANCE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rank == op.shape[0] == 300
+    assert peak <= 2.75 * nbytes

@@ -16,6 +16,7 @@ import json
 import math
 import re
 import shutil
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -128,6 +129,26 @@ def test_make_golden_rewrites_the_inputs(tmp_path):
             (tmp_path / "inputs" / name).read_text(),
             (GOLDEN / "inputs" / name).read_text(), name,
         )
+
+
+def test_make_golden_case_rewrites_only_that_case(tmp_path, monkeypatch):
+    # a copy of the fixtures, whose own script writes into the copy
+    copy = tmp_path / "golden"
+    shutil.copytree(GOLDEN, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.rmtree(copy / "index-dense")
+    monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts its parent on the path
+    spec = importlib.util.spec_from_file_location("make_golden_copy", copy / "make_golden.py")
+    make_golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_golden)
+    make_golden.main_generate(["index-dense"])
+    files = {p.relative_to(copy) for p in copy.rglob("*") if p.is_file()}
+    assert files == {p.relative_to(GOLDEN) for p in GOLDEN.rglob("*")
+                     if p.is_file() and "__pycache__" not in p.parts}
+    for path in files:
+        if path.parts[0] != "index-dense":
+            assert (copy / path).read_bytes() == (GOLDEN / path).read_bytes(), path
+    with pytest.raises(SystemExit, match="unknown cases"):
+        make_golden.main_generate(["index-dense", "no-such-case"])
 
 
 def test_golden_check_scales_each_number_by_its_field():
