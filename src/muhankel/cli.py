@@ -39,6 +39,7 @@ from .duals import (
     TableWeight,
     Weight,
     _fields,
+    _shown,
     enumerate_dual,
     parse_group,
 )
@@ -165,7 +166,7 @@ def _parse_weight(spec: str, catalog: DualCatalog) -> Weight:
             if label in values:
                 raise ValueError(f"weight table {spec} repeats index {label.index}")
             if type(value) not in (int, float):  # not "2", true or null
-                raise TypeError(f"entry {i} value is {value!r}, not a number")
+                raise TypeError(f"entry {i} value is {_shown(value)}, not a number")
             values[label] = float(value)
         return TableWeight(values)
 
@@ -248,11 +249,7 @@ def cmd_index(args) -> int:
     if not 0 <= args.samples <= MAX_DENSE_DIM:
         raise ValueError(f"--samples must be between 0 and {MAX_DENSE_DIM}, got {args.samples}")
     sym, mu, nu = _with_weights(args, _read_input(args.symbol, Symbol.from_dict))
-    try:
-        report = index_report(assemble(sym, mu, nu), args.tolerance)
-    except FormulaInapplicableError as exc:
-        print(f"index: {exc}", file=sys.stderr)
-        return EXIT_INDEX_INAPPLICABLE
+    report = index_report(assemble(sym, mu, nu), args.tolerance)
     payload = report.to_dict()
     try:
         if (wind := hankel_winding(sym, args.samples)) is not None:
@@ -406,6 +403,9 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except FormulaInapplicableError as exc:  # a ValueError, so before that clause
+        print(f"index: {exc}", file=sys.stderr)
+        return EXIT_INDEX_INAPPLICABLE
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

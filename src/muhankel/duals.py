@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
+from reprlib import repr as _shown
 from typing import Iterator, Mapping, Union
 
 # Hard cap on the dense dimension (sum of irrep dimensions) of one catalog.
@@ -99,7 +100,7 @@ def _typed(value, types: tuple, field: str):
     """``value`` if its type is one of ``types`` exactly (so a JSON true is
     no integer here), else a ValueError naming the catalog field."""
     if type(value) not in types:
-        raise ValueError(f"catalog field {field} is {value!r}, not of type "
+        raise ValueError(f"catalog field {field} is {_shown(value)}, not of type "
                          + " or ".join(t.__name__ for t in types))
     return value
 
@@ -107,7 +108,7 @@ def _typed(value, types: tuple, field: str):
 def _fields(entry, what: str, *names: str) -> list:
     """The fields ``names`` of the JSON object ``entry``, or a TypeError naming ``what``."""
     if not isinstance(entry, dict):
-        raise TypeError(f"{what} is {entry!r}, not an object")
+        raise TypeError(f"{what} is {_shown(entry)}, not an object")
     try:
         return [entry[name] for name in names]
     except KeyError as exc:  # its text is the quoted field name
@@ -117,7 +118,7 @@ def _fields(entry, what: str, *names: str) -> list:
 def _index_of(index, side: str) -> tuple:
     """The label index list ``index`` as a tuple, or a TypeError after ``side``."""
     if not isinstance(index, (list, tuple)):
-        raise TypeError(f"{side} label index {index!r} is not a list")
+        raise TypeError(f"{side} label index {_shown(index)} is not a list")
     return tuple(index)
 
 
@@ -131,7 +132,7 @@ def group_from_dict(data: Mapping, what: str = "group") -> GroupKind:
         factors = enumerate(_fields(data, what, "factors")[0])
         group = Product(tuple(group_from_dict(f, f"{what} factor {i}") for i, f in factors))
     else:
-        raise ValueError(f"unknown group kind: {kind!r}")
+        raise ValueError(f"unknown group kind: {_shown(kind)}")
     return _GROUPS.setdefault(group, group)
 
 
@@ -182,7 +183,7 @@ class IrrepLabel:
         except (OverflowError, ValueError):  # inf, nan, "abc"
             exact = False
         if not exact:
-            raise ValueError(f"label index {tuple(self.index)!r} must hold integers only")
+            raise ValueError(f"label index {_shown(tuple(self.index))} must hold integers only")
         object.__setattr__(self, "index", index)
         for name, value in zip(("dim", "casimir", "radius"), _describe(self.group, index)):
             object.__setattr__(self, name, value)
@@ -199,7 +200,7 @@ def _describe(group: GroupKind, index: tuple) -> tuple[int, float, float]:
     sizes in quadrature."""
     atoms = _atoms(group)
     if len(index) != len(atoms):
-        raise ValueError(f"index {index} has {len(index)} slots, group needs {len(atoms)}")
+        raise ValueError(f"index {_shown(index)} has {len(index)} slots, group needs {len(atoms)}")
     dimension, cas, squares = 1, 0, 0
     for atom, k in zip(atoms, index):
         if isinstance(atom, SU2):

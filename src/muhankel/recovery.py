@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .duals import DualCatalog, IrrepLabel, Weight, _fields, _finite
+from .duals import DualCatalog, IrrepLabel, Weight, _fields, _finite, _shown
 from .operators import ZERO_REL_TOL, BlockOperator, _KeyPlan, assemble, frobenius, retained_count
 from .symbols import BlockKey, Symbol, _complex_normal, complex_from_parts, parse_numbers
 
@@ -206,13 +206,13 @@ def _read_side(entries: list, side: str, n: int) -> np.ndarray:
         given, total, end = field in entry, 0, 0
         runs = entry[field] if given else [[0, n]] if n else []  # n = 0: no run
         if not isinstance(runs, list):
-            raise ValueError(f"triple {i}: {field} is {runs!r}, not a list of [start, length] "
-                             "pairs")
+            raise ValueError(f"triple {i}: {field} is {_shown(runs)}, not a list of "
+                             "[start, length] pairs")
         for j, run in enumerate(runs):
             if not (isinstance(run, list) and len(run) == 2
                     and type(run[0]) is type(run[1]) is int):
-                raise ValueError(f"triple {i}: {field}[{j}] is {run!r}, not a [start, length] pair "
-                                 "of integers")
+                raise ValueError(f"triple {i}: {field}[{j}] is {_shown(run)}, not a [start, "
+                                 "length] pair of integers")
             start, length = run
             if length < 1:
                 raise ValueError(f"triple {i}: {field}[{j}] has length {length}, not at least 1")
@@ -229,7 +229,7 @@ def _read_side(entries: list, side: str, n: int) -> np.ndarray:
                     else not (isinstance(value, list) and len(value) == total)):
                 got = (f"a string of {len(value)} characters, not {16 * total} hex digits"
                        if isinstance(value, str) else f"length {len(value)}"
-                       if isinstance(value, list) else repr(value))
+                       if isinstance(value, list) else _shown(value))
                 fill = f", the total length of {field}" if given else ""
                 raise ValueError(f"triple {i}: {name} must be a list of {total} "
                                  f"numbers{fill}, got {got}")

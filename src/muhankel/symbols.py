@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Mapping
 
 import numpy as np
 
-from .duals import DualCatalog, IrrepLabel, PowerLaw, Torus, _fields, weight_eval
+from .duals import DualCatalog, IrrepLabel, PowerLaw, Torus, _fields, _shown, weight_eval
 
 if TYPE_CHECKING:
     from .operators import BlockOperator
@@ -61,9 +61,9 @@ def _holds_bool(value, ndim: int) -> bool:
 def _fault(value, ndim: int, at: str) -> str | None:
     """The first entry of ``value`` that is not a number ``ndim`` lists deep."""
     if ndim == 0:
-        return None if type(value) in (int, float) else f"{at} is {value!r}, not a number"
+        return None if type(value) in (int, float) else f"{at} is {_shown(value)}, not a number"
     if not isinstance(value, list):
-        return f"{at} is {value!r}, not a list"
+        return f"{at} is {_shown(value)}, not a list"
     for i, item in enumerate(value):
         found = _fault(item, ndim - 1, f"{at}[{i}]")
         if found:

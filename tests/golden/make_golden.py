@@ -4,9 +4,13 @@ Run from the repository root:
 
     PYTHONPATH=src python tests/golden/make_golden.py [CASE ...]
 
-With no CASE it writes ``inputs/`` and every case anew. Naming cases rewrites
-only those case directories, from the ``inputs/`` already there, and leaves
-every other file as it is.
+A case is a directory holding ``argv.json``, written by hand: the command
+line, ending in ``--out-dir out``, run from a directory that contains
+``inputs/``. Each case named (with no CASE, ``inputs/`` and then every case)
+is run and compared by test_golden's runner and comparison, and its
+``stdout.txt`` and ``out/`` files (the manifest among them) are written,
+except any whose file passes the comparison already: a run rewrites only
+what has moved, prints what it wrote and deletes other files under ``out/``.
 
 Fixtures are regenerated only on a parent commit, never to make a change
 pass. They record what the CLI wrote before a change; the test then reruns
@@ -19,19 +23,11 @@ keeps only the files that the change is declared to move, restoring every
 other rewritten file. Its message lists each moved number, before and
 after. The canonical phase of ``forward``'s triples was introduced this
 way; it moved ``stability/`` and ``inputs/su2-matching-data.json``.
-
-Layout: ``inputs/`` holds the symbol and spectral-data files the cases read.
-Each case directory holds ``argv.json`` (the command line, run from a
-directory that contains ``inputs/``), ``stdout.txt`` and ``out/``, the files
-the command wrote, including its manifest.
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
-import os
 import shutil
 import sys
 import tempfile
@@ -39,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from muhankel.cli import main
 from muhankel.duals import SU2, DualCatalog, PowerLaw, Torus, enumerate_dual
 from muhankel.operators import assemble
 from muhankel.recovery import forward
@@ -53,25 +48,7 @@ from muhankel.symbols import (
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent))
 from helpers import list_layout  # noqa: E402  (tests/, put on the path above)
-
-WEIGHTS = ["--mu", "0.5", "--nu", "-0.5"]
-
-CASES = {
-    "catalog": ["catalog", "--group", "su2", "--cutoff", "6"],
-    "schatten-scan": ["schatten-scan", "--p", "2", "--alpha", "1.5",
-                      "--ladder", "8,16,32,64"],
-    "spectrum": ["spectrum", "--symbol", "inputs/su2-random.json",
-                 *WEIGHTS, "--m", "1", "--n", "1", "--p", "3"],
-    "index-winding": ["index", "--symbol", "inputs/torus-hankel.json"],
-    "index-non-square": ["index", "--symbol", "inputs/su2-non-square.json"],
-    "index-dense": ["index", "--symbol", "inputs/su2-dense.json", *WEIGHTS],
-    "recover-true-symbol": ["recover", "--data", "inputs/su2-matching-data.json",
-                            *WEIGHTS, "--true-symbol", "inputs/su2-matching.json"],
-    "recover-residual": ["recover", "--data", "inputs/su2-matching-data.json",
-                         *WEIGHTS, "--alpha", "1e-3"],
-    "stability": ["stability", "--symbol", "inputs/su2-matching.json", *WEIGHTS,
-                  "--delta-grid", "1e-4,1e-3,1e-2", "--trials", "3", "--seed", "5"],
-}
+from test_golden import assert_matches, case_texts, data_scale, run_case  # noqa: E402
 
 
 def _write_json(path: Path, payload) -> None:
@@ -106,40 +83,34 @@ def write_inputs(inputs: Path) -> None:
     _write_json(inputs / "su2-matching-data.json", list_layout(data.to_dict()))
 
 
-def run_case(argv: list[str], workdir: Path) -> tuple[int, str]:
-    """Run the CLI in ``workdir``; returns the exit code and the stdout."""
-    stdout = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(workdir)
-    try:
-        with contextlib.redirect_stdout(stdout):
-            code = main(argv)
-    finally:
-        os.chdir(cwd)
-    return code, stdout.getvalue()
+def _write_moved(directory: Path, texts: dict, floor: float = 0.0) -> None:
+    """Write each of ``texts``, by its path under ``directory``, whose file
+    there is missing or fails the golden comparison."""
+    for path, text in texts.items():
+        try:
+            assert_matches(text, (directory / path).read_text(), path, floor)
+        except (AssertionError, FileNotFoundError):
+            (directory / path).parent.mkdir(parents=True, exist_ok=True)
+            (directory / path).write_text(text)
+            print(f"wrote {directory.name}/{path}", file=sys.stderr)
 
 
 def main_generate(names: list[str]) -> None:
-    if unknown := sorted(set(names) - set(CASES)):
-        raise SystemExit(f"unknown cases {unknown}; the cases are {sorted(CASES)}")
-    if not names:
-        shutil.rmtree(HERE / "inputs", ignore_errors=True)
-        write_inputs(HERE / "inputs")
-    for name in names or CASES:
-        shutil.rmtree(HERE / name, ignore_errors=True)
-        argv = [*CASES[name], "--out-dir", "out"]
-        with tempfile.TemporaryDirectory() as tmp:
-            work = Path(tmp)
+    cases = sorted(p.parent.name for p in HERE.glob("*/argv.json"))
+    if unknown := sorted(set(names) - set(cases)):
+        raise SystemExit(f"unknown cases {unknown}; the cases are {cases}")
+    with tempfile.TemporaryDirectory() as tmp:
+        if not names:
+            write_inputs(inputs := Path(tmp, "inputs"))
+            _write_moved(HERE / "inputs", {p.name: p.read_text() for p in inputs.iterdir()})
+        for name in names or cases:
+            case, work = HERE / name, Path(tmp, name)
+            argv = json.loads((case / "argv.json").read_text())
             shutil.copytree(HERE / "inputs", work / "inputs")
-            code, stdout = run_case(argv, work)
-            if code != 0:
-                raise SystemExit(f"case {name} exited {code}")
-            case = HERE / name
-            case.mkdir()
-            shutil.copytree(work / "out", case / "out")
-        _write_json(case / "argv.json", argv)
-        (case / "stdout.txt").write_text(stdout)
-        print(f"{name}: {sorted(p.name for p in (case / 'out').iterdir())}", file=sys.stderr)
+            texts = case_texts(argv, run_case(argv, work), work)
+            for stale in set(case.glob("out/*")) - {case / path for path in texts}:
+                stale.unlink()
+            _write_moved(case, texts, data_scale(argv, work))
 
 
 if __name__ == "__main__":

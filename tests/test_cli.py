@@ -26,6 +26,7 @@ from muhankel.symbols import (
 )
 
 from helpers import list_layout, scaled, spectral_data_file, torus_halfline
+from test_golden import run_case
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -620,6 +621,22 @@ def test_refusal_of_a_large_input_file_prints_bounded_text(tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.encode()) < 1024
     assert err.startswith(f"error: malformed input file {path}: symbol is [[0, 1, 2")
+    assert "symbol is [[0, 1, 2, 3, 4, 5, ...]], not an object" in err  # elided where quoted
+    assert len(err.encode()) < 200
+    assert not (tmp_path / "out").exists()
+
+
+def test_refusal_text_still_long_is_cut_at_500_characters(tmp_path, capsys):
+    # a 256-slot label index outside the catalog is quoted whole, so the file
+    # reader's cut still bounds the line
+    catalog = enumerate_dual(Torus(256), 0.0)
+    sym = {"codomain": catalog.to_dict(), "domain": catalog.to_dict(),
+           "blocks": [{"pi_index": [1] * 256, "rho_index": [0] * 256, "re": [[1.0]],
+                       "im": [[0.0]]}]}
+    path = write_json(tmp_path / "sym.json", sym)
+    assert main(["spectrum", "--symbol", path, "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: malformed input file {path}: codomain label (1, 1, 1")
     assert err.endswith(" ... (cut at 500 characters)\n")
     assert not (tmp_path / "out").exists()
 
@@ -931,6 +948,8 @@ def put(*keys, value):
 
 MALFORMED = "malformed input file"
 NOT_THE_RULES = "is not the mass rule's [[0], [0]]"
+HUGE_LIST, HUGE_TEXT = list(range(100_000)), "x" * 500_000  # each over 0.5 MB as JSON
+ELIDED_LIST, ELIDED_TEXT = "[0, 1, 2, 3, 4, 5, ...]", "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"
 
 
 @pytest.mark.parametrize("kind, edit, message", [
@@ -1009,6 +1028,29 @@ NOT_THE_RULES = "is not the mass rule's [[0], [0]]"
     ("mu", lambda _: {"entries": [{"index": ["x"], "value": 1.0}]},
      "weight table mu.json entry 0: label index ('x',) must hold integers only"),
     ("mu", lambda _: '{"entries": [', f"{MALFORMED} mu.json: Expecting value"),
+    # a value of over 0.5 MB is quoted elided where the refusal is made
+    ("symbol", put("codomain", "cutoff", value=HUGE_LIST),
+     f"catalog field cutoff is {ELIDED_LIST}, not of type"),
+    ("symbol", put("codomain", "labels", 0, value=HUGE_LIST),
+     f"codomain label 0 is {ELIDED_LIST}, not an object"),
+    ("symbol", put("codomain", "labels", 0, "index", value=HUGE_TEXT),
+     f"label index {ELIDED_TEXT} is not a list"),
+    ("symbol", put("codomain", "group", "kind", value=HUGE_TEXT),
+     f"unknown group kind: {ELIDED_TEXT}"),
+    ("symbol", put("codomain", "labels", 0, "index", value=[0.5] * 100_000),
+     "label index (0.5, 0.5, 0.5, 0.5, 0.5, 0.5, ...) must hold integers only"),
+    ("symbol", put("codomain", "labels", 0, "index", value=HUGE_LIST),
+     "index (0, 1, 2, 3, 4, 5, ...) has 100000 slots, group needs 1"),
+    ("symbol", put("blocks", 0, "re", 0, 0, value=HUGE_TEXT),
+     f"re[0][0] is {ELIDED_TEXT}, not a number"),
+    ("symbol", put("blocks", 0, "re", value=HUGE_TEXT), f"re is {ELIDED_TEXT}, not a list"),
+    ("data", put("triples", 0, "u_runs", value=HUGE_TEXT),
+     f"triple 0: u_runs is {ELIDED_TEXT}, not a list"),
+    ("data", put("triples", 0, "u_runs", value=[HUGE_LIST]),
+     f"triple 0: u_runs[0] is {ELIDED_LIST}, not a [start, length] pair"),
+    ("data", put("triples", 0, "u_re", value={"re": HUGE_LIST}), f"got {{'re': {ELIDED_LIST}}}"),
+    ("mu", lambda _: {"entries": [{"index": [0], "value": HUGE_LIST}]},
+     f"entry 0 value is {ELIDED_LIST}, not a number"),
 ], ids=[
     "pi-index-number", "re-string", "re-null", "blocks-object", "labels-number",
     "group-string", "factor-number", "catalog-label-number", "catalog-index-number",
@@ -1022,6 +1064,9 @@ NOT_THE_RULES = "is not the mass rule's [[0], [0]]"
     "triple-number",
     "triples-number", "v-im-missing", "entries-number", "entry-number", "table-list",
     "index-number", "value-list", "value-missing", "table-index-string", "mu-truncated",
+    "huge-cutoff", "huge-label", "huge-label-index", "huge-group-kind", "huge-fractions",
+    "huge-slots", "huge-re-entry", "huge-re", "huge-runs", "huge-run", "huge-u-re",
+    "huge-weight-value",
 ])
 def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, message):
     # each exited 1 with a traceback before: a TypeError, IndexError or
@@ -1052,6 +1097,7 @@ def test_malformed_input_file_exit_2(tmp_path, monkeypatch, capsys, kind, edit, 
     err = capsys.readouterr().err
     assert message in err
     assert f"{MALFORMED} {argv[-1]}:" in err
+    assert len(err.encode()) < 400  # no refusal quotes a value whole
     assert not (tmp_path / "out").exists()
 
 
@@ -1178,7 +1224,7 @@ def unbuilt_parser():
     cli.build_parser.cache_clear()
 
 
-def test_golden_argvs_run_twice_alike_on_one_parser(tmp_path, monkeypatch, capsys, unbuilt_parser):
+def test_golden_argvs_run_twice_alike_on_one_parser(tmp_path, monkeypatch, unbuilt_parser):
     builds = []
     init = argparse.ArgumentParser.__init__
 
@@ -1194,12 +1240,11 @@ def test_golden_argvs_run_twice_alike_on_one_parser(tmp_path, monkeypatch, capsy
         for case in cases:
             workdir = tmp_path / str(rerun) / case.name
             shutil.copytree(GOLDEN / "inputs", workdir / "inputs")
-            monkeypatch.chdir(workdir)
-            assert main(json.loads((case / "argv.json").read_text())) == 0
+            stdout = run_case(json.loads((case / "argv.json").read_text()), workdir)
             built.append(len(builds))
             files = {str(p.relative_to(workdir)): p.read_bytes()
                      for p in sorted((workdir / "out").rglob("*"))}
-            runs.append((capsys.readouterr().out, files))
+            runs.append((stdout, files))
     assert runs[:9] == runs[9:]
     assert built[0] > 0 and set(built) == {built[0]}  # every build was in the first call
     assert cli.build_parser.cache_info().currsize == 1

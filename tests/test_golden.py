@@ -1,21 +1,24 @@
 """Golden CLI outputs: every case under tests/golden/ is rerun and its
-manifest, each file the manifest lists under ``outputs`` and its stdout
-must match the fixture. All text other than numbers matches exactly. Each
-number agrees to 1e-12 relative to the largest magnitude in its field of the
-fixture: a JSON key path with the list indices dropped, a CSV column, or a
-line of stdout. The stdout lines that report rounding-level differences take
-at least the data's largest singular value as their scale. The fixtures and
-the script that writes them (tests/golden/make_golden.py) are regenerated
-only on a parent commit, or in a commit that declares an output change and
-does nothing else (see that script's docstring)."""
+stdout, manifest and each file the manifest lists under ``outputs`` must
+match the fixture; a JSON file holding NaN or Infinity fails. All text other
+than numbers matches exactly. Each number agrees to 1e-12 relative to the
+largest magnitude in its field of the fixture: a JSON key path with the list
+indices dropped, a CSV column, or a line of stdout. The stdout lines that
+report rounding-level differences take at least the data's largest singular
+value as their scale. :func:`run_case` runs a case and :func:`case_texts`
+with :func:`assert_matches` compares it, here, in tests/golden/make_golden.py
+(see its docstring for adding a case) and in CI's console step."""
 
+import contextlib
 import csv
 import importlib.util
 import io
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -67,27 +70,73 @@ def numbers_by_field(text: str, what: str) -> dict:
     return fields
 
 
-def assert_matches(got: str, want: str, what: str, floors: dict | None = None) -> None:
+def assert_matches(got: str, want: str, what: str, floor: float = 0.0) -> None:
     """``got`` matches the fixture text ``want``: the same text between the
     numbers, and each number within 1e-12 of the largest finite magnitude in
-    its field of ``want``, or of ``floors[field]`` where that is larger."""
+    its field of ``want``, or of ``floor`` where that is larger on a line of
+    ``stdout.txt`` that reports rounding noise (``ROUNDING_LINES``)."""
     assert NUMBER.split(got) == NUMBER.split(want), f"{what}: text differs"
     got_fields, want_fields = numbers_by_field(got, what), numbers_by_field(want, what)
     assert got_fields.keys() == want_fields.keys(), f"{what}: fields differ"
     for field, want_nums in want_fields.items():
         scale = max((abs(x) for x in want_nums if math.isfinite(x)), default=0.0)
-        scale = max(scale, (floors or {}).get(field, 0.0))
+        if what == "stdout.txt" and want.splitlines()[field].startswith(ROUNDING_LINES):
+            scale = max(scale, floor)
         assert len(got_fields[field]) == len(want_nums), f"{what}: {field}: number count differs"
         np.testing.assert_allclose(got_fields[field], want_nums, rtol=0,
                                    atol=REL_TOL * scale, err_msg=f"{what}: {field}")
 
 
-def data_scale(argv: list) -> float:
-    """The largest singular value in the ``--data`` file of ``argv``; 0 without one."""
+def data_scale(argv: list, workdir: Path) -> float:
+    """The largest singular value in the ``--data`` file of ``argv`` from ``workdir``, or 0."""
     if "--data" not in argv:
         return 0.0
-    data = json.loads(Path(argv[argv.index("--data") + 1]).read_text())
+    data = json.loads(Path(workdir, argv[argv.index("--data") + 1]).read_text())
     return max(abs(triple["s"]) for triple in data["triples"])
+
+
+def run_case(argv: list, workdir: Path, command: list | None = None) -> str:
+    """Run the CLI on ``argv`` from ``workdir``: ``main`` in-process, or the
+    subprocess ``[*command, *argv]``. Asserts exit 0; returns the stdout."""
+    if command:
+        done = subprocess.run([*command, *argv], cwd=workdir, stdout=subprocess.PIPE, text=True)
+        code, stdout = done.returncode, done.stdout
+    else:
+        cwd, out = os.getcwd(), io.StringIO()
+        try:
+            os.chdir(workdir)
+            with contextlib.redirect_stdout(out):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        stdout = out.getvalue()
+    assert code == 0, f"{argv[0]} exited {code}, not 0"
+    return stdout
+
+
+def case_texts(argv: list, stdout: str, directory: Path) -> dict:
+    """The texts a run of ``argv`` is compared on, by their paths in a case
+    directory: ``stdout.txt`` (``stdout``), then the manifest under
+    ``directory`` and every output it lists. A JSON text holding NaN or Infinity fails."""
+    manifest = f"out/{argv[0]}-manifest.json"
+    texts = {"stdout.txt": stdout, manifest: (directory / manifest).read_text()}
+    texts |= {path: (directory / path).read_text()
+              for path in json.loads(texts[manifest])["outputs"].values()}
+    for path, text in texts.items():
+        if path.endswith(".json"):
+            json.loads(text, parse_constant=lambda token: pytest.fail(f"{path} holds {token}"))
+    return texts
+
+
+def check_case(case: str, workdir: Path, command: list | None = None) -> None:
+    """Run the golden ``case`` from ``workdir`` on a copy of the inputs, through
+    ``command`` if given, and compare each of its texts with the fixture's."""
+    argv = json.loads((GOLDEN / case / "argv.json").read_text())
+    shutil.copytree(GOLDEN / "inputs", workdir / "inputs")
+    got = case_texts(argv, run_case(argv, workdir, command), workdir)
+    want = case_texts(argv, (GOLDEN / case / "stdout.txt").read_text(), GOLDEN / case)
+    for path, text in want.items():  # the manifest, which names the outputs, comes first
+        assert_matches(got[path], text, path, data_scale(argv, workdir))
 
 
 def test_golden_cases_present():
@@ -95,60 +144,69 @@ def test_golden_cases_present():
 
 
 @pytest.mark.parametrize("case", CASES)
-def test_golden(case, tmp_path, monkeypatch, capsys):
-    fixture = GOLDEN / case
-    argv = json.loads((fixture / "argv.json").read_text())
-    shutil.copytree(GOLDEN / "inputs", tmp_path / "inputs")
-    monkeypatch.chdir(tmp_path)
-    assert main(argv) == 0
-    want = (fixture / "stdout.txt").read_text()
-    floors = {line: data_scale(argv) for line, content in enumerate(want.splitlines())
-              if content.startswith(ROUNDING_LINES)}
-    assert_matches(capsys.readouterr().out, want, "stdout", floors)
-
-    manifest = f"out/{argv[0]}-manifest.json"
-    want = (fixture / manifest).read_text()
-    assert_matches((tmp_path / manifest).read_text(), want, manifest)
-    for path in json.loads(want)["outputs"].values():
-        assert_matches(
-            (tmp_path / path).read_text(), (fixture / path).read_text(), path
-        )
+def test_golden(case, tmp_path):
+    check_case(case, tmp_path)
 
 
-def test_make_golden_rewrites_the_inputs(tmp_path):
-    # the fixture script runs only when fixtures are regenerated; this keeps
-    # its imports and its generators' draw order from drifting in between
-    spec = importlib.util.spec_from_file_location("make_golden", GOLDEN / "make_golden.py")
-    make_golden = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_golden)
-    make_golden.write_inputs(tmp_path / "inputs")
-    want = sorted(p.name for p in (GOLDEN / "inputs").iterdir())
-    assert sorted(p.name for p in (tmp_path / "inputs").iterdir()) == want
-    for name in want:
-        assert_matches(
-            (tmp_path / "inputs" / name).read_text(),
-            (GOLDEN / "inputs" / name).read_text(), name,
-        )
+def test_golden_through_a_console_command(tmp_path, monkeypatch):
+    # the branch CI's console step takes, with the module for the installed script
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).parents[1] / "src"))
+    check_case("recover-true-symbol", tmp_path, [sys.executable, "-m", "muhankel.cli"])
 
 
-def test_make_golden_case_rewrites_only_that_case(tmp_path, monkeypatch):
-    # a copy of the fixtures, whose own script writes into the copy
+def test_case_texts_refuse_a_json_output_holding_nan(tmp_path):
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "index-manifest.json").write_text('{"outputs": {"r": "out/index.json"}}')
+    (tmp_path / "out" / "index.json").write_text('{"winding_number": NaN}')
+    with pytest.raises(pytest.fail.Exception, match="out/index.json holds NaN"):
+        case_texts(["index"], "", tmp_path)
+
+
+def _load_make_golden(tmp_path, monkeypatch):
+    """A copy of tests/golden/ and its own fixture script, which writes into the copy."""
     copy = tmp_path / "golden"
     shutil.copytree(GOLDEN, copy, ignore=shutil.ignore_patterns("__pycache__"))
-    shutil.rmtree(copy / "index-dense")
     monkeypatch.setattr(sys, "path", [*sys.path])  # the script puts its parent on the path
     spec = importlib.util.spec_from_file_location("make_golden_copy", copy / "make_golden.py")
     make_golden = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(make_golden)
+    return copy, make_golden
+
+
+def _files(root: Path) -> dict:
+    return {p.relative_to(root): p.read_bytes() for p in root.rglob("*")
+            if p.is_file() and "__pycache__" not in p.parts}
+
+
+def test_make_golden_rewrites_the_inputs(tmp_path, monkeypatch):
+    # the fixture script runs only when fixtures are regenerated; this keeps
+    # its imports and its generators' draw order from drifting in between
+    _, make_golden = _load_make_golden(tmp_path, monkeypatch)
+    make_golden.write_inputs(new := tmp_path / "inputs")
+    assert sorted(p.name for p in new.iterdir()) == sorted(p.name for p in GOLDEN.glob("inputs/*"))
+    for path in GOLDEN.glob("inputs/*"):
+        assert_matches((new / path.name).read_text(), path.read_text(), path.name)
+
+
+def test_make_golden_case_rewrites_only_that_case(tmp_path, monkeypatch):
+    copy, make_golden = _load_make_golden(tmp_path, monkeypatch)
+    shutil.rmtree(copy / "index-dense" / "out")
+    (copy / "index-dense" / "stdout.txt").unlink()
     make_golden.main_generate(["index-dense"])
-    files = {p.relative_to(copy) for p in copy.rglob("*") if p.is_file()}
-    assert files == {p.relative_to(GOLDEN) for p in GOLDEN.rglob("*")
-                     if p.is_file() and "__pycache__" not in p.parts}
+    files, want = _files(copy), _files(GOLDEN)
+    assert files.keys() == want.keys()
     for path in files:
-        if path.parts[0] != "index-dense":
-            assert (copy / path).read_bytes() == (GOLDEN / path).read_bytes(), path
+        if path.parts[0] != "index-dense" or path.name == "argv.json":
+            assert files[path] == want[path], path
     with pytest.raises(SystemExit, match="unknown cases"):
         make_golden.main_generate(["index-dense", "no-such-case"])
+
+
+def test_make_golden_with_no_case_rewrites_no_file_that_matches(tmp_path, monkeypatch):
+    # eight fixtures moved in their last digits and were rewritten on every run
+    copy, make_golden = _load_make_golden(tmp_path, monkeypatch)
+    make_golden.main_generate([])
+    assert _files(copy) == _files(GOLDEN)
 
 
 def test_golden_check_scales_each_number_by_its_field():
